@@ -5,7 +5,7 @@ synthesize.  Every run emits a single JSON report on stdout (or --out)
 containing the echoed command, a sha256 digest of the input file, the
 package version and the result payload; --csv swaps the payload for a
 flat table suitable for plotting.  Timings go to stderr only, so payloads
-are byte-identical across repeat runs and thread counts.
+are byte-identical across repeat runs.
 
 Exit codes: 0 success, 1 failed verification, 2 input/usage error,
 3 numerical failure.
@@ -59,10 +59,10 @@ def _digest(path):
     return "sha256:" + h.hexdigest()
 
 
-# Flags that route output or tune execution without changing results;
-# they stay out of the command echo so payloads are byte-identical
-# whenever the same analysis ran on the same input.
-_NON_ANALYSIS_FLAGS = {"out", "csv", "jobs", "func", "cmd", "problem"}
+# Flags that route output without changing results; they stay out of the
+# command echo so payloads are byte-identical whenever the same analysis
+# ran on the same input.
+_NON_ANALYSIS_FLAGS = {"out", "csv", "func", "cmd", "problem"}
 
 
 def _report(args, results):
@@ -166,7 +166,7 @@ def cmd_rank(args):
     metric = _resolve_metric(args, problem)
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"rank {cs.size} candidates"):
-        weights = candidate_weights(cs, margin=args.margin, jobs=args.jobs)
+        weights = candidate_weights(cs, margin=args.margin)
     rows = _ranked_rows(metric, weights)
     results = {
         "metric": metric.describe(),
@@ -185,7 +185,7 @@ def cmd_select(args):
     metric = _resolve_metric(args, problem)
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"select {args.k} of {cs.size}"):
-        result = select_top_k(cs, args.k, margin=args.margin, jobs=args.jobs)
+        result = select_top_k(cs, args.k, margin=args.margin)
     weights = dict(result.ranked)
     rows = _ranked_rows(metric, weights)
     chosen = set(result.selected)
@@ -330,12 +330,9 @@ def _add_metric_flags(p):
                    help="grid shorthand: h2 metric over all frequency states")
 
 
-def _add_common_flags(p, jobs=True):
+def _add_common_flags(p):
     p.add_argument("--margin", type=float, default=DEFAULT_STABILITY_MARGIN,
                    help="Hurwitz stability margin")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for per-candidate solves")
     p.add_argument("--csv", action="store_true", help="emit a flat CSV table")
     p.add_argument("--out", default=None, help="write the payload to this file")
 
@@ -379,7 +376,7 @@ def build_parser():
 
     p = sub.add_parser("centrality", help="per-node controllability centrality")
     p.add_argument("problem")
-    _add_common_flags(p, jobs=False)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("verify", help="spot-check the modularity identity "
@@ -388,7 +385,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_metric_flags(p)
-    _add_common_flags(p, jobs=False)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bruteforce", help="exhaustive subset search (capped)")
@@ -399,7 +396,7 @@ def build_parser():
     p.add_argument("--cap", type=int, default=1_000_000,
                    help="refuse when C(M, k) exceeds this")
     _add_metric_flags(p)
-    _add_common_flags(p, jobs=False)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("synthesize", help="minimum-energy open-loop input")
@@ -412,7 +409,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--simulate", action="store_true",
                    help="integrate the closed trajectory and report the terminal error")
-    _add_common_flags(p, jobs=False)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_synthesize)
 
     return parser

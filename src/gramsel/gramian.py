@@ -90,8 +90,7 @@ class LyapunovSolver:
 
     Factors ``a = U T U^T`` once; each :meth:`solve` then costs one
     quasi-triangular Sylvester solve (LAPACK ``*trsyl``) plus two basis
-    transforms.  Ranking thousands of candidate columns against the same
-    dynamics reuses the factorization.
+    transforms, for the forward equation or its adjoint.
     """
 
     def __init__(self, a, margin=DEFAULT_STABILITY_MARGIN):
@@ -112,8 +111,11 @@ class LyapunovSolver:
     def n(self):
         return self.a.shape[0]
 
-    def solve(self, q):
-        """Solve a W + W a^T + q = 0 for symmetric q; returns symmetric W."""
+    def solve(self, q, adjoint=False):
+        """Solve a W + W a^T + q = 0 for symmetric q; returns symmetric W.
+
+        ``adjoint`` solves a^T W + W a + q = 0 on the same factors instead.
+        """
         q = as_square(q, "q")
         n = self.n
         if q.shape[0] != n:
@@ -122,7 +124,8 @@ class LyapunovSolver:
             raise DomainError("right-hand side q must be symmetric")
         q = symmetrize(q)
         f = self._u.T @ (-q) @ self._u
-        y, scale, info = self._trsyl(self._t, self._t, f, tranb="C")
+        trans = {"trana": "C"} if adjoint else {"tranb": "C"}
+        y, scale, info = self._trsyl(self._t, self._t, f, **trans)
         if info < 0:
             raise NumericalError(f"trsyl: illegal argument {-info}")
         if info == 1:

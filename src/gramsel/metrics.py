@@ -22,7 +22,7 @@ from .exceptions import (
     SingularGramianError,
     UnreachableStateError,
 )
-from .gramian import Gramian, finite_horizon_gramian
+from .gramian import Gramian, _input_matrix, finite_horizon_gramian
 from .numerics import as_matrix, as_square, as_vector, matrix_exponential, symmetrize
 
 __all__ = [
@@ -106,6 +106,15 @@ class MetricSpec:
             raise DimensionError(
                 f"h2 output matrix has {self.weight.shape[1]} columns, expected {n}"
             )
+
+    def state_weighting(self, n):
+        """The symmetric (n, n) C_bar with metric(W) = trace(C_bar @ W)."""
+        self.validate_for(n)
+        if self.kind == "trace":
+            return np.eye(n)
+        if self.kind == "weighted_trace":
+            return symmetrize(self.weight)
+        return symmetrize(self.weight.T @ self.weight)
 
     def describe(self):
         if self.kind == "trace":
@@ -246,12 +255,7 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     """
     a = as_square(a, "a")
     n = a.shape[0]
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    b = as_matrix(b, "b")
-    if b.shape[0] != n:
-        raise DimensionError(f"b has {b.shape[0]} rows, expected {n}")
+    b = _input_matrix(b, n)
     samples = int(samples)
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}")
@@ -292,10 +296,7 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
     """
     a = as_square(a, "a")
     n = a.shape[0]
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    b = as_matrix(b, "b")
+    b = _input_matrix(b, n)
     x = as_vector(x_f, n, "x_f")
 
     w = finite_horizon_gramian(a, b, t)

@@ -29,7 +29,7 @@ from .exceptions import (
     TopologyError,
 )
 from .metrics import MetricSpec
-from .numerics import DEFAULT_STABILITY_MARGIN, as_matrix, as_vector, is_hurwitz, spectral_abscissa
+from .numerics import DEFAULT_STABILITY_MARGIN, as_matrix, is_hurwitz, spectral_abscissa
 from .placement import CandidateSet
 
 __all__ = [
@@ -420,10 +420,9 @@ def load_problem(path):
             raise ProblemFormatError(
                 'each candidate must be an object with "id" and "b" fields'
             )
-        cid = str(entry["id"])
-        # as_vector's error already names the offending candidate
-        candidates.append((cid, as_vector(entry["b"], n, f"candidate {cid!r} column")))
-    cs = CandidateSet(a, tuple(candidates), metric)
+        # CandidateSet validates each column and names the offending candidate
+        candidates.append((entry["id"], entry["b"]))
+    cs = CandidateSet(a, candidates, metric)
     return Problem(candidate_set=cs)
 
 

@@ -15,10 +15,10 @@ non-modular functionals (smallest eigenvalue, log-determinant), and
 pairs.
 """
 
+import copy
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,38 +39,36 @@ __all__ = [
     "GRAMIAN_FUNCTIONALS",
 ]
 
-# Relative agreement demanded between sum-of-weights and the score of the
-# combined Gramian when select_top_k cross-checks its answer.
+# Relative agreement demanded between a sum of weights and the score of
+# the combined Gramian when the adjoint weights are cross-checked.
 _ADDITIVITY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
 class CandidateSet:
     """A dynamics matrix plus labelled candidate input columns.
 
-    ``candidates`` is an ordered tuple of ``(id, column)`` pairs; ids must
-    be unique and every column must match the state dimension.
+    Built from ``(id, column)`` pairs; ids must be unique and every column
+    must match the state dimension.  The columns are stored once, as the
+    read-only (n, M) matrix ``B`` whose j-th column belongs to ``ids[j]``.
     """
 
-    a: np.ndarray
-    candidates: tuple
-    metric: MetricSpec = field(default_factory=MetricSpec)
-
-    def __post_init__(self):
-        a = as_square(self.a, "a")
-        object.__setattr__(self, "a", a)
-        n = a.shape[0]
-        normalized = []
-        seen = set()
-        for cid, col in self.candidates:
-            cid = str(cid)
-            if cid in seen:
-                raise DomainError(f"duplicate candidate id {cid!r}")
-            seen.add(cid)
-            normalized.append((cid, as_vector(col, n, f"candidate {cid!r} column")))
-        if not normalized:
+    def __init__(self, a, candidates, metric=MetricSpec()):
+        self.a = as_square(a, "a")
+        self.metric = metric
+        n = self.a.shape[0]
+        candidates = list(candidates)
+        if not candidates:
             raise DomainError("candidate set is empty")
-        object.__setattr__(self, "candidates", tuple(normalized))
+        self.B = np.empty((n, len(candidates)))
+        self._index = {}
+        for j, (cid, col) in enumerate(candidates):
+            cid = str(cid)
+            if cid in self._index:
+                raise DomainError(f"duplicate candidate id {cid!r}")
+            self._index[cid] = j
+            self.B[:, j] = as_vector(col, n, f"candidate {cid!r} column")
+        self.B.flags.writeable = False
+        self.ids = tuple(self._index)
 
     @property
     def n(self):
@@ -78,17 +76,18 @@ class CandidateSet:
 
     @property
     def size(self):
-        return len(self.candidates)
+        return len(self.ids)
 
     @property
-    def ids(self):
-        return tuple(cid for cid, _ in self.candidates)
+    def candidates(self):
+        """The ``(id, column)`` pairs in candidate order."""
+        return tuple(zip(self.ids, self.B.T))
 
     def column(self, cid):
-        for c, col in self.candidates:
-            if c == cid:
-                return col
-        raise DomainError(f"unknown candidate id {cid!r}")
+        j = self._index.get(cid)
+        if j is None:
+            raise DomainError(f"unknown candidate id {cid!r}")
+        return self.B[:, j]
 
     def input_matrix(self, ids):
         """Stack the columns of the given ids into an (n, |ids|) matrix."""
@@ -98,7 +97,10 @@ class CandidateSet:
         return np.column_stack(cols)
 
     def with_metric(self, metric):
-        return CandidateSet(self.a, self.candidates, metric)
+        """The same candidates under another metric, sharing the stored columns."""
+        other = copy.copy(self)
+        other.metric = metric
+        return other
 
 
 @dataclass(frozen=True)
@@ -121,35 +123,39 @@ class PlacementResult:
         return len(self.selected)
 
 
-def _score_one(solver, metric, col):
-    w = solver.solve(np.outer(col, col))
-    return evaluate_metric(metric, w)
-
-
-def candidate_weights(cs, margin=DEFAULT_STABILITY_MARGIN, jobs=1):
+def candidate_weights(cs, margin=DEFAULT_STABILITY_MARGIN):
     """Per-candidate weights w(s) = metric(W_s), W_s from a single column.
 
-    Returns an ordered mapping id -> weight in candidate order.  All
-    candidates share one Schur factorization of ``cs.a``; ``jobs`` > 1
-    solves candidates on a thread pool (scores are bitwise independent of
-    the thread count and of candidate order).
+    Returns an ordered mapping id -> weight in candidate order.  Every
+    metric is trace(C_bar W), so w(s) = b_s^T P b_s with P from one adjoint
+    Lyapunov solve; each weight depends on its own column only.
     """
     solver = LyapunovSolver(cs.a, margin=margin)
-    return _weights_with_solver(solver, cs, jobs)
+    return _weights_with_solver(solver, cs)
 
 
-def _weights_with_solver(solver, cs, jobs=1):
-    cs.metric.validate_for(cs.n)
-    cols = [col for _, col in cs.candidates]
-    if jobs and int(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            scores = list(pool.map(lambda c: _score_one(solver, cs.metric, c), cols))
-    else:
-        scores = [_score_one(solver, cs.metric, c) for c in cols]
-    return {cid: score for (cid, _), score in zip(cs.candidates, scores)}
+def _weights_with_solver(solver, cs):
+    p = solver.solve(cs.metric.state_weighting(cs.n), adjoint=True)
+    scores = np.einsum("ij,ij->j", cs.B, p @ cs.B).tolist()
+    _check_additivity(solver, cs.metric, cs.B, math.fsum(scores))
+    return dict(zip(cs.ids, scores))
 
 
-def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN, jobs=1):
+def _check_additivity(solver, metric, b, total):
+    """Check a sum of adjoint weights against one forward solve.
+
+    ``total`` must match the metric of the forward-solved Gramian of the
+    combined input ``b``; a mismatch raises NumericalError.
+    """
+    combined = evaluate_metric(metric, solver.solve(symmetrize(b @ b.T)))
+    if abs(combined - total) > _ADDITIVITY_RTOL * max(1.0, abs(combined)):
+        raise NumericalError(
+            f"additivity cross-check failed: sum of weights {total!r} vs "
+            f"combined-gramian score {combined!r}"
+        )
+
+
+def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN):
     """Exact best k-subset under a modular metric, by sorting weights.
 
     Candidates are ordered by descending weight with ties broken by
@@ -161,18 +167,11 @@ def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN, jobs=1):
     if not 1 <= k <= cs.size:
         raise DomainError(f"k must satisfy 1 <= k <= {cs.size}, got {k}")
     solver = LyapunovSolver(cs.a, margin=margin)
-    weights = _weights_with_solver(solver, cs, jobs)
+    weights = _weights_with_solver(solver, cs)
     order = sorted(weights, key=lambda c: (-weights[c], c))
     selected = tuple(order[:k])
     total = math.fsum(weights[c] for c in selected)
-
-    b_sel = cs.input_matrix(selected)
-    combined = evaluate_metric(cs.metric, solver.solve(symmetrize(b_sel @ b_sel.T)))
-    if abs(combined - total) > _ADDITIVITY_RTOL * max(1.0, abs(combined)):
-        raise NumericalError(
-            f"additivity cross-check failed: sum of weights {total!r} vs "
-            f"combined-gramian score {combined!r}"
-        )
+    _check_additivity(solver, cs.metric, cs.input_matrix(selected), total)
 
     ties = ()
     boundary = weights[order[k - 1]]
@@ -304,16 +303,10 @@ def controllability_centrality(a, margin=DEFAULT_STABILITY_MARGIN):
 
     Node i scores trace(W_i) where W_i solves A W + W A^T + e_i e_i^T = 0:
     the total state variance excited by white noise injected at node i
-    alone.  Returns an array of length n indexed by node.  The scores of
-    all nodes sum to trace of the Gramian of the identity-input system.
+    alone.  trace(W_i) = P_ii for A^T P + P A + I = 0, so one adjoint solve
+    scores every node.  Returns an array of length n indexed by node.  The
+    scores of all nodes sum to trace of the Gramian of the identity-input
+    system.
     """
-    a = as_square(a, "a")
     solver = LyapunovSolver(a, margin=margin)
-    n = a.shape[0]
-    scores = np.empty(n)
-    basis = np.zeros((n, n))
-    for i in range(n):
-        basis[i, i] = 1.0
-        scores[i] = float(np.trace(solver.solve(basis)))
-        basis[i, i] = 0.0
-    return scores
+    return np.diag(solver.solve(np.eye(solver.n), adjoint=True)).copy()

@@ -236,6 +236,13 @@ class TestExitCodes:
         assert code == 3
         assert "Hurwitz" in err
 
+    def test_wrong_adjoint_is_3(self, tmp_path, capsys, skewed_adjoint):
+        path = make_problem(tmp_path, capsys)
+        code, out, err = run(capsys, ["rank", path])
+        assert code == 3
+        assert out == ""
+        assert "additivity" in err
+
     def test_malformed_json_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -255,11 +262,3 @@ class TestDeterminism:
         assert run(capsys, ["rank", path, "--out", str(out1)])[0] == 0
         assert run(capsys, ["rank", path, "--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_thread_count_invariant_payload(self, tmp_path, capsys):
-        # --jobs tunes execution, not the analysis: full payload matches
-        path = make_problem(tmp_path, capsys, args=("--ring", "6"))
-        code, out_seq, _ = run(capsys, ["rank", path, "--jobs", "1"])
-        code2, out_par, _ = run(capsys, ["rank", path, "--jobs", "4"])
-        assert code == code2 == 0
-        assert out_seq == out_par

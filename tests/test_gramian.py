@@ -76,6 +76,12 @@ class TestSolveLyapunov:
         w_oracle = lyap_kron(a, q)
         assert np.allclose(w, w_oracle, rtol=1e-10, atol=1e-12)
 
+    def test_adjoint_against_kron_oracle(self):
+        a, b = _system(124, n=6, m=2)
+        q = b @ b.T
+        p = LyapunovSolver(a).solve(q, adjoint=True)
+        assert np.allclose(p, lyap_kron(a.T, q), rtol=1e-10, atol=1e-12)
+
     def test_result_is_bitwise_symmetric(self):
         a, b = _system(5, n=7)
         w = solve_lyapunov(a, b @ b.T)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,3 +364,13 @@ class TestProblemIO:
         path.write_text('{"grid": {"topology": "torus", "buses": 4}}')
         with pytest.raises(ProblemFormatError):
             load_problem(path)
+
+    def test_readme_problem_examples_load(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"),
+                            re.DOTALL)
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            assert load_problem(path).candidate_set.size >= 1
