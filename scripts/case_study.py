@@ -28,7 +28,7 @@ def sweep(cs, k, label, out_dir):
     result = select_top_k(cs, k)
     dt = time.perf_counter() - t0
     print(f"\n[{label}] ranked {cs.size} candidates in {dt:.1f}s "
-          f"(one Schur factorization, {cs.size} quasi-triangular solves)")
+          "(one Schur factorization, one adjoint solve, two forward check solves)")
     print(f"[{label}] top {k} links, total score {result.total_score:.6f}:")
     for cid, score in result.ranked[:k]:
         print(f"    {cid:>16s}   {score:.6f}")

@@ -96,6 +96,14 @@ def _emit(args, report, csv_rows=None, csv_header=None):
         sys.stdout.write(payload)
 
 
+def _read_json(path, what):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise DomainError(f"invalid JSON in {what} {path}: {exc}") from None
+
+
 def _load(args):
     with _phase("load"):
         problem = load_problem(args.problem)
@@ -120,11 +128,7 @@ def _resolve_metric(args, problem):
         return MetricSpec.trace()
     if weight_file is None:
         raise DomainError(f"--metric {kind} requires --weight-file")
-    try:
-        with open(weight_file, "r", encoding="utf-8") as fh:
-            matrix = as_matrix(json.load(fh), "weight matrix")
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON in weight file {weight_file}: {exc}") from None
+    matrix = as_matrix(_read_json(weight_file, "weight file"), "weight matrix")
     if kind == "weighted":
         return MetricSpec.weighted(matrix)
     return MetricSpec.h2(matrix)
@@ -283,20 +287,9 @@ def cmd_synthesize(args):
     if not ids:
         raise DomainError("--ids must name at least one candidate")
     b = cs.input_matrix(ids)
-    if args.target is not None:
-        try:
-            values = [float(v) for v in args.target.split(",")]
-        except ValueError as exc:
-            raise DomainError(f"cannot parse --target: {exc}") from None
-        x_f = as_vector(values, cs.n, "target")
-    else:
-        with open(args.target_file, "r", encoding="utf-8") as fh:
-            try:
-                x_f = as_vector(json.load(fh), cs.n, "target")
-            except json.JSONDecodeError as exc:
-                raise DomainError(
-                    f"invalid JSON in target file {args.target_file}: {exc}"
-                ) from None
+    raw = (args.target.split(",") if args.target is not None
+           else _read_json(args.target_file, "target file"))
+    x_f = as_vector(raw, cs.n, "target")
     with _phase("synthesize"):
         traj = synthesize_min_energy_input(cs.a, b, args.horizon, x_f,
                                            samples=args.samples)

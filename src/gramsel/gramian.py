@@ -20,12 +20,14 @@ from scipy.linalg import get_lapack_funcs
 from .exceptions import DimensionError, DomainError, NumericalError, StabilityError
 from .numerics import (
     DEFAULT_STABILITY_MARGIN,
-    as_matrix,
+    as_array,
+    as_number,
     as_square,
     matrix_exponential,
     real_schur,
     spectral_abscissa,
     symmetrize,
+    within_margin,
 )
 
 __all__ = [
@@ -65,10 +67,9 @@ class Gramian:
     def __post_init__(self):
         m = as_square(self.matrix, "gramian matrix")
         object.__setattr__(self, "matrix", symmetrize(m))
-        h = float(self.horizon)
-        if not (h > 0.0):  # also rejects NaN
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
-        object.__setattr__(self, "horizon", h)
+        if self.horizon != math.inf:
+            as_number(self.horizon, "horizon", 0.0, strict=True)
+        object.__setattr__(self, "horizon", float(self.horizon))
 
     @property
     def n(self):
@@ -96,14 +97,13 @@ class LyapunovSolver:
     def __init__(self, a, margin=DEFAULT_STABILITY_MARGIN):
         a = as_square(a, "a")
         alpha = spectral_abscissa(a)
-        if not alpha < -margin:
+        if not within_margin(alpha, margin):
             raise StabilityError(
                 f"dynamics matrix is not Hurwitz within margin {margin:g}: "
                 f"max Re(eigenvalue) = {alpha:.6e}",
                 max_real_part=alpha,
             )
         self.a = a
-        self.margin = float(margin)
         self._u, self._t = real_schur(a)
         self._trsyl = get_lapack_funcs("trsyl", (self._t, self._t))
 
@@ -148,10 +148,9 @@ class LyapunovSolver:
 
 
 def _input_matrix(b, n):
-    b = np.asarray(b, dtype=float)
+    b = as_array(b, (1, 2), "b")
     if b.ndim == 1:
         b = b[:, None]
-    b = as_matrix(b, "b")
     if b.shape[0] != n:
         raise DimensionError(f"b has {b.shape[0]} rows, expected {n}")
     return b
@@ -194,9 +193,7 @@ def observability_gramian(a, c, margin=DEFAULT_STABILITY_MARGIN, source="obs"):
     """Observability Gramian of (a, c): the controllability Gramian of
     the dual pair (a^T, c^T), computed through the identical code path."""
     a = as_square(a, "a")
-    c = as_matrix(np.atleast_2d(np.asarray(c, dtype=float)), "c")
-    if c.shape[1] != a.shape[0]:
-        raise DimensionError(f"c has {c.shape[1]} columns, expected {a.shape[0]}")
+    c = as_array(c, (1, 2), "c")
     return controllability_gramian(a.T, c.T, margin=margin, source=source)
 
 
@@ -214,9 +211,7 @@ def finite_horizon_gramian(a, b, t, source=""):
     inverse-propagator block e^{-At} representable.
     """
     a = as_square(a, "a")
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"horizon t must be positive and finite, got {t}")
+    t = as_number(t, "horizon t", 0.0, strict=True)
     n = a.shape[0]
     b = _input_matrix(b, n)
     qmat = _outer(b)

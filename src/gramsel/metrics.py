@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .exceptions import (
     DegenerateGramianWarning,
@@ -23,7 +22,7 @@ from .exceptions import (
     UnreachableStateError,
 )
 from .gramian import Gramian, _input_matrix, finite_horizon_gramian
-from .numerics import as_matrix, as_square, as_vector, matrix_exponential, symmetrize
+from .numerics import as_matrix, as_number, as_square, as_vector, matrix_exponential, symmetrize
 
 __all__ = [
     "METRIC_KINDS",
@@ -75,13 +74,8 @@ class MetricSpec:
         else:
             if self.weight is None:
                 raise DomainError(f"{self.kind} metric requires a weight matrix")
-            object.__setattr__(self, "weight", as_matrix(self.weight, "weight"))
-            if self.kind == "weighted_trace":
-                w = self.weight
-                if w.shape[0] != w.shape[1]:
-                    raise DimensionError(
-                        f"weighted_trace weight must be square, got {w.shape}"
-                    )
+            check = as_square if self.kind == "weighted_trace" else as_matrix
+            object.__setattr__(self, "weight", check(self.weight, f"{self.kind} weight"))
 
     @classmethod
     def trace(cls):
@@ -171,8 +165,7 @@ def _range_solve(w, x, context="target state"):
     a component outside range(W) beyond _RANGE_RTOL * ||x||; warns with
     DegenerateGramianWarning when W is singular but x is consistent.
     """
-    m, vals, vecs = _psd_eig(w)
-    x = as_vector(x, m.shape[0], "x")
+    _, vals, vecs = _psd_eig(w)
     if not np.any(x):
         return np.zeros_like(x), False
     lam_max = max(float(vals[-1]), 0.0)
@@ -256,9 +249,7 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     a = as_square(a, "a")
     n = a.shape[0]
     b = _input_matrix(b, n)
-    samples = int(samples)
-    if samples < 2:
-        raise DomainError(f"samples must be >= 2, got {samples}")
+    samples = as_number(samples, "samples", 2, integer=True)
     x = as_vector(x_f, n, "x_f")
 
     w = finite_horizon_gramian(a, b, t)
@@ -294,6 +285,8 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
     with an adaptive Runge-Kutta scheme; no sampled-and-held input
     approximation is involved.
     """
+    import scipy.integrate  # only this function integrates; keep it off the CLI start-up
+
     a = as_square(a, "a")
     n = a.shape[0]
     b = _input_matrix(b, n)
@@ -310,7 +303,7 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
         return np.concatenate([a @ xs + bbt @ zs, -(a.T @ zs), [u_sq]])
 
     y0 = np.concatenate([np.zeros(n), z0, [0.0]])
-    grid = np.linspace(0.0, w.horizon, int(samples))
+    grid = np.linspace(0.0, w.horizon, as_number(samples, "samples", 2, integer=True))
     sol = scipy.integrate.solve_ivp(
         rhs, (0.0, w.horizon), y0, t_eval=grid, rtol=rtol, atol=atol, method="RK45"
     )

@@ -22,14 +22,13 @@ import numpy as np
 
 from .exceptions import (
     DimensionError,
-    DomainError,
-    NonFiniteError,
     ProblemFormatError,
     StabilityError,
     TopologyError,
 )
 from .metrics import MetricSpec
-from .numerics import DEFAULT_STABILITY_MARGIN, as_matrix, is_hurwitz, spectral_abscissa
+from .numerics import (DEFAULT_STABILITY_MARGIN, as_matrix, as_number, spectral_abscissa,
+                       within_margin)
 from .placement import CandidateSet
 
 __all__ = [
@@ -87,14 +86,9 @@ class GridModel:
             if bus.id in seen:
                 raise TopologyError(f"duplicate bus id {bus.id!r}")
             seen.add(bus.id)
-            if not (bus.inertia > 0):
-                raise DomainError(f"bus {bus.id!r}: inertia must be > 0, got {bus.inertia}")
-            if not (bus.damping > 0):
-                raise DomainError(f"bus {bus.id!r}: damping must be > 0, got {bus.damping}")
-            if bus.grounding < 0:
-                raise DomainError(
-                    f"bus {bus.id!r}: grounding must be >= 0, got {bus.grounding}"
-                )
+            as_number(bus.inertia, f"bus {bus.id!r} inertia", 0.0, strict=True)
+            as_number(bus.damping, f"bus {bus.id!r} damping", 0.0, strict=True)
+            as_number(bus.grounding, f"bus {bus.id!r} grounding", 0.0)
         pairs = set()
         for line in lines:
             if line.from_bus not in seen or line.to_bus not in seen:
@@ -109,10 +103,8 @@ class GridModel:
                     f"duplicate line between {line.from_bus!r} and {line.to_bus!r}"
                 )
             pairs.add(key)
-            if not (line.susceptance > 0):
-                raise DomainError(
-                    f"line {line.from_bus!r}-{line.to_bus!r}: susceptance must be > 0"
-                )
+            name = f"line {line.from_bus!r}-{line.to_bus!r} susceptance"
+            as_number(line.susceptance, name, 0.0, strict=True)
         if not _connected(buses, lines):
             raise TopologyError("grid graph is not connected")
         object.__setattr__(self, "buses", buses)
@@ -192,13 +184,14 @@ def build_swing_matrix(grid, margin=DEFAULT_STABILITY_MARGIN):
         a[fj, ai] += line.susceptance / mj
 
     grounded = any(bus.grounding > 0 for bus in grid.buses)
-    stable = is_hurwitz(a, margin=margin)
+    alpha = spectral_abscissa(a)
+    stable = within_margin(alpha, margin)
     if grounded and not stable:
         raise StabilityError(
             "grounded grid produced a non-Hurwitz swing matrix "
-            f"(max Re(eigenvalue) = {spectral_abscissa(a):.3e}); "
+            f"(max Re(eigenvalue) = {alpha:.3e}); "
             "check damping and grounding values",
-            max_real_part=spectral_abscissa(a),
+            max_real_part=alpha,
         )
     return LinearizedGrid(a=a, bus_index=index, grid=grid, hurwitz=stable)
 
@@ -233,9 +226,8 @@ def hvdc_candidates(lin):
 def ring_grid(n_buses, inertia=1.0, damping=0.5, susceptance=1.0,
               grounding=0.1, chords=0, seed=0):
     """Uniform ring of buses, optionally with seeded random chord lines."""
-    n_buses = int(n_buses)
-    if n_buses < 2:
-        raise DomainError(f"ring needs at least 2 buses, got {n_buses}")
+    n_buses = as_number(n_buses, "buses", 2, integer=True)
+    seed = as_number(seed, "seed", 0, integer=True)
     width = len(str(n_buses - 1))
     buses = tuple(
         Bus(id=f"bus{i:0{width}d}", inertia=inertia, damping=damping,
@@ -243,11 +235,12 @@ def ring_grid(n_buses, inertia=1.0, damping=0.5, susceptance=1.0,
         for i in range(n_buses)
     )
     ring_pairs = {frozenset((i, (i + 1) % n_buses)) for i in range(n_buses)}
+    max_chords = n_buses * (n_buses - 1) // 2 - len(ring_pairs)
+    chords = as_number(chords, "chords", 0, max_chords, integer=True)
     lines = [
         Line(buses[min(p)].id, buses[max(p)].id, susceptance)
         for p in sorted(ring_pairs, key=sorted)
     ]
-    chords = int(chords)
     if chords > 0:
         candidates = [
             (i, j)
@@ -255,11 +248,6 @@ def ring_grid(n_buses, inertia=1.0, damping=0.5, susceptance=1.0,
             for j in range(i + 1, n_buses)
             if frozenset((i, j)) not in ring_pairs
         ]
-        if chords > len(candidates):
-            raise DomainError(
-                f"requested {chords} chords but only {len(candidates)} "
-                f"non-ring pairs exist"
-            )
         rng = np.random.default_rng(seed)
         picks = rng.choice(len(candidates), size=chords, replace=False)
         for idx in sorted(picks):
@@ -278,12 +266,10 @@ def random_hurwitz_system(n, m, density=0.3, seed=0):
     Returns ``(a, candidates)`` where candidates is a tuple of
     ``(id, column)`` pairs ready for a :class:`CandidateSet`.
     """
-    n, m = int(n), int(m)
-    if n < 1 or m < 1:
-        raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not 0.0 < density <= 1.0:
-        raise DomainError(f"density must lie in (0, 1], got {density}")
-    rng = np.random.default_rng(seed)
+    n = as_number(n, "n", 1, integer=True)
+    m = as_number(m, "m", 1, integer=True)
+    density = as_number(density, "density", 0.0, 1.0, strict=True)
+    rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     s = rng.normal(size=(n, n)) * (rng.random(size=(n, n)) < density)
     a = s - (spectral_abscissa(s) + 0.1) * np.eye(n)
     cols = rng.normal(size=(n, m))
@@ -323,11 +309,7 @@ def _parse_metric(doc):
     if kind in ("weighted_trace", "h2"):
         if "matrix" not in doc:
             raise ProblemFormatError(f'weight kind "{kind}" requires a "matrix" field')
-        try:
-            mat = as_matrix(doc["matrix"], "weight matrix")
-        except (DimensionError, NonFiniteError) as exc:
-            raise ProblemFormatError(f"weight matrix: {exc}") from None
-        return MetricSpec(kind, mat)
+        return MetricSpec(kind, as_matrix(doc["matrix"], "weight matrix"))
     raise ProblemFormatError(
         f'unknown weight kind {kind!r}; expected "trace", "weighted_trace" or "h2"'
     )
@@ -355,16 +337,16 @@ def _parse_grid_block(doc):
         )
     try:
         buses = tuple(
-            Bus(id=str(b["id"]), inertia=float(b["inertia"]),
-                damping=float(b["damping"]), grounding=float(b.get("grounding", 0.0)))
+            Bus(id=str(b["id"]), inertia=b["inertia"], damping=b["damping"],
+                grounding=b.get("grounding", 0.0))
             for b in doc["buses"]
         )
         lines = tuple(
             Line(from_bus=str(ln["from"]), to_bus=str(ln["to"]),
-                 susceptance=float(ln["susceptance"]))
+                 susceptance=ln["susceptance"])
             for ln in doc.get("lines", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ProblemFormatError(f"malformed grid block: {exc!r}") from None
     return GridModel(buses=buses, lines=lines)
 
@@ -386,7 +368,7 @@ def load_problem(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"cannot read problem file {path}: {exc}") from None
     try:
         doc = json.loads(text)
@@ -398,6 +380,8 @@ def load_problem(path):
     metric = _parse_metric(doc.get("weight"))
 
     if "grid" in doc:
+        if not isinstance(doc["grid"], dict):
+            raise ProblemFormatError('"grid" must be a JSON object')
         lin = build_swing_matrix(_parse_grid_block(doc["grid"]))
         cs = CandidateSet(lin.a, hvdc_candidates(lin), metric)
         return Problem(candidate_set=cs, grid=lin)
@@ -405,15 +389,12 @@ def load_problem(path):
     for key in ("n", "A", "candidates"):
         if key not in doc:
             raise ProblemFormatError(f'problem file is missing required field "{key}"')
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ProblemFormatError(f'"n" must be a positive integer, got {n!r}')
-    try:
-        a = as_matrix(doc["A"], "A")
-    except (DimensionError, NonFiniteError) as exc:
-        raise ProblemFormatError(f"A: {exc}") from None
+    n = as_number(doc["n"], '"n"', 1, integer=True)
+    a = as_matrix(doc["A"], "A")
     if a.shape != (n, n):
         raise DimensionError(f"A has shape {a.shape}, expected ({n}, {n})")
+    if not isinstance(doc["candidates"], list):
+        raise ProblemFormatError('"candidates" must be a JSON list')
     candidates = []
     for entry in doc["candidates"]:
         if not isinstance(entry, dict) or "id" not in entry or "b" not in entry:

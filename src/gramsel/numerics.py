@@ -2,9 +2,12 @@
 
 Thin, validated wrappers over LAPACK-backed numpy/scipy routines:
 eigenvalues, real Schur form, matrix exponential, and the Hurwitz test
-that gates every infinite-horizon computation.
+that gates every infinite-horizon computation.  :func:`as_array` and
+:func:`as_number` check every array and number from outside the program.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +18,15 @@ from .exceptions import DimensionError, DomainError, NonFiniteError, NumericalEr
 __all__ = [
     "DEFAULT_STABILITY_MARGIN",
     "Spectrum",
+    "as_array",
     "as_matrix",
+    "as_number",
     "as_square",
     "as_vector",
     "eigenvalues",
     "spectral_abscissa",
     "is_hurwitz",
+    "within_margin",
     "matrix_exponential",
     "real_schur",
     "is_symmetric",
@@ -36,17 +42,23 @@ DEFAULT_STABILITY_MARGIN = 1e-9
 SYMMETRY_RTOL = 1e-12
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a 2-D float array, rejecting non-finite entries."""
+def as_array(x, ndims, name="array"):
+    """Coerce to a finite float array whose ndim is one of ``ndims``."""
     try:
-        a = np.asarray(a, dtype=float)
+        x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} is not numeric: {exc}") from None
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if x.ndim not in ndims:
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise DimensionError(f"{name} must be {dims}, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
-    return a
+    return x
+
+
+def as_matrix(a, name="matrix"):
+    """Coerce to a 2-D float array, rejecting non-finite entries."""
+    return as_array(a, (2,), name)
 
 
 def as_square(a, name="matrix"):
@@ -58,17 +70,35 @@ def as_square(a, name="matrix"):
 
 def as_vector(x, n=None, name="vector"):
     """Coerce to a finite 1-D float array, optionally of prescribed length."""
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"{name} is not numeric: {exc}") from None
-    if x.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {x.shape}")
+    x = as_array(x, (1,), name)
     if n is not None and x.shape[0] != n:
         raise DimensionError(f"{name} has length {x.shape[0]}, expected {n}")
-    if not np.isfinite(x).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
     return x
+
+
+def as_number(x, name, low, high=math.inf, *, integer=False, strict=False):
+    """Validate one real number; every DomainError names ``name``.
+
+    Rejects bools, non-numbers, non-finite values and, if ``integer``,
+    fractions; then requires low <= x <= high (low < x if ``strict``).
+    Returns an int if ``integer``, else a float.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value) or (integer and not value.is_integer()):
+        kind = "integer" if integer else "number"
+        raise DomainError(f"{name} must be a finite {kind}, got {x}")
+    value = int(x) if integer else value
+    if (value <= low if strict else value < low) or value > high:
+        if high == math.inf:
+            raise DomainError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+        op = "<" if strict else "<="
+        raise DomainError(f"{name} must satisfy {low} {op} {name} <= {high}, got {value}")
+    return value
 
 
 def is_symmetric(a, rtol=SYMMETRY_RTOL):
@@ -119,11 +149,14 @@ def spectral_abscissa(m):
     return eigenvalues(m).max_real_part
 
 
+def within_margin(alpha, margin=DEFAULT_STABILITY_MARGIN):
+    """The Hurwitz rule: abscissa ``alpha`` < -margin, for a finite margin >= 0."""
+    return bool(alpha < -as_number(margin, "stability margin", 0.0))
+
+
 def is_hurwitz(m, margin=DEFAULT_STABILITY_MARGIN):
     """True iff every eigenvalue satisfies Re(lambda) < -margin."""
-    if margin < 0:
-        raise DomainError(f"stability margin must be >= 0, got {margin}")
-    return bool(spectral_abscissa(m) < -margin)
+    return within_margin(spectral_abscissa(m), margin)
 
 
 def matrix_exponential(m):

@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import DomainError, EnumerationCapError, NumericalError
 from .gramian import LyapunovSolver
 from .metrics import MetricSpec, evaluate_metric
-from .numerics import DEFAULT_STABILITY_MARGIN, as_square, as_vector, symmetrize
+from .numerics import DEFAULT_STABILITY_MARGIN, as_number, as_square, as_vector, symmetrize
 
 __all__ = [
     "CandidateSet",
@@ -155,6 +155,10 @@ def _check_additivity(solver, metric, b, total):
         )
 
 
+def _subset_size(cs, k):
+    return as_number(k, "k", 1, cs.size, integer=True)
+
+
 def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN):
     """Exact best k-subset under a modular metric, by sorting weights.
 
@@ -163,9 +167,7 @@ def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN):
     is the sum of the selected weights; it is cross-checked against the
     metric of the combined-input Gramian before returning.
     """
-    k = int(k)
-    if not 1 <= k <= cs.size:
-        raise DomainError(f"k must satisfy 1 <= k <= {cs.size}, got {k}")
+    k = _subset_size(cs, k)
     solver = LyapunovSolver(cs.a, margin=margin)
     weights = _weights_with_solver(solver, cs)
     order = sorted(weights, key=lambda c: (-weights[c], c))
@@ -216,9 +218,7 @@ def brute_force_best(cs, k, functional=None, cap=1_000_000,
 
     Returns ``(ids, value)`` with ``ids`` sorted ascending.
     """
-    k = int(k)
-    if not 1 <= k <= cs.size:
-        raise DomainError(f"k must satisfy 1 <= k <= {cs.size}, got {k}")
+    k = _subset_size(cs, k)
     count = math.comb(cs.size, k)
     if count > cap:
         raise EnumerationCapError(cs.size, k, count, cap)
@@ -268,12 +268,10 @@ def verify_modularity(cs, trials=100, seed=0, tolerance=1e-8,
     scores from scratch via combined-input Gramians, and records the
     normalized violation |f(A)+f(B)-f(AuB)-f(AnB)| / max(1, |f(A)|+|f(B)|).
     """
-    trials = int(trials)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = as_number(trials, "trials", 1, integer=True)
     cs.metric.validate_for(cs.n)
     solver = LyapunovSolver(cs.a, margin=margin)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     ids = np.array(cs.ids, dtype=object)
 
     def score(mask):
@@ -304,9 +302,15 @@ def controllability_centrality(a, margin=DEFAULT_STABILITY_MARGIN):
     Node i scores trace(W_i) where W_i solves A W + W A^T + e_i e_i^T = 0:
     the total state variance excited by white noise injected at node i
     alone.  trace(W_i) = P_ii for A^T P + P A + I = 0, so one adjoint solve
-    scores every node.  Returns an array of length n indexed by node.  The
-    scores of all nodes sum to trace of the Gramian of the identity-input
-    system.
+    scores every node.  Returns an array of length n indexed by node.
+
+    One forward solve checks the scores: sum_i (i + 1) P_ii must equal
+    trace(W) for the input diag(sqrt(i + 1)).  The weights are distinct
+    because the plain sum equals trace(W) even for a forward-solved P.
     """
     solver = LyapunovSolver(a, margin=margin)
-    return np.diag(solver.solve(np.eye(solver.n), adjoint=True)).copy()
+    scores = np.diag(solver.solve(np.eye(solver.n), adjoint=True)).copy()
+    d = np.arange(1.0, solver.n + 1.0)
+    _check_additivity(solver, MetricSpec.trace(), np.diag(np.sqrt(d)),
+                      math.fsum((d * scores).tolist()))
+    return scores

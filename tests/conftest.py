@@ -13,3 +13,14 @@ def skewed_adjoint(monkeypatch):
             return p * (1.0 + 1e-6) if adjoint else p
 
     monkeypatch.setattr(placement, "LyapunovSolver", SkewedAdjointSolver)
+
+
+@pytest.fixture
+def forward_for_adjoint(monkeypatch):
+    """Planted fault: placement's adjoint solves return the forward solution."""
+
+    class ForwardForAdjointSolver(placement.LyapunovSolver):
+        def solve(self, q, adjoint=False):
+            return super().solve(q)
+
+    monkeypatch.setattr(placement, "LyapunovSolver", ForwardForAdjointSolver)

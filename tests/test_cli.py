@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import gramsel
 from gramsel import cli
 from gramsel.placement import ModularityReport
 
@@ -249,6 +256,15 @@ class TestExitCodes:
         code, _, err = run(capsys, ["rank", str(path)])
         assert code == 2
 
+    def test_undecodable_files_are_2(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, ["rank", str(binary)])
+        assert code == 2 and "problem file" in err
+        path = make_problem(tmp_path, capsys)
+        code, _, err = run(capsys, ["rank", path, "--weight-file", str(binary)])
+        assert code == 2 and "weight file" in err
+
     def test_no_subcommand_prints_help(self, capsys):
         code = cli.main([])
         assert code == 2
@@ -262,3 +278,126 @@ class TestDeterminism:
         assert run(capsys, ["rank", path, "--out", str(out1)])[0] == 0
         assert run(capsys, ["rank", path, "--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # only `synthesize --simulate` integrates; every other command skips the import
+        env = dict(os.environ, PYTHONPATH=str(Path(gramsel.__file__).parents[1]))
+        code = "import sys, gramsel.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
+# Well-formed problems that the fuzz test below mutates one field at a time.
+BASE_PROBLEMS = {
+    "ring": {"grid": {"topology": "ring", "buses": 4, "chords": 2, "seed": 0,
+                      "inertia": 1.0, "damping": 0.5, "susceptance": 1.0,
+                      "grounding": 0.1}},
+    "bus list": {"grid": {
+        "buses": [{"id": "b0", "inertia": 1.0, "damping": 0.5, "grounding": 0.1},
+                  {"id": "b1", "inertia": 2.0, "damping": 0.4}],
+        "lines": [{"from": "b0", "to": "b1", "susceptance": 1.0}],
+    }},
+    "explicit": {"n": 2, "A": [[-1.0, 0.3], [0.0, -2.0]],
+                 "candidates": [{"id": "u0", "b": [1.0, 0.0]},
+                                {"id": "u1", "b": [0.5, 1.0]}],
+                 "weight": {"kind": "h2", "matrix": [[1.0, 0.5]]}},
+}
+# No huge integers: "buses": 1e300 would build an enormous ring.
+MUTANT_VALUES = ["x", "nan", None, True, -1, 0, 4.5, [], {}, 5, float("nan")]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+MUTATION_SITES = [(name, path) for name, doc in BASE_PROBLEMS.items()
+                  for path in _paths(doc)]
+
+
+def _mutated(name, path, value):
+    doc = json.loads(json.dumps(BASE_PROBLEMS[name]))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Malformed documents that once ended in a traceback (or, for "buses": 4.5,
+# in a silently truncated ring): each must exit 2 naming the field.
+MALFORMED = [
+    (("ring", ("grid", "buses")), "x", "buses"),
+    (("ring", ("grid", "inertia")), "heavy", "inertia"),
+    (("ring", ("grid", "grounding")), "nan", "grounding"),
+    (("ring", ("grid", "chords")), "x", "chords"),
+    (("ring", ("grid", "seed")), "x", "seed"),
+    (("ring", ("grid", "seed")), -3, "seed"),
+    (("ring", ("grid", "buses")), 4.5, "buses"),
+    (("bus list", ("grid", "buses", 0, "grounding")), "nan", "grounding"),
+    (("ring", ("grid",)), 5, "grid"),
+    (("explicit", ("candidates",)), 5, "candidates"),
+]
+
+
+def _fuzz_examples(test):
+    for site, value, _ in MALFORMED:
+        test = example(site=site, value=value)(test)
+    return test
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("site, value, field", MALFORMED)
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, site, value, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_mutated(*site, value)))
+        code, _, err = run(capsys, ["centrality", str(path)])
+        assert code == 2
+        assert field in err
+
+    @pytest.mark.parametrize("margin", ["-1", "-inf"])
+    def test_margin_must_be_finite_and_nonnegative(self, tmp_path, capsys, margin):
+        # A = diag(0.5, -1) is unstable; a negative margin must not let it through
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"n": 2, "A": [[0.5, 0.0], [0.0, -1.0]],
+                                    "candidates": [{"id": "u", "b": [1.0, 0.0]}]}))
+        code, out, err = run(capsys, ["rank", str(path), f"--margin={margin}"])
+        assert code == 2
+        assert out == ""
+        assert "stability margin" in err
+
+    def test_non_numeric_target(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys)
+        code, _, err = run(capsys, ["synthesize", path, "--ids", "b0", "--horizon", "1.0",
+                                    "--target", "0.1,x,0,0"])
+        assert code == 2
+        assert "target" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(MUTANT_VALUES))
+    @_fuzz_examples
+    def test_mutated_problems_never_raise(self, site, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(_mutated(*site, value), fh)
+            out = os.path.join(tmp, "out.json")
+            for command in ("centrality", "rank"):
+                assert cli.main([command, path, "--out", out]) in (0, 2, 3)
+
+
+class TestCentralityCrossCheck:
+    def test_forward_for_adjoint_is_3(self, tmp_path, capsys, forward_for_adjoint):
+        path = make_problem(tmp_path, capsys)
+        code, out, err = run(capsys, ["centrality", path])
+        assert code == 3
+        assert out == ""
+        assert "additivity" in err

@@ -111,6 +111,24 @@ class TestSolveLyapunov:
         with pytest.raises(DimensionError):
             solve_lyapunov(np.diag([-1.0, -1.0]), np.eye(3))
 
+    def test_solver_applies_the_hurwitz_margin_rule(self):
+        # the rule of numerics.is_hurwitz: a margin must be finite and >= 0
+        for margin in (-1.0, -np.inf, np.nan):
+            with pytest.raises(DomainError, match="stability margin"):
+                LyapunovSolver(np.diag([0.5, -1.0]), margin=margin)
+
+    def test_non_numeric_input_is_a_dimension_error(self):
+        a = np.diag([-1.0, -2.0])
+        for call in (
+            lambda: controllability_gramian(a, "x"),
+            lambda: controllability_gramian("x", [1.0, 0.0]),
+            lambda: observability_gramian(a, "x"),
+            lambda: observability_gramian([[-1.0, 0.0], [0.0]], [1.0, 0.0]),
+            lambda: finite_horizon_gramian(a, [["x"], [0.0]], 1.0),
+        ):
+            with pytest.raises(DimensionError, match="not numeric"):
+                call()
+
     def test_asymmetric_rhs_rejected(self):
         with pytest.raises(DomainError):
             solve_lyapunov(np.diag([-1.0, -1.0]), [[1.0, 1.0], [0.0, 1.0]])
@@ -195,7 +213,7 @@ class TestFiniteHorizon:
         assert abs(g.matrix[0, 0] - 3.0) <= 1e-12
 
     def test_nonpositive_horizon_rejected(self):
-        for t in (0.0, -1.0, math.inf, math.nan):
+        for t in (0.0, -1.0, math.inf, math.nan, "1.0", None):
             with pytest.raises(DomainError):
                 finite_horizon_gramian([[-1.0]], [[1.0]], t)
 

@@ -1,13 +1,16 @@
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gramsel import cli
 from gramsel.exceptions import (
+    DegenerateGramianWarning,
     DimensionError,
     DomainError,
     NonFiniteError,
@@ -366,11 +369,19 @@ class TestProblemIO:
             load_problem(path)
 
     def test_readme_problem_examples_load(self, tmp_path):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"),
-                            re.DOTALL)
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", text, re.DOTALL)
         assert len(blocks) == 2
         for i, block in enumerate(blocks):
             path = tmp_path / f"readme{i}.json"
             path.write_text(block)
             assert load_problem(path).candidate_set.size >= 1
+        # the CLI quickstart's synthesize line runs against the explicit example
+        line = re.search(r"gramsel (synthesize problem\.json .*?)\n(?!\s)", text, re.DOTALL)
+        argv = shlex.split(line.group(1).replace("\\\n", " "))
+        argv[1] = str(tmp_path / "readme0.json")
+        argv[argv.index("--out") + 1] = str(tmp_path / "transfer.json")
+        with pytest.warns(DegenerateGramianWarning):  # p0, p1 cannot reach state 2
+            assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "transfer.json").read_text())
+        assert report["results"]["terminal_error"] < 1e-8

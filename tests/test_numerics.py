@@ -9,6 +9,7 @@ from gramsel.exceptions import (
     NumericalError,
 )
 from gramsel.numerics import (
+    as_number,
     eigenvalues,
     is_hurwitz,
     matrix_exponential,
@@ -100,11 +101,45 @@ class TestHurwitz:
         assert is_hurwitz([[-1e-12]], margin=0.0)
 
     def test_negative_margin_rejected(self):
-        with pytest.raises(DomainError):
-            is_hurwitz([[-1.0]], margin=-0.1)
+        for margin in (-0.1, -np.inf, np.inf, np.nan):
+            with pytest.raises(DomainError, match="stability margin"):
+                is_hurwitz([[-1.0]], margin=margin)
 
     def test_abscissa(self):
         assert spectral_abscissa(np.diag([-3.0, -0.25])) == pytest.approx(-0.25)
+
+
+class TestAsNumber:
+    def test_returns_float_or_int(self):
+        assert as_number(2, "x", 0) == 2.0 and isinstance(as_number(2, "x", 0), float)
+        assert as_number(4.0, "x", 0, integer=True) == 4
+        assert isinstance(as_number(np.int64(4), "x", 0, integer=True), int)
+
+    def test_rejects_non_numbers_naming_the_field(self):
+        for bad in ("1.0", "nan", None, True, np.bool_(False), [], {}, 1 + 0j):
+            with pytest.raises(DomainError, match="inertia must be a number"):
+                as_number(bad, "inertia", 0.0)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf, 10**400):
+            with pytest.raises(DomainError, match="x must be a finite number"):
+                as_number(bad, "x", 0.0)
+
+    def test_integer_fields_reject_fractions(self):
+        with pytest.raises(DomainError, match="buses must be a finite integer"):
+            as_number(4.5, "buses", 2, integer=True)
+
+    def test_range(self):
+        assert as_number(0.0, "g", 0.0) == 0.0
+        with pytest.raises(DomainError, match="g must be > 0"):
+            as_number(0.0, "g", 0.0, strict=True)
+        with pytest.raises(DomainError, match="trials must be >= 1, got 0"):
+            as_number(0, "trials", 1, integer=True)
+        assert as_number(5, "k", 1, 5, integer=True) == 5
+        with pytest.raises(DomainError, match="k must satisfy 1 <= k <= 5, got 6"):
+            as_number(6, "k", 1, 5, integer=True)
+        with pytest.raises(DomainError, match="density must satisfy 0.0 < density <= 1.0"):
+            as_number(0.0, "density", 0.0, 1.0, strict=True)
 
 
 class TestMatrixExponential:

@@ -315,6 +315,12 @@ class TestCentrality:
         with pytest.raises(StabilityError):
             controllability_centrality(np.diag([0.0, -1.0]))
 
+    def test_forward_for_adjoint_is_caught(self, forward_for_adjoint):
+        # the plain sum of P_ii cannot see this fault: tr P = tr W for q = I
+        a, _ = random_hurwitz_system(7, 1, seed=2)
+        with pytest.raises(NumericalError, match="additivity"):
+            controllability_centrality(a)
+
     def test_matches_per_node_forward_solves(self):
         # oracle: one forward solve per node with q = e_i e_i^T
         for seed in range(5):
