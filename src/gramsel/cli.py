@@ -4,8 +4,8 @@ Subcommands: gen, rank, select, centrality, verify, bruteforce,
 synthesize.  Every run emits a single JSON report on stdout (or --out)
 containing the echoed command, a sha256 digest of the input file, the
 package version and the result payload; --csv swaps the payload for a
-flat table suitable for plotting.  Timings go to stderr only, so payloads
-are byte-identical across repeat runs.
+flat table suitable for plotting.  Timings and warnings go to stderr as
+``[gramsel]`` lines, so payloads are byte-identical across repeat runs.
 
 Exit codes: 0 success, 1 failed verification, 2 input/usage error,
 3 numerical failure.
@@ -19,10 +19,11 @@ import json
 import math
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 
 from . import __version__
-from .exceptions import DomainError, GramselError, NumericalError
+from .exceptions import DomainError, GramselError, NumericalError, StabilityError
 from .metrics import MetricSpec, evaluate_metric, simulate_transfer, synthesize_min_energy_input
 from .models import (
     frequency_selector,
@@ -104,9 +105,13 @@ def _read_json(path, what):
             raise DomainError(f"invalid JSON in {what} {path}: {exc}") from None
 
 
-def _load(args):
+def _load(args, ranking=True):
     with _phase("load"):
         problem = load_problem(args.problem)
+    # ranking needs a Hurwitz A; a grid builds without one only if no bus is grounded
+    if ranking and problem.grid is not None and not problem.grid.hurwitz:
+        raise StabilityError("no bus is grounded, so A has a zero eigenvalue (a uniform angle "
+                             "shift) and no infinite-horizon Gramian; ground at least one bus")
     return problem
 
 
@@ -280,14 +285,21 @@ def cmd_bruteforce(args):
     return 0
 
 
+def _parse_target(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise DomainError(f"--target must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_synthesize(args):
-    problem = _load(args)
+    problem = _load(args, ranking=False)
     cs = problem.candidate_set
     ids = [s for s in args.ids.split(",") if s]
     if not ids:
         raise DomainError("--ids must name at least one candidate")
     b = cs.input_matrix(ids)
-    raw = (args.target.split(",") if args.target is not None
+    raw = (_parse_target(args.target) if args.target is not None
            else _read_json(args.target_file, "target file"))
     x_f = as_vector(raw, cs.n, "target")
     with _phase("synthesize"):
@@ -415,7 +427,10 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"[gramsel] warning: {message}", file=sys.stderr)
+            return args.func(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ long enough to overflow the naive formula.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -56,13 +56,11 @@ class Gramian:
     """A symmetric positive-semidefinite energy matrix.
 
     ``horizon`` is the integration horizon in time units, ``math.inf``
-    for the steady-state (Lyapunov) Gramian.  ``source`` is a free-form
-    label used in diagnostics (candidate id, "obs", ...).
+    for the steady-state (Lyapunov) Gramian.
     """
 
     matrix: np.ndarray
     horizon: float = math.inf
-    source: str = field(default="", compare=False)
 
     def __post_init__(self):
         m = as_square(self.matrix, "gramian matrix")
@@ -141,10 +139,10 @@ class LyapunovSolver:
             y = y / scale
         return symmetrize(self._u @ y @ self._u.T)
 
-    def gramian(self, b, source=""):
+    def gramian(self, b):
         """Infinite-horizon controllability Gramian of the pair (a, b)."""
         b = _input_matrix(b, self.n)
-        return Gramian(self.solve(_outer(b)), horizon=math.inf, source=source)
+        return Gramian(self.solve(b @ b.T), horizon=math.inf)
 
 
 def _input_matrix(b, n):
@@ -154,10 +152,6 @@ def _input_matrix(b, n):
     if b.shape[0] != n:
         raise DimensionError(f"b has {b.shape[0]} rows, expected {n}")
     return b
-
-
-def _outer(b):
-    return symmetrize(b @ b.T)
 
 
 def solve_lyapunov(a, q, margin=DEFAULT_STABILITY_MARGIN):
@@ -171,7 +165,7 @@ def lyapunov_residual(a, w, q):
     return float(np.linalg.norm(a @ w + w @ a.T + q))
 
 
-def controllability_gramian(a, b, margin=DEFAULT_STABILITY_MARGIN, source=""):
+def controllability_gramian(a, b, margin=DEFAULT_STABILITY_MARGIN):
     """Infinite-horizon controllability Gramian of (a, b).
 
     Parameters
@@ -186,18 +180,18 @@ def controllability_gramian(a, b, margin=DEFAULT_STABILITY_MARGIN, source=""):
     Gramian
         W solving ``a W + W a^T + b b^T = 0``.
     """
-    return LyapunovSolver(a, margin=margin).gramian(b, source=source)
+    return LyapunovSolver(a, margin=margin).gramian(b)
 
 
-def observability_gramian(a, c, margin=DEFAULT_STABILITY_MARGIN, source="obs"):
+def observability_gramian(a, c, margin=DEFAULT_STABILITY_MARGIN):
     """Observability Gramian of (a, c): the controllability Gramian of
     the dual pair (a^T, c^T), computed through the identical code path."""
     a = as_square(a, "a")
     c = as_array(c, (1, 2), "c")
-    return controllability_gramian(a.T, c.T, margin=margin, source=source)
+    return controllability_gramian(a.T, c.T, margin=margin)
 
 
-def finite_horizon_gramian(a, b, t, source=""):
+def finite_horizon_gramian(a, b, t):
     """Finite-horizon controllability Gramian W(t) = int_0^t e^{As} BB^T e^{A^T s} ds.
 
     Evaluates the block exponential
@@ -214,7 +208,6 @@ def finite_horizon_gramian(a, b, t, source=""):
     t = as_number(t, "horizon t", 0.0, strict=True)
     n = a.shape[0]
     b = _input_matrix(b, n)
-    qmat = _outer(b)
 
     norm_a = np.linalg.norm(a, 1)
     doublings = 0
@@ -222,7 +215,7 @@ def finite_horizon_gramian(a, b, t, source=""):
         doublings = int(math.ceil(math.log2(t * norm_a / _BLOCK_NORM_BOUND)))
     h = t / 2.0**doublings
 
-    block = np.block([[-a, qmat], [np.zeros((n, n)), a.T]])
+    block = np.block([[-a, b @ b.T], [np.zeros((n, n)), a.T]])
     f = matrix_exponential(block * h)
     f12 = f[:n, n:]
     f22 = f[n:, n:]
@@ -231,4 +224,4 @@ def finite_horizon_gramian(a, b, t, source=""):
     for _ in range(doublings):
         w = symmetrize(w + phi @ w @ phi.T)
         phi = phi @ phi
-    return Gramian(w, horizon=t, source=source)
+    return Gramian(w, horizon=t)

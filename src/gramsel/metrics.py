@@ -89,26 +89,15 @@ class MetricSpec:
     def h2(cls, output_matrix):
         return cls("h2", output_matrix)
 
-    def validate_for(self, n):
-        """Check the weight dimensions against a state dimension n."""
-        if self.kind == "weighted_trace" and self.weight.shape != (n, n):
-            raise DimensionError(
-                f"weighted_trace weight has shape {self.weight.shape}, "
-                f"expected ({n}, {n})"
-            )
-        if self.kind == "h2" and self.weight.shape[1] != n:
-            raise DimensionError(
-                f"h2 output matrix has {self.weight.shape[1]} columns, expected {n}"
-            )
-
     def state_weighting(self, n):
-        """The symmetric (n, n) C_bar with metric(W) = trace(C_bar @ W)."""
-        self.validate_for(n)
+        """The symmetric (n, n) C_bar with metric(W) = trace(C_bar @ W) on n states."""
         if self.kind == "trace":
             return np.eye(n)
-        if self.kind == "weighted_trace":
-            return symmetrize(self.weight)
-        return symmetrize(self.weight.T @ self.weight)
+        w = self.weight
+        cbar = symmetrize(w if self.kind == "weighted_trace" else w.T @ w)
+        if cbar.shape != (n, n):
+            raise DimensionError(f"{self.kind} weight of shape {w.shape} does not fit {n} states")
+        return cbar
 
     def describe(self):
         if self.kind == "trace":
@@ -123,15 +112,9 @@ def _gram_matrix(w):
 
 
 def evaluate_metric(spec, w):
-    """Score a Gramian under a MetricSpec; linear in W for every kind."""
+    """Score a Gramian under a MetricSpec: trace(C_bar W), linear in W."""
     m = _gram_matrix(w)
-    spec.validate_for(m.shape[0])
-    if spec.kind == "trace":
-        return float(np.trace(m))
-    if spec.kind == "weighted_trace":
-        return float(np.trace(spec.weight @ m))
-    c = spec.weight
-    return float(np.trace(c @ m @ c.T))
+    return float(np.vdot(spec.state_weighting(m.shape[0]), m))
 
 
 def _psd_eig(w):

@@ -43,9 +43,12 @@ SYMMETRY_RTOL = 1e-12
 
 
 def as_array(x, ndims, name="array"):
-    """Coerce to a finite float array whose ndim is one of ``ndims``."""
+    """Coerce to a finite float array whose ndim is one of ``ndims``; no strings."""
     try:
-        x = np.asarray(x, dtype=float)
+        raw = np.asarray(x)
+        if raw.dtype.kind in "USO" and any(isinstance(v, (str, bytes)) for v in raw.flat):
+            raise TypeError("it holds a string")
+        x = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} is not numeric: {exc}") from None
     if x.ndim not in ndims:

@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import DomainError, EnumerationCapError, NumericalError
 from .gramian import LyapunovSolver
 from .metrics import MetricSpec, evaluate_metric
-from .numerics import DEFAULT_STABILITY_MARGIN, as_number, as_square, as_vector, symmetrize
+from .numerics import DEFAULT_STABILITY_MARGIN, as_number, as_square, as_vector
 
 __all__ = [
     "CandidateSet",
@@ -137,22 +137,32 @@ def candidate_weights(cs, margin=DEFAULT_STABILITY_MARGIN):
 def _weights_with_solver(solver, cs):
     p = solver.solve(cs.metric.state_weighting(cs.n), adjoint=True)
     scores = np.einsum("ij,ij->j", cs.B, p @ cs.B).tolist()
-    _check_additivity(solver, cs.metric, cs.B, math.fsum(scores))
+    _check_additivity(solver, cs.metric, cs.B, scores)
     return dict(zip(cs.ids, scores))
 
 
-def _check_additivity(solver, metric, b, total):
-    """Check a sum of adjoint weights against one forward solve.
+def _magnitude(metric, g):
+    """vdot(|C_bar|, |W|) >= |metric(W)|: it scales as the score does, but stays
+    above rounding noise when the terms cancel; zero only when every term is."""
+    return float(np.vdot(np.abs(metric.state_weighting(g.n)), np.abs(g.matrix)))
 
-    ``total`` must match the metric of the forward-solved Gramian of the
-    combined input ``b``; a mismatch raises NumericalError.
+
+def _check_additivity(solver, metric, b, weights):
+    """Check adjoint weights against one forward solve; return their sum.
+
+    fsum(weights) must match the metric of the forward Gramian of ``b`` to
+    _ADDITIVITY_RTOL relative to max(fsum(|weights|), that score's magnitude).
     """
-    combined = evaluate_metric(metric, solver.solve(symmetrize(b @ b.T)))
-    if abs(combined - total) > _ADDITIVITY_RTOL * max(1.0, abs(combined)):
+    total = math.fsum(weights)
+    g = solver.gramian(b)
+    combined = evaluate_metric(metric, g)
+    scale = max(math.fsum(map(abs, weights)), _magnitude(metric, g))
+    if abs(combined - total) > _ADDITIVITY_RTOL * scale:
         raise NumericalError(
             f"additivity cross-check failed: sum of weights {total!r} vs "
             f"combined-gramian score {combined!r}"
         )
+    return total
 
 
 def _subset_size(cs, k):
@@ -172,8 +182,8 @@ def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN):
     weights = _weights_with_solver(solver, cs)
     order = sorted(weights, key=lambda c: (-weights[c], c))
     selected = tuple(order[:k])
-    total = math.fsum(weights[c] for c in selected)
-    _check_additivity(solver, cs.metric, cs.input_matrix(selected), total)
+    total = _check_additivity(solver, cs.metric, cs.input_matrix(selected),
+                              [weights[c] for c in selected])
 
     ties = ()
     boundary = weights[order[k - 1]]
@@ -223,9 +233,7 @@ def brute_force_best(cs, k, functional=None, cap=1_000_000,
     if count > cap:
         raise EnumerationCapError(cs.size, k, count, cap)
     if functional is None:
-        metric = cs.metric
-        metric.validate_for(cs.n)
-        functional = lambda w: evaluate_metric(metric, w)  # noqa: E731
+        functional = lambda w: evaluate_metric(cs.metric, w)  # noqa: E731
     elif isinstance(functional, str):
         if functional not in GRAMIAN_FUNCTIONALS:
             raise DomainError(
@@ -237,8 +245,7 @@ def brute_force_best(cs, k, functional=None, cap=1_000_000,
     solver = LyapunovSolver(cs.a, margin=margin)
     best_ids, best_val = None, -math.inf
     for combo in itertools.combinations(sorted(cs.ids), k):
-        b = cs.input_matrix(combo)
-        val = functional(solver.solve(symmetrize(b @ b.T)))
+        val = functional(solver.gramian(cs.input_matrix(combo)).matrix)
         # strict > keeps the first (lexicographically smallest) maximizer
         if val > best_val:
             best_ids, best_val = combo, val
@@ -250,7 +257,7 @@ class ModularityReport:
     """Result of empirically testing f(A) + f(B) = f(A u B) + f(A n B)."""
 
     trials: int
-    max_violation: float  # max over trials of |gap| / max(1, |f(A)|+|f(B)|)
+    max_violation: float  # max over trials of |gap| / scale, see verify_modularity
     tolerance: float
     worst_pair: tuple = ()  # (ids_A, ids_B) achieving max_violation
 
@@ -266,28 +273,27 @@ def verify_modularity(cs, trials=100, seed=0, tolerance=1e-8,
     Each trial draws two subsets A, B by including every candidate
     independently with probability 1/2 (seeded), computes all four subset
     scores from scratch via combined-input Gramians, and records the
-    normalized violation |f(A)+f(B)-f(AuB)-f(AnB)| / max(1, |f(A)|+|f(B)|).
+    violation |f(A)+f(B)-f(AuB)-f(AnB)| / max(m(A)+m(B), m(AuB)+m(AnB)),
+    m = _magnitude (= f under the trace metric), or 0 if all four m are 0.
     """
     trials = as_number(trials, "trials", 1, integer=True)
-    cs.metric.validate_for(cs.n)
     solver = LyapunovSolver(cs.a, margin=margin)
     rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     ids = np.array(cs.ids, dtype=object)
 
     def score(mask):
-        if not mask.any():
-            return 0.0  # empty subset: zero Gramian
-        b = cs.input_matrix(ids[mask])
-        return evaluate_metric(cs.metric, solver.solve(symmetrize(b @ b.T)))
+        g = solver.gramian(cs.input_matrix(ids[mask]))
+        return evaluate_metric(cs.metric, g), _magnitude(cs.metric, g)
 
     worst, worst_pair = 0.0, ((), ())
     for _ in range(trials):
         in_a = rng.random(cs.size) < 0.5
         in_b = rng.random(cs.size) < 0.5
-        f_a, f_b = score(in_a), score(in_b)
-        f_union, f_inter = score(in_a | in_b), score(in_a & in_b)
+        (f_a, m_a), (f_b, m_b) = score(in_a), score(in_b)
+        (f_union, m_union), (f_inter, m_inter) = score(in_a | in_b), score(in_a & in_b)
         gap = abs(f_a + f_b - f_union - f_inter)
-        violation = gap / max(1.0, abs(f_a) + abs(f_b))
+        scale = max(m_a + m_b, m_union + m_inter)
+        violation = gap / scale if scale > 0.0 else 0.0
         if violation > worst:
             worst = violation
             worst_pair = (tuple(ids[in_a]), tuple(ids[in_b]))
@@ -311,6 +317,5 @@ def controllability_centrality(a, margin=DEFAULT_STABILITY_MARGIN):
     solver = LyapunovSolver(a, margin=margin)
     scores = np.diag(solver.solve(np.eye(solver.n), adjoint=True)).copy()
     d = np.arange(1.0, solver.n + 1.0)
-    _check_additivity(solver, MetricSpec.trace(), np.diag(np.sqrt(d)),
-                      math.fsum((d * scores).tolist()))
+    _check_additivity(solver, MetricSpec.trace(), np.diag(np.sqrt(d)), (d * scores).tolist())
     return scores

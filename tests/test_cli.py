@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gramsel
 from gramsel import cli
-from gramsel.placement import ModularityReport
+from gramsel.placement import ModularityReport, controllability_centrality
 
 
 def run(capsys, argv):
@@ -345,6 +346,10 @@ MALFORMED = [
     (("bus list", ("grid", "buses", 0, "grounding")), "nan", "grounding"),
     (("ring", ("grid",)), 5, "grid"),
     (("explicit", ("candidates",)), 5, "candidates"),
+    # numeric strings inside arrays once parsed as numbers and ranked
+    (("explicit", ("A", 0, 0)), "-1", "A"),
+    (("explicit", ("candidates", 1, "b", 0)), "0.5", "u1"),
+    (("explicit", ("weight", "matrix", 0, 1)), "0.5", "weight matrix"),
 ]
 
 
@@ -376,10 +381,11 @@ class TestMalformedInput:
 
     def test_non_numeric_target(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
-        code, _, err = run(capsys, ["synthesize", path, "--ids", "b0", "--horizon", "1.0",
-                                    "--target", "0.1,x,0,0"])
-        assert code == 2
-        assert "target" in err
+        for target in ("0.1,x,0,0", "x"):
+            code, _, err = run(capsys, ["synthesize", path, "--ids", "b0", "--horizon", "1.0",
+                                        "--target", target])
+            assert code == 2
+            assert "target" in err
 
     @settings(max_examples=150, deadline=None)
     @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(MUTANT_VALUES))
@@ -392,6 +398,42 @@ class TestMalformedInput:
             out = os.path.join(tmp, "out.json")
             for command in ("centrality", "rank"):
                 assert cli.main([command, path, "--out", out]) in (0, 2, 3)
+
+
+class TestUngroundedGrid:
+    def test_ranking_commands_name_grounding(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys, args=("--ring", "4", "--grounding", "0"))
+        for command in (["rank"], ["select", "--k", "2"], ["centrality"], ["verify"],
+                        ["bruteforce", "--k", "2"]):
+            code, out, err = run(capsys, [command[0], path, *command[1:]])
+            assert code == 3
+            assert out == ""
+            assert "no bus is grounded" in err
+
+    def test_synthesize_still_runs(self, tmp_path, capsys):
+        # finite-horizon synthesis needs no Hurwitz A; the target has zero mean angle
+        path = make_problem(tmp_path, capsys, args=("--ring", "4", "--grounding", "0"))
+        code, out, _ = run(capsys, ["synthesize", path, "--ids", "bus0-bus1,bus1-bus2,bus2-bus3",
+                                    "--horizon", "2.0", "--target", "0.1,0,-0.1,0,0,0,0,0"])
+        assert code == 0
+        assert json.loads(out)["results"]["min_energy"] > 0
+
+
+class TestWarnings:
+    def test_each_warning_is_one_stderr_line(self, tmp_path, capsys, monkeypatch):
+        path = make_problem(tmp_path, capsys)
+        expected = run(capsys, ["centrality", path])[1]
+
+        def warning_centrality(a, margin):
+            warnings.warn("trsyl perturbed nearly-common eigenvalues", RuntimeWarning)
+            return controllability_centrality(a, margin=margin)
+
+        monkeypatch.setattr(cli, "controllability_centrality", warning_centrality)
+        code, out, err = run(capsys, ["centrality", path])
+        assert code == 0
+        assert out == expected
+        lines = [ln for ln in err.splitlines() if "warning" in ln.lower()]
+        assert lines == ["[gramsel] warning: trsyl perturbed nearly-common eigenvalues"]
 
 
 class TestCentralityCrossCheck:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gramsel import placement
 from gramsel.exceptions import (
     DomainError,
     EnumerationCapError,
@@ -36,6 +37,10 @@ def exhaustive_best(cs, k):
         if val > best_val:
             best_ids, best_val = combo, val
     return best_ids, best_val
+
+
+def _scaled(cs, scale):
+    return CandidateSet(cs.a, [(cid, scale * col) for cid, col in cs.candidates], cs.metric)
 
 
 def _candidate_set(seed, n=None, m=None, metric=None):
@@ -97,11 +102,25 @@ class TestCandidateWeights:
                 assert w[cid] == pytest.approx(direct, rel=1e-12)
 
     def test_wrong_adjoint_is_caught(self, skewed_adjoint):
-        cs = _candidate_set(3, n=5, m=4)
-        with pytest.raises(NumericalError, match="additivity"):
-            candidate_weights(cs)
-        with pytest.raises(NumericalError, match="additivity"):
-            select_top_k(cs, 2)
+        # the 1e-6 relative fault must be caught however small the columns are
+        for scale in (1.0, 1e-3, 1e-5):
+            cs = _scaled(_candidate_set(3, n=5, m=4), scale)
+            with pytest.raises(NumericalError, match="additivity"):
+                candidate_weights(cs)
+            with pytest.raises(NumericalError, match="additivity"):
+                select_top_k(cs, 2)
+
+    def test_scores_that_cancel_to_rounding_noise_pass(self):
+        # h2 output on a state no column reaches, in a rotated basis: every
+        # score is zero up to rounding noise, on both sides of each check
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+        a = q @ np.diag([-1.0, -2.0, -3.0]) @ q.T
+        cs = CandidateSet(a, [("u", q[:, 0]), ("v", 2 * q[:, 0]), ("w", -q[:, 0])],
+                          MetricSpec.h2(q[:, 1:2].T))
+        weights = candidate_weights(cs)
+        assert max(map(abs, weights.values())) < 1e-15
+        assert select_top_k(cs, 2).k == 2
+        assert verify_modularity(cs, trials=20).passed
 
     def test_unstable_dynamics_rejected(self):
         cs = CandidateSet(np.diag([0.1, -1.0]), [("x", [1.0, 0.0])])
@@ -259,6 +278,14 @@ class TestVerifyModularity:
         for metric in (MetricSpec.weighted(cbar @ cbar.T), MetricSpec.h2(c)):
             cs = _candidate_set(11, n=5, m=6, metric=metric)
             assert verify_modularity(cs, trials=60, seed=1).passed
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5])
+    def test_non_additive_metric_fails(self, monkeypatch, scale):
+        # planted: f(W) = metric(W) ** 1.001 is not additive at any scale
+        score = placement.evaluate_metric
+        monkeypatch.setattr(placement, "evaluate_metric", lambda spec, w: score(spec, w) ** 1.001)
+        report = verify_modularity(_scaled(_candidate_set(3, n=6, m=8), scale), trials=20)
+        assert not report.passed
 
     def test_seed_reproducible(self):
         cs = _candidate_set(3, n=5, m=6)
