@@ -38,6 +38,7 @@ from .placement import (
     brute_force_best,
     candidate_weights,
     controllability_centrality,
+    ranked,
     select_top_k,
     verify_modularity,
 )
@@ -139,13 +140,13 @@ def _resolve_metric(args, problem):
     return MetricSpec.h2(matrix)
 
 
-def _ranked_rows(metric, weights):
-    order = sorted(weights, key=lambda c: (-weights[c], c))
+def _ranked_rows(metric, pairs):
+    """Report rows for (id, weight) pairs already in ranked order."""
     rows = []
-    for rank, cid in enumerate(order, start=1):
-        row = {"rank": rank, "id": cid, "score": weights[cid]}
+    for rank, (cid, weight) in enumerate(pairs, start=1):
+        row = {"rank": rank, "id": cid, "score": weight}
         if metric.kind == "h2":
-            row["h2_norm"] = math.sqrt(max(weights[cid], 0.0))
+            row["h2_norm"] = math.sqrt(max(weight, 0.0))
         rows.append(row)
     return rows
 
@@ -176,7 +177,7 @@ def cmd_rank(args):
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"rank {cs.size} candidates"):
         weights = candidate_weights(cs, margin=args.margin)
-    rows = _ranked_rows(metric, weights)
+    rows = _ranked_rows(metric, ranked(weights))
     results = {
         "metric": metric.describe(),
         "n": cs.n,
@@ -195,8 +196,7 @@ def cmd_select(args):
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"select {args.k} of {cs.size}"):
         result = select_top_k(cs, args.k, margin=args.margin)
-    weights = dict(result.ranked)
-    rows = _ranked_rows(metric, weights)
+    rows = _ranked_rows(metric, result.ranked)
     chosen = set(result.selected)
     for row in rows:
         row["selected"] = int(row["id"] in chosen)

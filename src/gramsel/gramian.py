@@ -87,14 +87,17 @@ class Gramian:
 class LyapunovSolver:
     """Schur-reduction Lyapunov back end bound to one dynamics matrix.
 
-    Factors ``a = U T U^T`` once; each :meth:`solve` then costs one
-    quasi-triangular Sylvester solve (LAPACK ``*trsyl``) plus two basis
-    transforms, for the forward equation or its adjoint.
+    Factors ``a = U T U^T`` once and reads the Hurwitz test off ``T``;
+    each :meth:`solve` then costs one quasi-triangular Sylvester solve
+    (LAPACK ``*trsyl``) plus two basis transforms, for the forward
+    equation or its adjoint.
     """
 
     def __init__(self, a, margin=DEFAULT_STABILITY_MARGIN):
         a = as_square(a, "a")
-        alpha = spectral_abscissa(a)
+        self._u, self._t = real_schur(a)
+        # T is orthogonally similar to a; its spectrum is read off the diagonal blocks.
+        alpha = spectral_abscissa(self._t)
         if not within_margin(alpha, margin):
             raise StabilityError(
                 f"dynamics matrix is not Hurwitz within margin {margin:g}: "
@@ -102,7 +105,6 @@ class LyapunovSolver:
                 max_real_part=alpha,
             )
         self.a = a
-        self._u, self._t = real_schur(a)
         self._trsyl = get_lapack_funcs("trsyl", (self._t, self._t))
 
     @property
@@ -118,7 +120,7 @@ class LyapunovSolver:
         n = self.n
         if q.shape[0] != n:
             raise DimensionError(f"q has shape {q.shape}, expected ({n}, {n})")
-        if np.linalg.norm(q - q.T) > _RHS_SYMMETRY_RTOL * max(1.0, np.linalg.norm(q)):
+        if np.linalg.norm(q - q.T) > _RHS_SYMMETRY_RTOL * np.linalg.norm(q):
             raise DomainError("right-hand side q must be symmetric")
         q = symmetrize(q)
         f = self._u.T @ (-q) @ self._u

@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    DimensionError,
-    ProblemFormatError,
-    StabilityError,
-    TopologyError,
-)
+from .exceptions import DimensionError, ProblemFormatError, TopologyError
 from .metrics import MetricSpec
-from .numerics import (DEFAULT_STABILITY_MARGIN, as_matrix, as_number, spectral_abscissa,
-                       within_margin)
+from .numerics import as_matrix, as_number, spectral_abscissa
 from .placement import CandidateSet
 
 __all__ = [
@@ -141,8 +135,10 @@ class LinearizedGrid:
     """Swing dynamics matrix together with its bus-to-state bookkeeping.
 
     ``bus_index`` maps bus id -> (angle state, frequency state).
-    ``hurwitz`` records whether A passed the stability test at build time;
-    an ungrounded grid legitimately carries a zero eigenvalue (the
+    ``hurwitz`` is True iff some bus is grounded, which is exact: with
+    positive inertia, damping and susceptance on a connected grid, A is
+    Hurwitz iff the stiffness L + G is positive definite, i.e. G != 0.
+    An ungrounded grid legitimately carries a zero eigenvalue (the
     uniform angle shift) and is flagged False rather than rejected.
     """
 
@@ -156,14 +152,15 @@ class LinearizedGrid:
         return self.a.shape[0]
 
 
-def build_swing_matrix(grid, margin=DEFAULT_STABILITY_MARGIN):
+def build_swing_matrix(grid):
     """Assemble the 2N x 2N swing dynamics matrix of a grid.
 
-    Grounding every connected component (here: at least one bus, since
-    GridModel guarantees connectivity) together with positive damping
-    makes A Hurwitz; if a grounded grid still fails the stability test a
-    StabilityError is raised.  Ungrounded grids build fine and are
-    flagged ``hurwitz=False``.
+    No eigenvalues are computed: ``hurwitz`` is "some bus is grounded".
+    GridModel guarantees a connected grid with positive inertia, damping
+    and susceptance, so M theta'' + D theta' + (L + G) theta = 0 is
+    asymptotically stable exactly when L + G is positive definite, i.e.
+    when the grounding G is nonzero.  The stability margin is applied
+    where A is factored (:class:`~gramsel.gramian.LyapunovSolver`).
     """
     n =  grid.n_buses
     index = {bus.id: (2 * i, 2 * i + 1) for i, bus in enumerate(grid.buses)}
@@ -184,16 +181,7 @@ def build_swing_matrix(grid, margin=DEFAULT_STABILITY_MARGIN):
         a[fj, ai] += line.susceptance / mj
 
     grounded = any(bus.grounding > 0 for bus in grid.buses)
-    alpha = spectral_abscissa(a)
-    stable = within_margin(alpha, margin)
-    if grounded and not stable:
-        raise StabilityError(
-            "grounded grid produced a non-Hurwitz swing matrix "
-            f"(max Re(eigenvalue) = {alpha:.3e}); "
-            "check damping and grounding values",
-            max_real_part=alpha,
-        )
-    return LinearizedGrid(a=a, bus_index=index, grid=grid, hurwitz=stable)
+    return LinearizedGrid(a=a, bus_index=index, grid=grid, hurwitz=grounded)
 
 
 def frequency_selector(lin):

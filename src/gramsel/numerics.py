@@ -29,7 +29,6 @@ __all__ = [
     "within_margin",
     "matrix_exponential",
     "real_schur",
-    "is_symmetric",
     "symmetrize",
 ]
 
@@ -37,9 +36,6 @@ __all__ = [
 # infinite-horizon Gramian integral diverges (or is numerically useless)
 # when eigenvalues touch the imaginary axis.
 DEFAULT_STABILITY_MARGIN = 1e-9
-
-# Relative Frobenius tolerance under which a matrix counts as symmetric.
-SYMMETRY_RTOL = 1e-12
 
 
 def as_array(x, ndims, name="array"):
@@ -104,11 +100,6 @@ def as_number(x, name, low, high=math.inf, *, integer=False, strict=False):
     return value
 
 
-def is_symmetric(a, rtol=SYMMETRY_RTOL):
-    a = as_square(a)
-    return np.linalg.norm(a - a.T) <= rtol * max(1.0, np.linalg.norm(a))
-
-
 def symmetrize(a):
     """Exact symmetric part (a + a.T) / 2 (bitwise symmetric)."""
     return (a + a.T) / 2.0
@@ -119,12 +110,10 @@ class Spectrum:
     """Eigenvalues of a real square matrix.
 
     ``values`` holds all n eigenvalues (complex dtype; conjugate-paired for
-    real input).  ``vectors`` carries the orthonormal eigenvector columns
-    when the input was symmetric, else ``None``.
+    real input).
     """
 
     values: np.ndarray
-    vectors: np.ndarray | None = None
 
     @property
     def max_real_part(self):
@@ -132,17 +121,10 @@ class Spectrum:
 
 
 def eigenvalues(m):
-    """Full spectrum of a square matrix.
-
-    Symmetric input (within :data:`SYMMETRY_RTOL`) is routed through the
-    symmetric eigensolver, which also yields orthonormal eigenvectors.
-    """
+    """Full spectrum of a square matrix (LAPACK ``*geev``, complex dtype)."""
     m = as_square(m, "m")
     try:
-        if is_symmetric(m):
-            vals, vecs = np.linalg.eigh(symmetrize(m))
-            return Spectrum(vals.astype(complex), vecs)
-        return Spectrum(np.linalg.eigvals(m), None)
+        return Spectrum(np.linalg.eigvals(m).astype(complex))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from None
 

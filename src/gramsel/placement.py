@@ -32,6 +32,7 @@ __all__ = [
     "PlacementResult",
     "ModularityReport",
     "candidate_weights",
+    "ranked",
     "select_top_k",
     "brute_force_best",
     "verify_modularity",
@@ -169,29 +170,31 @@ def _subset_size(cs, k):
     return as_number(k, "k", 1, cs.size, integer=True)
 
 
+def ranked(weights):
+    """The (id, weight) pairs of a mapping, best first, ties by ascending id."""
+    return tuple(sorted(weights.items(), key=lambda item: (-item[1], item[0])))
+
+
 def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN):
     """Exact best k-subset under a modular metric, by sorting weights.
 
     Candidates are ordered by descending weight with ties broken by
-    ascending id, and the top k are taken.  The reported ``total_score``
-    is the sum of the selected weights; it is cross-checked against the
-    metric of the combined-input Gramian before returning.
+    ascending id (:func:`ranked`), and the top k are taken.  The reported
+    ``total_score`` is the sum of the selected weights; it is cross-checked
+    against the metric of the combined-input Gramian before returning.
     """
     k = _subset_size(cs, k)
     solver = LyapunovSolver(cs.a, margin=margin)
-    weights = _weights_with_solver(solver, cs)
-    order = sorted(weights, key=lambda c: (-weights[c], c))
-    selected = tuple(order[:k])
+    order = ranked(_weights_with_solver(solver, cs))
+    selected = tuple(c for c, _ in order[:k])
     total = _check_additivity(solver, cs.metric, cs.input_matrix(selected),
-                              [weights[c] for c in selected])
+                              [w for _, w in order[:k]])
 
     ties = ()
-    boundary = weights[order[k - 1]]
-    if k < len(order) and weights[order[k]] == boundary:
-        group = tuple(c for c in order if weights[c] == boundary)
-        ties = (group,)
-    ranked = tuple((c, weights[c]) for c in order)
-    return PlacementResult(ranked=ranked, selected=selected, total_score=total, ties=ties)
+    boundary = order[k - 1][1]
+    if k < len(order) and order[k][1] == boundary:
+        ties = (tuple(c for c, w in order if w == boundary),)
+    return PlacementResult(ranked=order, selected=selected, total_score=total, ties=ties)
 
 
 def _min_eigenvalue(w):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gramsel
-from gramsel import cli
+from gramsel import cli, gramian, numerics
 from gramsel.placement import ModularityReport, controllability_centrality
 
 
@@ -289,6 +290,45 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+
+class TestReadme:
+    def test_python_quickstart_runs(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+        assert len(blocks) == 2
+        env = dict(os.environ, PYTHONPATH=str(Path(gramsel.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", "\n".join(blocks)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        # the third line printed is report.max_violation
+        assert float(out.splitlines()[2]) < 1e-12
+
+
+class TestOneEigenSolve:
+    @pytest.mark.parametrize("args", [("--ring", "6"), ("--random", "4", "5")])
+    def test_each_command_factors_a_once(self, tmp_path, capsys, monkeypatch, args):
+        path = make_problem(tmp_path, capsys, args=args)
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(m, *rest, **kwargs):
+                calls.append((name, np.asarray(m)))
+                return fn(m, *rest, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(numerics, "eigenvalues")
+        counted(gramian, "real_schur")
+        for command in (["select", "--k", "2"], ["rank"], ["centrality"],
+                        ["verify", "--trials", "4"]):
+            calls.clear()
+            assert run(capsys, [command[0], path, *command[1:]])[0] == 0
+            assert sorted(name for name, _ in calls) == ["eigenvalues", "real_schur"]
+            # the spectrum is read off the quasi-triangular Schur factor
+            m = next(m for name, m in calls if name == "eigenvalues")
+            assert not np.tril(m, -2).any()
 
 
 # Well-formed problems that the fuzz test below mutates one field at a time.

@@ -21,6 +21,7 @@ from gramsel.gramian import (
     solve_lyapunov,
 )
 from gramsel.models import random_hurwitz_system
+from gramsel.numerics import spectral_abscissa
 
 
 # --- oracles ----------------------------------------------------------------
@@ -103,6 +104,17 @@ class TestSolveLyapunov:
         assert err.value.max_real_part == pytest.approx(0.5)
         assert "max Re(eigenvalue) = 5.0" in str(err.value)
 
+    def test_max_real_part_is_the_abscissa_of_a(self):
+        # the gate reads the spectrum off the Schur factor T, not off a itself
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            s = rng.normal(size=(8, 8))
+            a = s - (spectral_abscissa(s) - rng.uniform(0.01, 1.0)) * np.eye(8)
+            with pytest.raises(StabilityError) as err:
+                LyapunovSolver(a)
+            gap = abs(err.value.max_real_part - spectral_abscissa(a))
+            assert gap <= 1e-12 * np.linalg.norm(a)
+
     def test_marginal_system_rejected(self):
         with pytest.raises(StabilityError):
             solve_lyapunov([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
@@ -130,8 +142,11 @@ class TestSolveLyapunov:
                 call()
 
     def test_asymmetric_rhs_rejected(self):
-        with pytest.raises(DomainError):
-            solve_lyapunov(np.diag([-1.0, -1.0]), [[1.0, 1.0], [0.0, 1.0]])
+        # the second q is asymmetric relative to its own size, though not to 1
+        for q in ([[1.0, 1.0], [0.0, 1.0]], [[1e-10, 5e-9], [0.0, 1e-10]]):
+            with pytest.raises(DomainError):
+                solve_lyapunov(np.diag([-1.0, -1.0]), q)
+        assert not solve_lyapunov(np.diag([-1.0, -1.0]), np.zeros((2, 2))).any()
 
     def test_solver_reuse_matches_oneshot(self):
         a, _ = _system(9, n=5)

@@ -133,6 +133,22 @@ class TestSwingMatrix:
         assert lin.a[1, 1] == pytest.approx(-1.0 / 2.0)
         assert lin.a[3, 3] == pytest.approx(-1.0 / 4.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_hurwitz_flag_matches_the_spectrum(self, data, n):
+        # the flag is "some bus is grounded"; the eigen-solve it replaces is the oracle
+        positive = st.floats(0.1, 10.0)
+        grounding = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+        buses = tuple(Bus(f"b{i}", data.draw(positive), data.draw(positive),
+                          data.draw(grounding)) for i in range(n))
+        tree = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        extra = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        lines = tuple(Line(f"b{i}", f"b{j}", data.draw(positive))
+                      for i, j in sorted(tree | extra))
+        lin = build_swing_matrix(GridModel(buses=buses, lines=lines))
+        assert lin.hurwitz == is_hurwitz(lin.a)
+
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 30))
     def test_dimension_is_twice_buses(self, n):
