@@ -58,14 +58,13 @@ def main(argv=None):
 
     grid = ring_grid(args.buses, chords=args.chords, seed=args.seed)
     lin = build_swing_matrix(grid)
-    cands = hvdc_candidates(lin)
-    n_subsets = math.comb(len(cands), args.k)
+    cs = CandidateSet(lin.a, *hvdc_candidates(lin), MetricSpec.trace())
+    n_subsets = math.comb(cs.size, args.k)
     print(f"grid: {args.buses} buses, {len(grid.lines)} lines "
           f"-> {lin.n}-dimensional state space, Hurwitz={lin.hurwitz}")
-    print(f"candidates: {len(cands)} HVDC links; "
-          f"C({len(cands)}, {args.k}) = {n_subsets:.3e} subsets")
+    print(f"candidates: {cs.size} HVDC links, one ({cs.n}, {cs.size}) input matrix; "
+          f"C({cs.size}, {args.k}) = {n_subsets:.3e} subsets")
 
-    cs = CandidateSet(lin.a, cands, MetricSpec.trace())
     try:
         brute_force_best(cs, args.k)
         print("brute force unexpectedly ran -- tiny instance?")

@@ -27,7 +27,6 @@ from .exceptions import (
 )
 from .numerics import (
     DEFAULT_STABILITY_MARGIN,
-    Spectrum,
     eigenvalues,
     is_hurwitz,
     matrix_exponential,
@@ -90,7 +89,7 @@ __all__ = [
     "NumericalError", "StabilityError", "SingularGramianError",
     "UnreachableStateError", "DegenerateGramianWarning",
     # numerics
-    "DEFAULT_STABILITY_MARGIN", "Spectrum", "eigenvalues", "spectral_abscissa",
+    "DEFAULT_STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
     "is_hurwitz", "matrix_exponential", "real_schur",
     # gramian
     "Gramian", "LyapunovSolver", "solve_lyapunov", "lyapunov_residual",

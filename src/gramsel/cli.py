@@ -164,8 +164,8 @@ def cmd_gen(args):
         )
     else:
         n, m = args.random
-        a, cands = random_hurwitz_system(n, m, density=args.density, seed=args.seed)
-        doc = system_problem_dict(a, cands)
+        doc = system_problem_dict(*random_hurwitz_system(n, m, density=args.density,
+                                                         seed=args.seed))
     write_problem(args.out, doc)
     print(f"[gramsel] wrote problem file {args.out}", file=sys.stderr)
     return 0

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .exceptions import DimensionError, DomainError, NumericalError, StabilityError
 from .numerics import (
@@ -94,6 +93,8 @@ class LyapunovSolver:
     """
 
     def __init__(self, a, margin=DEFAULT_STABILITY_MARGIN):
+        from scipy.linalg import get_lapack_funcs  # scipy loads only when A is factored
+
         a = as_square(a, "a")
         self._u, self._t = real_schur(a)
         # T is orthogonally similar to a; its spectrum is read off the diagonal blocks.

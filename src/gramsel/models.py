@@ -13,16 +13,16 @@ links: one link between buses i and j injects +P/M_i and -P/M_j into the
 two frequency states, giving N(N-1)/2 candidate columns for N buses.
 """
 
+import itertools
 import json
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError, ProblemFormatError, TopologyError
 from .metrics import MetricSpec
-from .numerics import as_matrix, as_number, spectral_abscissa
+from .numerics import as_matrix, as_number, as_vector, spectral_abscissa
 from .placement import CandidateSet
 
 __all__ = [
@@ -196,19 +196,19 @@ def frequency_selector(lin):
 def hvdc_candidates(lin):
     """All N(N-1)/2 HVDC-link input columns for a linearized grid.
 
-    The link between buses i and j (i before j in bus order) gets id
-    "<i>-<j>" and a column with +1/M_i at bus i's frequency state and
-    -1/M_j at bus j's.
+    Returns ``(ids, b)``.  The link between buses i and j (i before j in
+    bus order) gets id "<i>-<j>" and a column of the (2N, N(N-1)/2) matrix
+    ``b`` with +1/M_i at bus i's frequency state and -1/M_j at bus j's;
+    links are ordered by i, then j.
     """
-    out = []
     buses = lin.grid.buses
-    for i in range(len(buses)):
-        for j in range(i + 1, len(buses)):
-            col = np.zeros(lin.n)
-            col[lin.bus_index[buses[i].id][1]] = 1.0 / buses[i].inertia
-            col[lin.bus_index[buses[j].id][1]] = -1.0 / buses[j].inertia
-            out.append((f"{buses[i].id}-{buses[j].id}", col))
-    return tuple(out)
+    pairs = list(itertools.combinations(range(len(buses)), 2))
+    ids = [f"{buses[i].id}-{buses[j].id}" for i, j in pairs]
+    b = np.zeros((lin.n, len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        b[lin.bus_index[buses[i].id][1], col] = 1.0 / buses[i].inertia
+        b[lin.bus_index[buses[j].id][1], col] = -1.0 / buses[j].inertia
+    return ids, b
 
 
 def ring_grid(n_buses, inertia=1.0, damping=0.5, susceptance=1.0,
@@ -251,8 +251,8 @@ def random_hurwitz_system(n, m, density=0.3, seed=0):
     0.1 margin, A = S - (alpha(S) + 0.1) I, so A is Hurwitz by
     construction with max Re(eigenvalue) = -0.1.
 
-    Returns ``(a, candidates)`` where candidates is a tuple of
-    ``(id, column)`` pairs ready for a :class:`CandidateSet`.
+    Returns ``(a, ids, b)``, the arguments of a :class:`CandidateSet`:
+    ids "b0", "b1", ... and the (n, m) matrix ``b`` of their columns.
     """
     n = as_number(n, "n", 1, integer=True)
     m = as_number(m, "m", 1, integer=True)
@@ -263,10 +263,8 @@ def random_hurwitz_system(n, m, density=0.3, seed=0):
     cols = rng.normal(size=(n, m))
     norms = np.linalg.norm(cols, axis=0)
     norms[norms == 0] = 1.0
-    cols = cols / norms
     width = len(str(m - 1))
-    candidates = tuple((f"b{i:0{width}d}", cols[:, i]) for i in range(m))
-    return a, candidates
+    return a, [f"b{i:0{width}d}" for i in range(m)], cols / norms
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +369,7 @@ def load_problem(path):
         if not isinstance(doc["grid"], dict):
             raise ProblemFormatError('"grid" must be a JSON object')
         lin = build_swing_matrix(_parse_grid_block(doc["grid"]))
-        cs = CandidateSet(lin.a, hvdc_candidates(lin), metric)
+        cs = CandidateSet(lin.a, *hvdc_candidates(lin), metric)
         return Problem(candidate_set=cs, grid=lin)
 
     for key in ("n", "A", "candidates"):
@@ -383,27 +381,28 @@ def load_problem(path):
         raise DimensionError(f"A has shape {a.shape}, expected ({n}, {n})")
     if not isinstance(doc["candidates"], list):
         raise ProblemFormatError('"candidates" must be a JSON list')
-    candidates = []
+    ids, cols = [], []
     for entry in doc["candidates"]:
         if not isinstance(entry, dict) or "id" not in entry or "b" not in entry:
             raise ProblemFormatError(
                 'each candidate must be an object with "id" and "b" fields'
             )
-        # CandidateSet validates each column and names the offending candidate
-        candidates.append((entry["id"], entry["b"]))
-    cs = CandidateSet(a, candidates, metric)
-    return Problem(candidate_set=cs)
+        ids.append(str(entry["id"]))
+        cols.append(as_vector(entry["b"], n, f"candidate {ids[-1]!r} column"))
+    b = np.column_stack(cols) if cols else np.zeros((n, 0))
+    return Problem(candidate_set=CandidateSet(a, ids, b, metric))
 
 
-def system_problem_dict(a, candidates, metric=None):
-    """Problem-file dict for an explicit (A, candidates) system."""
+def system_problem_dict(a, ids, b, metric=None):
+    """Problem-file dict for an explicit system: A plus candidate ``ids``
+    whose columns are those of the (n, M) matrix ``b``."""
     a = np.asarray(a, dtype=float)
     doc = {
         "n": int(a.shape[0]),
         "A": a.tolist(),
         "candidates": [
-            {"id": str(cid), "b": np.asarray(col, dtype=float).tolist()}
-            for cid, col in candidates
+            {"id": str(cid), "b": col}
+            for cid, col in zip(ids, np.asarray(b, dtype=float).T.tolist())
         ],
     }
     if metric is not None and metric.kind != "trace":

@@ -4,20 +4,19 @@ Thin, validated wrappers over LAPACK-backed numpy/scipy routines:
 eigenvalues, real Schur form, matrix exponential, and the Hurwitz test
 that gates every infinite-horizon computation.  :func:`as_array` and
 :func:`as_number` check every array and number from outside the program.
+scipy.linalg is imported inside the functions that call it, so commands
+that never factor a matrix (``gen``, ``--version``) load numpy only.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, DomainError, NonFiniteError, NumericalError
 
 __all__ = [
     "DEFAULT_STABILITY_MARGIN",
-    "Spectrum",
     "as_array",
     "as_matrix",
     "as_number",
@@ -105,33 +104,19 @@ def symmetrize(a):
     return (a + a.T) / 2.0
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a real square matrix.
-
-    ``values`` holds all n eigenvalues (complex dtype; conjugate-paired for
-    real input).
-    """
-
-    values: np.ndarray
-
-    @property
-    def max_real_part(self):
-        return float(np.max(self.values.real))
-
-
 def eigenvalues(m):
-    """Full spectrum of a square matrix (LAPACK ``*geev``, complex dtype)."""
+    """All n eigenvalues of a square matrix (LAPACK ``*geev``, complex dtype;
+    conjugate-paired for real input)."""
     m = as_square(m, "m")
     try:
-        return Spectrum(np.linalg.eigvals(m).astype(complex))
+        return np.linalg.eigvals(m).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from None
 
 
 def spectral_abscissa(m):
     """max Re(lambda) over the spectrum of m."""
-    return eigenvalues(m).max_real_part
+    return float(np.max(eigenvalues(m).real))
 
 
 def within_margin(alpha, margin=DEFAULT_STABILITY_MARGIN):
@@ -146,6 +131,8 @@ def is_hurwitz(m, margin=DEFAULT_STABILITY_MARGIN):
 
 def matrix_exponential(m):
     """expm(m) via scaling-and-squaring, with an explicit overflow check."""
+    import scipy.linalg
+
     m = as_square(m, "m")
     with np.errstate(over="ignore", invalid="ignore"):
         e = scipy.linalg.expm(m)
@@ -164,9 +151,11 @@ def real_schur(m):
     ``t`` (1x1 / 2x2 diagonal blocks). Already-triangular input passes
     through unchanged with ``q = I``.
     """
+    import scipy.linalg
+
     m = as_square(m, "m")
     try:
         t, q = scipy.linalg.schur(m, output="real")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg raises the same class
         raise NumericalError(f"Schur QR iteration failed to converge: {exc}") from None
     return q, t

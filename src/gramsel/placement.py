@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, EnumerationCapError, NumericalError
+from .exceptions import DimensionError, DomainError, EnumerationCapError, NumericalError
 from .gramian import LyapunovSolver
 from .metrics import MetricSpec, evaluate_metric
-from .numerics import DEFAULT_STABILITY_MARGIN, as_number, as_square, as_vector
+from .numerics import DEFAULT_STABILITY_MARGIN, as_array, as_number, as_square
 
 __all__ = [
     "CandidateSet",
@@ -48,28 +48,29 @@ _ADDITIVITY_RTOL = 1e-9
 class CandidateSet:
     """A dynamics matrix plus labelled candidate input columns.
 
-    Built from ``(id, column)`` pairs; ids must be unique and every column
-    must match the state dimension.  The columns are stored once, as the
-    read-only (n, M) matrix ``B`` whose j-th column belongs to ``ids[j]``.
+    ``b`` is the (n, M) input matrix whose j-th column belongs to
+    ``ids[j]``; ids must be unique.  The set keeps ``b`` as the read-only
+    view ``B``: a float64 ``b`` is not copied, so the set shares its memory
+    and the caller must not change ``b`` afterwards.
     """
 
-    def __init__(self, a, candidates, metric=MetricSpec()):
+    def __init__(self, a, ids, b, metric=MetricSpec()):
         self.a = as_square(a, "a")
         self.metric = metric
-        n = self.a.shape[0]
-        candidates = list(candidates)
-        if not candidates:
+        self.ids = tuple(map(str, ids))
+        if not self.ids:
             raise DomainError("candidate set is empty")
-        self.B = np.empty((n, len(candidates)))
         self._index = {}
-        for j, (cid, col) in enumerate(candidates):
-            cid = str(cid)
-            if cid in self._index:
+        for j, cid in enumerate(self.ids):
+            if self._index.setdefault(cid, j) != j:
                 raise DomainError(f"duplicate candidate id {cid!r}")
-            self._index[cid] = j
-            self.B[:, j] = as_vector(col, n, f"candidate {cid!r} column")
+        b = as_array(b, (2,), "candidate columns")
+        if b.shape != (self.n, self.size):
+            raise DimensionError(
+                f"candidate columns have shape {b.shape}, expected {(self.n, self.size)}"
+            )
+        self.B = b.view()
         self.B.flags.writeable = False
-        self.ids = tuple(self._index)
 
     @property
     def n(self):

@@ -58,8 +58,7 @@ def criterion(label):
 
 
 def _system(seed, n, m):
-    a, cands = random_hurwitz_system(n, m, seed=seed)
-    return a, cands
+    return random_hurwitz_system(n, m, seed=seed)
 
 
 @criterion("01 modularity-identity")
@@ -69,7 +68,7 @@ def test_01_modularity_identity_three_metrics():
     for i in range(50):
         n = 4 + i % 17  # 4..20
         m = 4 + i % 9   # 4..12
-        a, cands = _system(seed=1000 + i, n=n, m=m)
+        a, ids, b = _system(seed=1000 + i, n=n, m=m)
         r = rng.normal(size=(n, n))
         c = rng.normal(size=(1 + i % 3, n))
         metrics = (
@@ -78,7 +77,7 @@ def test_01_modularity_identity_three_metrics():
             MetricSpec.h2(c),
         )
         for j, metric in enumerate(metrics):
-            cs = CandidateSet(a, cands, metric)
+            cs = CandidateSet(a, ids, b, metric)
             report = verify_modularity(cs, trials=100, seed=3 * i + j,
                                        tolerance=1e-8)
             assert report.passed, (
@@ -97,7 +96,7 @@ def test_02_select_matches_brute_force():
         n = int(rng.integers(3, 9))
         m = int(rng.integers(2, 11))  # M <= 10
         k = int(rng.integers(1, min(5, m) + 1))  # k <= 5
-        a, cands = _system(seed=2000 + i, n=n, m=m)
+        a, ids, b = _system(seed=2000 + i, n=n, m=m)
         if i % 3 == 1:
             w = rng.normal(size=(n, n))
             metric = MetricSpec.weighted(w @ w.T)
@@ -105,7 +104,7 @@ def test_02_select_matches_brute_force():
             metric = MetricSpec.h2(rng.normal(size=(2, n)))
         else:
             metric = MetricSpec.trace()
-        cs = CandidateSet(a, cands, metric)
+        cs = CandidateSet(a, ids, b, metric)
         result = select_top_k(cs, k)
         brute_ids, brute_val = brute_force_best(cs, k)
         assert tuple(sorted(result.selected)) == brute_ids, (
@@ -126,8 +125,7 @@ def test_03_lyapunov_residuals_and_analytic_cases():
 
     sizes = np.linspace(2, 150, 100).round().astype(int)
     for i, n in enumerate(sizes):
-        a, cands = _system(seed=3000 + i, n=int(n), m=1 + i % 4)
-        b = np.column_stack([col for _, col in cands])
+        a, _, b = _system(seed=3000 + i, n=int(n), m=1 + i % 4)
         q = b @ b.T
         wmat = controllability_gramian(a, b).matrix
         residual = lyapunov_residual(a, wmat, q)
@@ -143,8 +141,7 @@ def test_04_finite_horizon():
     assert abs(g.matrix[0, 0] - (1.0 - math.exp(-2.0)) / 2.0) <= 1e-12
 
     for i in range(20):
-        a, cands = _system(seed=4000 + i, n=2 + i % 11, m=1 + i % 3)
-        b = np.column_stack([col for _, col in cands])
+        a, _, b = _system(seed=4000 + i, n=2 + i % 11, m=1 + i % 3)
         t_long = 50.0 / abs(spectral_abscissa(a))
         w_t = finite_horizon_gramian(a, b, t_long).matrix
         w_inf = controllability_gramian(a, b).matrix
@@ -160,8 +157,7 @@ def test_04_finite_horizon():
 def test_05_h2_matches_impulse_energy():
     for i in range(20):
         n = 2 + i % 9  # n <= 10
-        a, cands = _system(seed=5000 + i, n=n, m=1 + i % 3)
-        b = np.column_stack([col for _, col in cands])
+        a, _, b = _system(seed=5000 + i, n=n, m=1 + i % 3)
         c = np.random.default_rng(5100 + i).normal(size=(1 + i % 3, n))
         g = controllability_gramian(a, b)
         h2_sq = float(np.trace(c @ g.matrix @ c.T))
@@ -180,8 +176,7 @@ def test_06_synthesis_lands_on_target():
     for i in range(10):
         n = 2 + i % 5  # n <= 6
         m = 2 + i % 2  # two or three columns keep W(t) well conditioned
-        a, cands = _system(seed=6000 + i, n=n, m=m)
-        b = np.column_stack([col for _, col in cands])
+        a, _, b = _system(seed=6000 + i, n=n, m=m)
         x_f = np.random.default_rng(6100 + i).normal(size=n) * 0.5
         t = 2.0
         res = simulate_transfer(a, b, t, x_f, samples=101)
@@ -197,8 +192,9 @@ def test_06_synthesis_lands_on_target():
 def test_07_case_study_scale_and_refusal():
     lin = build_swing_matrix(ring_grid(74))
     assert lin.a.shape == (148, 148)  # 148-dimensional state space
-    cands = hvdc_candidates(lin)
-    assert len(cands) == 2701  # all HVDC bus pairs
+    ids, b = hvdc_candidates(lin)
+    assert len(ids) == 2701  # all HVDC bus pairs
+    assert b.shape == (148, 2701)
 
     # independent binomial check: multiplicative recurrence, exact integers
     count = 1
@@ -207,7 +203,7 @@ def test_07_case_study_scale_and_refusal():
     assert count == math.comb(2701, 10)
     assert abs(count - 5.6e27) <= 0.02 * 5.6e27
 
-    cs = CandidateSet(lin.a, cands, MetricSpec.trace())
+    cs = CandidateSet(lin.a, ids, b, MetricSpec.trace())
     with pytest.raises(EnumerationCapError) as err:
         brute_force_best(cs, 10)
     assert err.value.count == count
@@ -226,7 +222,7 @@ def test_07_case_study_scale_and_refusal():
 def test_08_centrality():
     for i in range(20):
         n = 3 + i % 8
-        a, _ = _system(seed=8000 + i, n=n, m=1)
+        a = _system(seed=8000 + i, n=n, m=1)[0]
         scores = controllability_centrality(a)
         total = controllability_gramian(a, np.eye(n)).trace()
         assert abs(math.fsum(scores.tolist()) - total) <= 1e-9 * abs(total)
@@ -243,19 +239,19 @@ def test_09_observability_duality():
     for i in range(10):
         n = 3 + i % 7
         p = 1 + i % 3
-        a, _ = _system(seed=9000 + i, n=n, m=1)
+        a = _system(seed=9000 + i, n=n, m=1)[0]
         c = np.random.default_rng(9100 + i).normal(size=(p, n))
         g_obs = observability_gramian(a, c)
         g_dual = controllability_gramian(a.T, c.T)
         assert np.array_equal(g_obs.matrix, g_dual.matrix)  # bitwise
 
     # sensor ranking == actuator ranking on the transposed system
-    a, _ = _system(seed=9999, n=6, m=1)
+    a = _system(seed=9999, n=6, m=1)[0]
     rows = np.random.default_rng(42).normal(size=(5, 6))
     sensor_scores = {
         f"s{j}": observability_gramian(a, rows[[j]]).trace() for j in range(5)
     }
-    dual_cs = CandidateSet(a.T, [(f"s{j}", rows[j]) for j in range(5)])
+    dual_cs = CandidateSet(a.T, [f"s{j}" for j in range(5)], rows.T)
     actuator_scores = candidate_weights(dual_cs)
     assert sensor_scores.keys() == actuator_scores.keys()
     for sid, score in sensor_scores.items():

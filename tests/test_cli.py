@@ -267,6 +267,18 @@ class TestExitCodes:
         code, _, err = run(capsys, ["rank", path, "--weight-file", str(binary)])
         assert code == 2 and "weight file" in err
 
+    def test_link_id_collision_is_2(self, tmp_path, capsys):
+        # links "a-b"+"c" and "a"+"b-c" would both be called "a-b-c"
+        names = ("a-b", "a", "b-c", "c")
+        buses = [{"id": i, "inertia": 1.0, "damping": 1.0, "grounding": 0.1} for i in names]
+        lines = [{"from": f, "to": t, "susceptance": 1.0} for f, t in zip(names, names[1:])]
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps({"grid": {"buses": buses, "lines": lines}}))
+        code, out, err = run(capsys, ["rank", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "duplicate candidate id 'a-b-c'" in err
+
     def test_no_subcommand_prints_help(self, capsys):
         code = cli.main([])
         assert code == 2
@@ -282,14 +294,24 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _scipy_modules_loaded_by(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(gramsel.__file__).parents[1]))
+    code = f"import sys\n{code}\nprint('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        # only `synthesize --simulate` integrates; every other command skips the import
-        env = dict(os.environ, PYTHONPATH=str(Path(gramsel.__file__).parents[1]))
-        code = "import sys, gramsel.cli; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        # only `synthesize --simulate` integrates, and only commands that
+        # factor A load scipy.linalg
+        assert _scipy_modules_loaded_by("import gramsel.cli") == "False False"
+
+    def test_gen_runs_on_numpy_alone(self, tmp_path):
+        for kind in ("--ring 6", "--random 4 5"):
+            argv = ["gen", *kind.split(), "--out", str(tmp_path / "p.json")]
+            code = f"from gramsel import cli\nassert cli.main({argv!r}) == 0"
+            assert _scipy_modules_loaded_by(code) == "False False"
 
 
 class TestReadme:

@@ -51,8 +51,7 @@ def _system(seed, n=None, m=None):
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(2, 9))
     m = m or int(rng.integers(1, 4))
-    a, cands = random_hurwitz_system(n, m, seed=seed)
-    b = np.column_stack([col for _, col in cands])
+    a, _, b = random_hurwitz_system(n, m, seed=seed)
     return a, b
 
 

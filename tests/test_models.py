@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gramsel import cli
 from gramsel.exceptions import (
@@ -80,7 +80,7 @@ class TestSwingMatrix:
     def test_single_grounded_bus(self):
         lin = build_swing_matrix(_single_bus(1.0))
         assert np.array_equal(lin.a, [[0.0, 1.0], [-1.0, -1.0]])
-        vals = np.sort_complex(eigenvalues(lin.a).values)
+        vals = np.sort_complex(eigenvalues(lin.a))
         expected = np.sort_complex(
             [-0.5 + 1j * math.sqrt(3) / 2, -0.5 - 1j * math.sqrt(3) / 2]
         )
@@ -90,7 +90,7 @@ class TestSwingMatrix:
     def test_ungrounded_has_single_zero_mode(self):
         lin = build_swing_matrix(ring_grid(6, grounding=0.0))
         assert not lin.hurwitz
-        vals = eigenvalues(lin.a).values
+        vals = eigenvalues(lin.a)
         n_zero = int(np.sum(np.abs(vals) <= 1e-9))
         assert n_zero == 1
         assert np.max(vals.real[np.abs(vals) > 1e-9]) < 0
@@ -161,31 +161,54 @@ class TestHvdcCandidates:
     def test_two_buses_single_link(self):
         buses = (Bus("p", 2.0, 1.0, 0.1), Bus("q", 4.0, 1.0, 0.1))
         lin = build_swing_matrix(GridModel(buses=buses, lines=(Line("p", "q", 1.0),)))
-        cands = hvdc_candidates(lin)
-        assert len(cands) == 1
-        cid, col = cands[0]
-        assert cid == "p-q"
-        expected = np.zeros(4)
+        ids, b = hvdc_candidates(lin)
+        assert ids == ["p-q"]
+        expected = np.zeros((4, 1))
         expected[1] = 1.0 / 2.0
         expected[3] = -1.0 / 4.0
-        assert np.array_equal(col, expected)
+        assert np.array_equal(b, expected)
 
     def test_count_formula(self):
         for n in (2, 5, 10, 74):
             lin = build_swing_matrix(ring_grid(n))
-            assert len(hvdc_candidates(lin)) == n * (n - 1) // 2
+            ids, b = hvdc_candidates(lin)
+            assert len(ids) == n * (n - 1) // 2
+            assert b.shape == (2 * n, len(ids))
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(2, 25))
     def test_ids_unique_and_columns_two_sparse(self, n):
         lin = build_swing_matrix(ring_grid(n))
-        cands = hvdc_candidates(lin)
-        ids = [cid for cid, _ in cands]
+        ids, b = hvdc_candidates(lin)
         assert len(set(ids)) == len(ids) == n * (n - 1) // 2
-        for _, col in cands:
+        for col in b.T:
             assert np.count_nonzero(col) == 2
             # only frequency states are touched
             assert np.count_nonzero(col[0::2]) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_matches_the_pairwise_loop(self, data, n):
+        # oracle: the per-link double loop the matrix builder replaced
+        inertias = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n,
+                                      unique=True))
+        order = data.draw(st.permutations(range(n)))
+        assume(list(order) != sorted(order))
+        buses = tuple(Bus(f"n{k}", m, 1.0, 0.1) for k, m in zip(order, inertias))
+        lines = tuple(Line(p.id, q.id, 1.0) for p, q in zip(buses, buses[1:]))
+        lin = build_swing_matrix(GridModel(buses=buses, lines=lines))
+        oracle_ids, oracle_cols = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                col = np.zeros(lin.n)
+                col[lin.bus_index[buses[i].id][1]] = 1.0 / buses[i].inertia
+                col[lin.bus_index[buses[j].id][1]] = -1.0 / buses[j].inertia
+                oracle_ids.append(f"{buses[i].id}-{buses[j].id}")
+                oracle_cols.append(col)
+        ids, b = hvdc_candidates(lin)
+        assert ids == oracle_ids
+        assert b.dtype == np.float64 and b.shape == (lin.n, len(oracle_ids))
+        assert b.tobytes() == np.column_stack(oracle_cols).tobytes()
 
     def test_frequency_selector(self):
         lin = build_swing_matrix(ring_grid(3))
@@ -227,25 +250,26 @@ class TestRingGrid:
 
 class TestRandomSystem:
     def test_seeded_determinism(self):
-        a1, c1 = random_hurwitz_system(6, 3, seed=9)
-        a2, c2 = random_hurwitz_system(6, 3, seed=9)
+        a1, ids1, b1 = random_hurwitz_system(6, 3, seed=9)
+        a2, ids2, b2 = random_hurwitz_system(6, 3, seed=9)
         assert np.array_equal(a1, a2)
-        for (i1, v1), (i2, v2) in zip(c1, c2):
-            assert i1 == i2 and np.array_equal(v1, v2)
+        assert ids1 == ids2 == ["b0", "b1", "b2"]
+        assert np.array_equal(b1, b2)
 
     def test_hurwitz_with_margin(self):
         for seed in range(10):
-            a, _ = random_hurwitz_system(8, 2, seed=seed)
+            a = random_hurwitz_system(8, 2, seed=seed)[0]
             assert is_hurwitz(a, margin=0.05)
             assert spectral_abscissa(a) == pytest.approx(-0.1, abs=1e-9)
 
     def test_columns_unit_norm(self):
-        _, cands = random_hurwitz_system(7, 4, seed=1)
-        for _, col in cands:
+        _, _, b = random_hurwitz_system(7, 4, seed=1)
+        assert b.shape == (7, 4)
+        for col in b.T:
             assert np.linalg.norm(col) == pytest.approx(1.0, rel=1e-12)
 
     def test_dense_at_density_one(self):
-        a, _ = random_hurwitz_system(4, 1, density=1.0, seed=0)
+        a = random_hurwitz_system(4, 1, density=1.0, seed=0)[0]
         assert np.count_nonzero(a) == 16
 
     def test_param_validation(self):
@@ -257,37 +281,30 @@ class TestRandomSystem:
 
 class TestProblemIO:
     def test_roundtrip_explicit(self, tmp_path):
-        a, cands = random_hurwitz_system(5, 3, seed=4)
-        doc = system_problem_dict(a, cands)
+        a, ids, b = random_hurwitz_system(5, 3, seed=4)
+        doc = system_problem_dict(a, ids, b)
         path = tmp_path / "p.json"
         write_problem(path, doc)
         problem = load_problem(path)
         cs = problem.candidate_set
         assert problem.grid is None
         assert np.array_equal(cs.a, a)
-        assert cs.ids == tuple(cid for cid, _ in cands)
-        for (cid, col) in cands:
+        assert cs.ids == tuple(ids)
+        for cid, col in zip(ids, b.T):
             assert np.array_equal(cs.column(cid), col)
         assert cs.metric.kind == "trace"
 
     def test_roundtrip_bytes_stable(self, tmp_path):
-        a, cands = random_hurwitz_system(4, 2, seed=11)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_problem(p1, system_problem_dict(a, cands))
-        loaded = load_problem(p1)
-        write_problem(
-            p2,
-            system_problem_dict(
-                loaded.candidate_set.a,
-                loaded.candidate_set.candidates,
-            ),
-        )
+        write_problem(p1, system_problem_dict(*random_hurwitz_system(4, 2, seed=11)))
+        loaded = load_problem(p1).candidate_set
+        write_problem(p2, system_problem_dict(loaded.a, loaded.ids, loaded.B))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_weight_block_roundtrip(self, tmp_path):
-        a, cands = random_hurwitz_system(3, 2, seed=2)
         cbar = np.diag([1.0, 2.0, 3.0])
-        doc = system_problem_dict(a, cands, metric=MetricSpec.weighted(cbar))
+        doc = system_problem_dict(*random_hurwitz_system(3, 2, seed=2),
+                                  metric=MetricSpec.weighted(cbar))
         path = tmp_path / "w.json"
         write_problem(path, doc)
         metric = load_problem(path).candidate_set.metric
