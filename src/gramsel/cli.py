@@ -24,13 +24,14 @@ from contextlib import contextmanager
 
 from . import __version__
 from .exceptions import DomainError, GramselError, NumericalError, StabilityError
-from .metrics import MetricSpec, evaluate_metric, simulate_transfer, synthesize_min_energy_input
+from .metrics import MetricSpec, simulate_transfer, synthesize_min_energy_input
 from .models import (
     frequency_selector,
     load_problem,
     random_hurwitz_system,
     ring_problem_dict,
     system_problem_dict,
+    write_json,
     write_problem,
 )
 from .numerics import DEFAULT_STABILITY_MARGIN, as_matrix, as_vector
@@ -82,15 +83,18 @@ def _report(args, results):
     }
 
 
-def _emit(args, report, csv_rows=None, csv_header=None):
-    if getattr(args, "csv", False) and csv_rows is not None:
+def _emit(args, report, header=None, rows=None):
+    """Write the report, or with --csv the ``header`` columns of ``rows`` (dicts or lists)."""
+    if getattr(args, "csv", False) and rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows([r[c] for c in header] if isinstance(r, dict) else r for r in rows)
         payload = buf.getvalue()
     else:
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        chunks = []
+        write_json(report, chunks.append)
+        payload = "".join(chunks) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -185,8 +189,7 @@ def cmd_rank(args):
         "ranked": rows,
     }
     header = ["rank", "id", "score"] + (["h2_norm"] if metric.kind == "h2" else [])
-    _emit(args, _report(args, results),
-          csv_rows=[[r[c] for c in header] for r in rows], csv_header=header)
+    _emit(args, _report(args, results), header, rows)
     return 0
 
 
@@ -208,9 +211,7 @@ def cmd_select(args):
         "ties": [list(group) for group in result.ties],
         "ranked": rows,
     }
-    header = ["rank", "id", "score", "selected"]
-    _emit(args, _report(args, results),
-          csv_rows=[[r[c] for c in header] for r in rows], csv_header=header)
+    _emit(args, _report(args, results), ["rank", "id", "score", "selected"], rows)
     return 0
 
 
@@ -233,9 +234,7 @@ def cmd_centrality(args):
         "nodes": rows,
         "total": math.fsum(scores.tolist()),
     }
-    header = ["node", "label", "score"]
-    _emit(args, _report(args, results),
-          csv_rows=[[r[c] for c in header] for r in rows], csv_header=header)
+    _emit(args, _report(args, results), ["node", "label", "score"], rows)
     return 0
 
 
@@ -319,10 +318,7 @@ def cmd_synthesize(args):
         results["terminal_error"] = sim.terminal_error
         results["input_energy"] = sim.input_energy
     header = ["time"] + [f"u_{cid}" for cid in ids]
-    rows = [
-        [traj.times[k]] + list(traj.inputs[k]) for k in range(traj.samples)
-    ]
-    _emit(args, _report(args, results), csv_rows=rows, csv_header=header)
+    _emit(args, _report(args, results), header, ([t, *u] for t, u in zip(traj.times, traj.inputs)))
     return 0
 
 

@@ -8,7 +8,6 @@ eigendecomposition so that near-singular directions are handled
 explicitly instead of blowing up inside a generic solve.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 

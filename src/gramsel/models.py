@@ -13,6 +13,7 @@ links: one link between buses i and j injects +P/M_i and -P/M_j into the
 two frequency states, giving N(N-1)/2 candidate columns for N buses.
 """
 
+import functools
 import itertools
 import json
 from collections import deque
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, ProblemFormatError, TopologyError
+from .exceptions import DimensionError, GramselError, ProblemFormatError, TopologyError
 from .metrics import MetricSpec
-from .numerics import as_matrix, as_number, as_vector, spectral_abscissa
+from .numerics import as_array, as_matrix, as_number, as_vector, spectral_abscissa
 from .placement import CandidateSet
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "Problem",
     "load_problem",
     "write_problem",
+    "write_json",
     "system_problem_dict",
     "ring_problem_dict",
 ]
@@ -381,16 +383,19 @@ def load_problem(path):
         raise DimensionError(f"A has shape {a.shape}, expected ({n}, {n})")
     if not isinstance(doc["candidates"], list):
         raise ProblemFormatError('"candidates" must be a JSON list')
-    ids, cols = [], []
-    for entry in doc["candidates"]:
-        if not isinstance(entry, dict) or "id" not in entry or "b" not in entry:
-            raise ProblemFormatError(
-                'each candidate must be an object with "id" and "b" fields'
-            )
-        ids.append(str(entry["id"]))
-        cols.append(as_vector(entry["b"], n, f"candidate {ids[-1]!r} column"))
-    b = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return Problem(candidate_set=CandidateSet(a, ids, b, metric))
+    entries = doc["candidates"]
+    if not all(isinstance(e, dict) and "id" in e and "b" in e for e in entries):
+        raise ProblemFormatError('each candidate must be an object with "id" and "b" fields')
+    ids = [str(e["id"]) for e in entries]
+    try:
+        b = as_array([e["b"] for e in entries] or np.zeros((0, n)), (2,), "candidate columns")
+        if b.shape != (len(ids), n):
+            raise DimensionError(f"candidate columns have shape {b.shape}")
+    except GramselError:  # name the first bad candidate
+        for cid, e in zip(ids, entries):
+            as_vector(e["b"], n, f"candidate {cid!r} column")
+        raise
+    return Problem(candidate_set=CandidateSet(a, ids, np.ascontiguousarray(b.T), metric))
 
 
 def system_problem_dict(a, ids, b, metric=None):
@@ -427,8 +432,40 @@ def ring_problem_dict(n_buses, chords=0, seed=0, inertia=1.0, damping=0.5,
     }
 
 
+_SCALARS = (str, int, float, type(None))
+
+
+@functools.cache
+def _flat_encoder(indent):
+    """C-accelerated encoder whose item separator starts a line at ``indent``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": "))
+
+
+def write_json(obj, write, indent=""):
+    """Send ``obj`` to ``write`` in chunks, printed exactly as
+    ``json.dumps(obj, indent=2, sort_keys=True)`` prints it with its
+    pure-Python encoder.  Each container of scalars is one C-encoder call
+    whose item separator carries the line break; only containers of
+    containers recurse, and a dict that holds containers needs str keys."""
+    inner = indent + "  "
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        write(_flat_encoder(inner).encode(obj))
+    elif all(map(isinstance, obj.values() if is_dict else obj, itertools.repeat(_SCALARS))):
+        flat = _flat_encoder(inner).encode(obj)
+        write(f"{flat[0]}\n{inner}{flat[1:-1]}\n{indent}{flat[-1]}")
+    else:
+        keys = sorted(obj) if is_dict else range(len(obj))
+        sep = "{\n" + inner if is_dict else "[\n" + inner
+        for key in keys:
+            write((sep + json.encoder.encode_basestring_ascii(key) + ": ") if is_dict else sep)
+            write_json(obj[key], write, inner)
+            sep = ",\n" + inner
+        write("\n" + indent + ("}" if is_dict else "]"))
+
+
 def write_problem(path, doc):
-    """Serialize a problem dict to JSON (sorted keys, trailing newline)."""
+    """Write a problem dict as indented JSON with sorted keys and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        write_json(doc, fh.write)
         fh.write("\n")

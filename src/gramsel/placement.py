@@ -94,9 +94,7 @@ class CandidateSet:
     def input_matrix(self, ids):
         """Stack the columns of the given ids into an (n, |ids|) matrix."""
         cols = [self.column(c) for c in ids]
-        if not cols:
-            return np.zeros((self.n, 0))
-        return np.column_stack(cols)
+        return np.array(cols).T if cols else np.zeros((self.n, 0))
 
     def with_metric(self, metric):
         """The same candidates under another metric, sharing the stored columns."""

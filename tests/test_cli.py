@@ -294,6 +294,37 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestJsonLayout:
+    """Problem files and reports use exactly json.dumps(..., indent=2, sort_keys=True)."""
+
+    @staticmethod
+    def _assert_stdlib_layout(text):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("args", [("--random", "4", "5"), ("--ring", "6")])
+    def test_gen_files(self, tmp_path, capsys, args):
+        path = make_problem(tmp_path, capsys, args=args)
+        self._assert_stdlib_layout(Path(path).read_text())
+
+    @pytest.mark.parametrize("command", [
+        ["rank", "--metric", "h2", "--weight-file", "{weights}"],
+        ["select", "--k", "2"],
+        ["centrality"],
+        ["verify", "--trials", "3"],
+        ["bruteforce", "--k", "2"],
+        ["synthesize", "--ids", "b0,b1", "--horizon", "1.0", "--target", "0.1,0,0.2,0",
+         "--samples", "5", "--simulate"],
+    ])
+    def test_reports(self, tmp_path, capsys, command):
+        path = make_problem(tmp_path, capsys)
+        weights = tmp_path / "c.json"
+        weights.write_text(json.dumps([[1.0, 0.5, 0.0, -2.0]]))
+        argv = [command[0], path, *(a.format(weights=weights) for a in command[1:])]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        self._assert_stdlib_layout(out)
+
+
 def _scipy_modules_loaded_by(code):
     env = dict(os.environ, PYTHONPATH=str(Path(gramsel.__file__).parents[1]))
     code = f"import sys\n{code}\nprint('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"

@@ -1,0 +1,42 @@
+"""Every imported name in the package and its tests is used.
+
+No linter is configured for the project, so this scans each module's
+syntax tree: an imported name must be read somewhere in the module or
+be listed in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted([*(ROOT / "src" / "gramsel").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*":
+                    imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_scan_finds_an_unused_import():
+    tree = ast.parse("import math\nimport os.path\nfrom json import dumps as d, loads\n"
+                     "__all__ = ['loads']\nos.getcwd()\n")
+    assert unused_imports(tree) == ["line 1: math", "line 3: d"]

@@ -14,7 +14,6 @@ from gramsel.exceptions import (
     DomainError,
     NonFiniteError,
     ProblemFormatError,
-    StabilityError,
     TopologyError,
 )
 from gramsel.metrics import MetricSpec
@@ -30,6 +29,7 @@ from gramsel.models import (
     ring_grid,
     ring_problem_dict,
     system_problem_dict,
+    write_json,
     write_problem,
 )
 from gramsel.numerics import eigenvalues, is_hurwitz, spectral_abscissa
@@ -279,6 +279,41 @@ class TestRandomSystem:
             random_hurwitz_system(3, 1, density=0.0)
 
 
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-10**40, 10**40) | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
+    | st.text() | st.sampled_from(['"', "\\", "\n\t\x00", "é", "\u2028", "😀"])
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+def _write_json_text(obj):
+    chunks = []
+    write_json(obj, chunks.append)
+    return "".join(chunks)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_JSON_DOCS)
+    def test_matches_stdlib_indented_layout(self, obj):
+        assert _write_json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_numpy_floats_print_as_floats(self):
+        obj = {"w": [np.float64(0.1), np.float64(-0.0)], "x": {"y": [np.float64(1e308)]}}
+        assert _write_json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [{"a": {1: [1]}}, [{2: {"b": 1}}], {"a": 1, 3: ()}])
+    def test_non_str_key_beside_a_container_raises(self, obj):
+        with pytest.raises(TypeError):
+            _write_json_text(obj)
+
+
 class TestProblemIO:
     def test_roundtrip_explicit(self, tmp_path):
         a, ids, b = random_hurwitz_system(5, 3, seed=4)
@@ -292,6 +327,8 @@ class TestProblemIO:
         assert cs.ids == tuple(ids)
         for cid, col in zip(ids, b.T):
             assert np.array_equal(cs.column(cid), col)
+        # stored C-ordered, bit for bit
+        assert cs.B.flags.c_contiguous and cs.B.tobytes() == b.tobytes()
         assert cs.metric.kind == "trace"
 
     def test_roundtrip_bytes_stable(self, tmp_path):
