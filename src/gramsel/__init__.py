@@ -34,7 +34,6 @@ from .numerics import (
     spectral_abscissa,
 )
 from .gramian import (
-    Gramian,
     LyapunovSolver,
     controllability_gramian,
     finite_horizon_gramian,
@@ -92,7 +91,7 @@ __all__ = [
     "DEFAULT_STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
     "is_hurwitz", "matrix_exponential", "real_schur",
     # gramian
-    "Gramian", "LyapunovSolver", "solve_lyapunov", "lyapunov_residual",
+    "LyapunovSolver", "solve_lyapunov", "lyapunov_residual",
     "controllability_gramian", "finite_horizon_gramian", "observability_gramian",
     # metrics
     "MetricSpec", "evaluate_metric", "average_energy_tr_inverse",

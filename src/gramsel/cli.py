@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import io
-import json
 import math
 import sys
 import time
@@ -29,6 +28,7 @@ from .models import (
     frequency_selector,
     load_problem,
     random_hurwitz_system,
+    read_json,
     ring_problem_dict,
     system_problem_dict,
     write_json,
@@ -102,14 +102,6 @@ def _emit(args, report, header=None, rows=None):
         sys.stdout.write(payload)
 
 
-def _read_json(path, what):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
-            raise DomainError(f"invalid JSON in {what} {path}: {exc}") from None
-
-
 def _load(args, ranking=True):
     with _phase("load"):
         problem = load_problem(args.problem)
@@ -138,7 +130,7 @@ def _resolve_metric(args, problem):
         return MetricSpec.trace()
     if weight_file is None:
         raise DomainError(f"--metric {kind} requires --weight-file")
-    matrix = as_matrix(_read_json(weight_file, "weight file"), "weight matrix")
+    matrix = as_matrix(read_json(weight_file, "weight file"), "weight matrix")
     if kind == "weighted":
         return MetricSpec.weighted(matrix)
     return MetricSpec.h2(matrix)
@@ -299,7 +291,7 @@ def cmd_synthesize(args):
         raise DomainError("--ids must name at least one candidate")
     b = cs.input_matrix(ids)
     raw = (_parse_target(args.target) if args.target is not None
-           else _read_json(args.target_file, "target file"))
+           else read_json(args.target_file, "target file"))
     x_f = as_vector(raw, cs.n, "target")
     with _phase("synthesize"):
         traj = synthesize_min_energy_input(cs.a, b, args.horizon, x_f,

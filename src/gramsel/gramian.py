@@ -7,12 +7,12 @@ Infinite-horizon Gramians come from the Lyapunov equation
 solved by Schur reduction (factor A once, back-substitute per right-hand
 side).  Finite-horizon Gramians come from a single block matrix
 exponential, composed over doubling sub-intervals when the horizon is
-long enough to overflow the naive formula.
+long enough to overflow the naive formula.  Every Gramian is returned
+as a bitwise-symmetric (n, n) float array.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "Gramian",
     "LyapunovSolver",
     "solve_lyapunov",
     "lyapunov_residual",
@@ -48,39 +47,6 @@ _RHS_SYMMETRY_RTOL = 1e-8
 # e^{t_sub ||A||}, so the bound must keep that amplification near 1 --
 # not merely below overflow.
 _BLOCK_NORM_BOUND = 4.0
-
-
-@dataclass(frozen=True)
-class Gramian:
-    """A symmetric positive-semidefinite energy matrix.
-
-    ``horizon`` is the integration horizon in time units, ``math.inf``
-    for the steady-state (Lyapunov) Gramian.
-    """
-
-    matrix: np.ndarray
-    horizon: float = math.inf
-
-    def __post_init__(self):
-        m = as_square(self.matrix, "gramian matrix")
-        object.__setattr__(self, "matrix", symmetrize(m))
-        if self.horizon != math.inf:
-            as_number(self.horizon, "horizon", 0.0, strict=True)
-        object.__setattr__(self, "horizon", float(self.horizon))
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    @property
-    def is_infinite_horizon(self):
-        return math.isinf(self.horizon)
-
-    def trace(self):
-        return float(np.trace(self.matrix))
-
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 class LyapunovSolver:
@@ -145,7 +111,7 @@ class LyapunovSolver:
     def gramian(self, b):
         """Infinite-horizon controllability Gramian of the pair (a, b)."""
         b = _input_matrix(b, self.n)
-        return Gramian(self.solve(b @ b.T), horizon=math.inf)
+        return self.solve(b @ b.T)
 
 
 def _input_matrix(b, n):
@@ -180,8 +146,8 @@ def controllability_gramian(a, b, margin=DEFAULT_STABILITY_MARGIN):
 
     Returns
     -------
-    Gramian
-        W solving ``a W + W a^T + b b^T = 0``.
+    (n, n) ndarray
+        The symmetric W solving ``a W + W a^T + b b^T = 0``.
     """
     return LyapunovSolver(a, margin=margin).gramian(b)
 
@@ -227,4 +193,4 @@ def finite_horizon_gramian(a, b, t):
     for _ in range(doublings):
         w = symmetrize(w + phi @ w @ phi.T)
         phi = phi @ phi
-    return Gramian(w, horizon=t)
+    return w

@@ -20,7 +20,7 @@ from .exceptions import (
     SingularGramianError,
     UnreachableStateError,
 )
-from .gramian import Gramian, _input_matrix, finite_horizon_gramian
+from .gramian import _input_matrix, finite_horizon_gramian
 from .numerics import as_matrix, as_number, as_square, as_vector, matrix_exponential, symmetrize
 
 __all__ = [
@@ -105,8 +105,6 @@ class MetricSpec:
 
 
 def _gram_matrix(w):
-    if isinstance(w, Gramian):
-        return w.matrix
     return symmetrize(as_square(w, "gramian"))
 
 
@@ -118,9 +116,7 @@ def evaluate_metric(spec, w):
 
 def _psd_eig(w):
     """Ascending eigendecomposition of a symmetrized Gramian matrix."""
-    m = _gram_matrix(w)
-    vals, vecs = np.linalg.eigh(m)
-    return m, vals, vecs
+    return np.linalg.eigh(_gram_matrix(w))
 
 
 def average_energy_tr_inverse(w):
@@ -129,7 +125,7 @@ def average_energy_tr_inverse(w):
     Requires W positive definite; an eigenvalue at or below
     SINGULAR_RTOL * lambda_max raises :class:`SingularGramianError`.
     """
-    _, vals, _ = _psd_eig(w)
+    vals, _ = _psd_eig(w)
     lam_max = vals[-1]
     if not lam_max > 0.0 or vals[0] <= SINGULAR_RTOL * lam_max:
         raise SingularGramianError(
@@ -147,7 +143,7 @@ def _range_solve(w, x, context="target state"):
     a component outside range(W) beyond _RANGE_RTOL * ||x||; warns with
     DegenerateGramianWarning when W is singular but x is consistent.
     """
-    _, vals, vecs = _psd_eig(w)
+    vals, vecs = _psd_eig(w)
     if not np.any(x):
         return np.zeros_like(x), False
     lam_max = max(float(vals[-1]), 0.0)
@@ -201,7 +197,7 @@ class EllipsoidAxes:
 
 def reachability_ellipsoid(w):
     """Semi-axes of the reachability ellipsoid of a PSD Gramian."""
-    _, vals, vecs = _psd_eig(w)
+    vals, vecs = _psd_eig(w)
     order = np.argsort(vals)[::-1]
     lengths = np.sqrt(np.clip(vals[order], 0.0, None))
     return EllipsoidAxes(directions=vecs[:, order], lengths=lengths)
@@ -233,12 +229,12 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     b = _input_matrix(b, n)
     samples = as_number(samples, "samples", 2, integer=True)
     x = as_vector(x_f, n, "x_f")
+    t = as_number(t, "horizon t", 0.0, strict=True)
 
-    w = finite_horizon_gramian(a, b, t)
-    eta, _ = _range_solve(w.matrix, x)  # W(t)^{-1} x_f
+    eta, _ = _range_solve(finite_horizon_gramian(a, b, t), x)  # W(t)^{-1} x_f
 
-    times = np.linspace(0.0, w.horizon, samples)
-    step = matrix_exponential(a.T * (w.horizon / (samples - 1)))
+    times = np.linspace(0.0, t, samples)
+    step = matrix_exponential(a.T * (t / (samples - 1)))
     z = np.empty((samples, n))
     z[-1] = eta
     for k in range(samples - 2, -1, -1):
@@ -273,10 +269,10 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
     n = a.shape[0]
     b = _input_matrix(b, n)
     x = as_vector(x_f, n, "x_f")
+    t = as_number(t, "horizon t", 0.0, strict=True)
 
-    w = finite_horizon_gramian(a, b, t)
-    eta, _ = _range_solve(w.matrix, x)
-    z0 = matrix_exponential(a.T * w.horizon) @ eta
+    eta, _ = _range_solve(finite_horizon_gramian(a, b, t), x)
+    z0 = matrix_exponential(a.T * t) @ eta
     bbt = b @ b.T
 
     def rhs(_tau, y):
@@ -285,9 +281,9 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
         return np.concatenate([a @ xs + bbt @ zs, -(a.T @ zs), [u_sq]])
 
     y0 = np.concatenate([np.zeros(n), z0, [0.0]])
-    grid = np.linspace(0.0, w.horizon, as_number(samples, "samples", 2, integer=True))
+    grid = np.linspace(0.0, t, as_number(samples, "samples", 2, integer=True))
     sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, w.horizon), y0, t_eval=grid, rtol=rtol, atol=atol, method="RK45"
+        rhs, (0.0, t), y0, t_eval=grid, rtol=rtol, atol=atol, method="RK45"
     )
     if not sol.success:  # pragma: no cover - solver failure is pathological
         raise DomainError(f"trajectory integration failed: {sol.message}")

@@ -37,6 +37,7 @@ __all__ = [
     "ring_grid",
     "random_hurwitz_system",
     "Problem",
+    "read_json",
     "load_problem",
     "write_problem",
     "write_json",
@@ -314,15 +315,8 @@ def _parse_grid_block(doc):
             raise ProblemFormatError(f"unknown grid fields: {sorted(unknown)}")
         if "buses" not in doc:
             raise ProblemFormatError('ring grid requires a "buses" count')
-        return ring_grid(
-            doc["buses"],
-            inertia=doc.get("inertia", 1.0),
-            damping=doc.get("damping", 0.5),
-            susceptance=doc.get("susceptance", 1.0),
-            grounding=doc.get("grounding", 0.1),
-            chords=doc.get("chords", 0),
-            seed=doc.get("seed", 0),
-        )
+        return ring_grid(doc["buses"],
+                         **{k: v for k, v in doc.items() if k not in ("topology", "buses")})
     try:
         buses = tuple(
             Bus(id=str(b["id"]), inertia=b["inertia"], damping=b["damping"],
@@ -339,6 +333,17 @@ def _parse_grid_block(doc):
     return GridModel(buses=buses, lines=lines)
 
 
+def read_json(path, what):
+    """Parse the JSON file ``path``; every failure is a ProblemFormatError naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot read {what} {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
+        raise ProblemFormatError(f"invalid JSON in {what} {path}: {exc}") from None
+
+
 def load_problem(path):
     """Load and validate a problem file (JSON).
 
@@ -353,15 +358,7 @@ def load_problem(path):
         {"grid": {"topology": "ring", "buses": 74, "chords": 0, "seed": 0},
          "weight": ...}
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ProblemFormatError(f"cannot read problem file {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from None
+    doc = read_json(path, "problem file")
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must contain a JSON object")
 

@@ -144,7 +144,7 @@ def _weights_with_solver(solver, cs):
 def _magnitude(metric, g):
     """vdot(|C_bar|, |W|) >= |metric(W)|: it scales as the score does, but stays
     above rounding noise when the terms cancel; zero only when every term is."""
-    return float(np.vdot(np.abs(metric.state_weighting(g.n)), np.abs(g.matrix)))
+    return float(np.vdot(np.abs(metric.state_weighting(g.shape[0])), np.abs(g)))
 
 
 def _check_additivity(solver, metric, b, weights):
@@ -247,7 +247,7 @@ def brute_force_best(cs, k, functional=None, cap=1_000_000,
     solver = LyapunovSolver(cs.a, margin=margin)
     best_ids, best_val = None, -math.inf
     for combo in itertools.combinations(sorted(cs.ids), k):
-        val = functional(solver.gramian(cs.input_matrix(combo)).matrix)
+        val = functional(solver.gramian(cs.input_matrix(combo)))
         # strict > keeps the first (lexicographically smallest) maximizer
         if val > best_val:
             best_ids, best_val = combo, val

@@ -127,7 +127,7 @@ def test_03_lyapunov_residuals_and_analytic_cases():
     for i, n in enumerate(sizes):
         a, _, b = _system(seed=3000 + i, n=int(n), m=1 + i % 4)
         q = b @ b.T
-        wmat = controllability_gramian(a, b).matrix
+        wmat = controllability_gramian(a, b)
         residual = lyapunov_residual(a, wmat, q)
         bound = 1e-10 * (
             np.linalg.norm(a) * np.linalg.norm(wmat) + np.linalg.norm(q)
@@ -138,18 +138,18 @@ def test_03_lyapunov_residuals_and_analytic_cases():
 @criterion("04 finite-horizon-correctness")
 def test_04_finite_horizon():
     g = finite_horizon_gramian([[-1.0]], [[1.0]], 1.0)
-    assert abs(g.matrix[0, 0] - (1.0 - math.exp(-2.0)) / 2.0) <= 1e-12
+    assert abs(g[0, 0] - (1.0 - math.exp(-2.0)) / 2.0) <= 1e-12
 
     for i in range(20):
         a, _, b = _system(seed=4000 + i, n=2 + i % 11, m=1 + i % 3)
         t_long = 50.0 / abs(spectral_abscissa(a))
-        w_t = finite_horizon_gramian(a, b, t_long).matrix
-        w_inf = controllability_gramian(a, b).matrix
+        w_t = finite_horizon_gramian(a, b, t_long)
+        w_inf = controllability_gramian(a, b)
         rel = np.linalg.norm(w_t - w_inf) / np.linalg.norm(w_inf)
         assert rel <= 1e-8, f"system {i}: finite/infinite gap {rel:.3e}"
         # monotone PSD growth
-        w1 = finite_horizon_gramian(a, b, 0.7).matrix
-        w2 = finite_horizon_gramian(a, b, 2.9).matrix
+        w1 = finite_horizon_gramian(a, b, 0.7)
+        w2 = finite_horizon_gramian(a, b, 2.9)
         assert np.linalg.eigvalsh(w2 - w1)[0] >= -1e-10 * np.linalg.norm(w2, 2)
 
 
@@ -160,7 +160,7 @@ def test_05_h2_matches_impulse_energy():
         a, _, b = _system(seed=5000 + i, n=n, m=1 + i % 3)
         c = np.random.default_rng(5100 + i).normal(size=(1 + i % 3, n))
         g = controllability_gramian(a, b)
-        h2_sq = float(np.trace(c @ g.matrix @ c.T))
+        h2_sq = float(np.trace(c @ g @ c.T))
         t_end = 50.0 / abs(spectral_abscissa(a))
         oracle, _ = quad(
             lambda t: np.linalg.norm(c @ expm(a * t) @ b, "fro") ** 2,
@@ -224,7 +224,7 @@ def test_08_centrality():
         n = 3 + i % 8
         a = _system(seed=8000 + i, n=n, m=1)[0]
         scores = controllability_centrality(a)
-        total = controllability_gramian(a, np.eye(n)).trace()
+        total = np.trace(controllability_gramian(a, np.eye(n)))
         assert abs(math.fsum(scores.tolist()) - total) <= 1e-9 * abs(total)
 
     lin = build_swing_matrix(ring_grid(12))
@@ -243,13 +243,13 @@ def test_09_observability_duality():
         c = np.random.default_rng(9100 + i).normal(size=(p, n))
         g_obs = observability_gramian(a, c)
         g_dual = controllability_gramian(a.T, c.T)
-        assert np.array_equal(g_obs.matrix, g_dual.matrix)  # bitwise
+        assert np.array_equal(g_obs, g_dual)  # bitwise
 
     # sensor ranking == actuator ranking on the transposed system
     a = _system(seed=9999, n=6, m=1)[0]
     rows = np.random.default_rng(42).normal(size=(5, 6))
     sensor_scores = {
-        f"s{j}": observability_gramian(a, rows[[j]]).trace() for j in range(5)
+        f"s{j}": np.trace(observability_gramian(a, rows[[j]])) for j in range(5)
     }
     dual_cs = CandidateSet(a.T, [f"s{j}" for j in range(5)], rows.T)
     actuator_scores = candidate_weights(dual_cs)

@@ -254,18 +254,23 @@ class TestExitCodes:
 
     def test_malformed_json_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{oops")
-        code, _, err = run(capsys, ["rank", str(path)])
-        assert code == 2
+        for text in ("{oops", "[" * 200_000):  # a syntax error; nesting too deep to parse
+            path.write_text(text)
+            code, _, err = run(capsys, ["rank", str(path)])
+            assert code == 2 and "invalid JSON in problem file" in err
 
     def test_undecodable_files_are_2(self, tmp_path, capsys):
-        binary = tmp_path / "binary.json"
-        binary.write_bytes(b"\xff\xfe\x00")
-        code, _, err = run(capsys, ["rank", str(binary)])
-        assert code == 2 and "problem file" in err
         path = make_problem(tmp_path, capsys)
-        code, _, err = run(capsys, ["rank", path, "--weight-file", str(binary)])
-        assert code == 2 and "weight file" in err
+        bad = tmp_path / "bad.json"
+        for data in (b"\xff\xfe\x00", b"[" * 200_000):
+            bad.write_bytes(data)
+            code, _, err = run(capsys, ["rank", str(bad)])
+            assert code == 2 and "problem file" in err
+            code, _, err = run(capsys, ["rank", path, "--weight-file", str(bad)])
+            assert code == 2 and "weight file" in err
+            code, _, err = run(capsys, ["synthesize", path, "--ids", "b0", "--horizon", "1",
+                                        "--target-file", str(bad)])
+            assert code == 2 and "target file" in err
 
     def test_link_id_collision_is_2(self, tmp_path, capsys):
         # links "a-b"+"c" and "a"+"b-c" would both be called "a-b-c"

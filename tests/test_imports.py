@@ -1,17 +1,22 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and every
+exported name exists.
 
 No linter is configured for the project, so this scans each module's
 syntax tree: an imported name must be read somewhere in the module or
-be listed in its ``__all__``.
+be listed in its ``__all__``.  Since a listed name counts as used, each
+``__all__`` entry must also resolve on the imported module, or
+``from gramsel import *`` would fail.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "gramsel").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "gramsel").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(tree):
@@ -40,3 +45,10 @@ def test_scan_finds_an_unused_import():
     tree = ast.parse("import math\nimport os.path\nfrom json import dumps as d, loads\n"
                      "__all__ = ['loads']\nos.getcwd()\n")
     assert unused_imports(tree) == ["line 1: math", "line 3: d"]
+
+
+@pytest.mark.parametrize("name", [
+    "gramsel" if p.stem == "__init__" else f"gramsel.{p.stem}" for p in PACKAGE])
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -206,13 +206,18 @@ class TestSynthesis:
         assert traj.times.shape == (51,)
         assert traj.inputs.shape == (51, 2)
         assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
-        w = finite_horizon_gramian(a, b, 2.0).matrix
+        w = finite_horizon_gramian(a, b, 2.0)
         assert traj.energy == pytest.approx(x_f @ np.linalg.solve(w, x_f), rel=1e-9)
 
     def test_samples_validation(self):
         a, b = _system(4, n=3, m=1)
         with pytest.raises(DomainError):
             synthesize_min_energy_input(a, b, 1.0, np.zeros(3), samples=1)
+
+    def test_zero_horizon_rejected(self):
+        a, b = _system(4, n=3, m=1)
+        with pytest.raises(DomainError, match="horizon t"):
+            synthesize_min_energy_input(a, b, 0, np.zeros(3))
 
     def test_unreachable_target_raises(self):
         a = np.diag([-1.0, -2.0])
@@ -225,7 +230,7 @@ class TestSynthesis:
         a, b = _system(6, n=3, m=2)
         t, x_f = 1.7, np.array([0.2, -0.4, 0.1])
         traj = synthesize_min_energy_input(a, b, t, x_f, samples=18)
-        w = finite_horizon_gramian(a, b, t).matrix
+        w = finite_horizon_gramian(a, b, t)
         eta = np.linalg.solve(w, x_f)
         for k in (0, 5, 17):
             tau = traj.times[k]
@@ -238,7 +243,7 @@ class TestSynthesis:
             rng = np.random.default_rng(seed + 100)
             x_f = rng.normal(size=4) * 0.5
             t = 2.0
-            w = finite_horizon_gramian(a, b, t).matrix
+            w = finite_horizon_gramian(a, b, t)
             eta = np.linalg.solve(w, x_f)
 
             def u_star(s):

@@ -437,6 +437,28 @@ class TestProblemIO:
         with pytest.raises(ProblemFormatError):
             load_problem(path)
 
+    def test_ring_block_defaults_match_ring_grid(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"grid": {"topology": "ring", "buses": 5}}')
+        problem = load_problem(path)
+        lin = build_swing_matrix(ring_grid(5))
+        ids, b = hvdc_candidates(lin)
+        cs = problem.candidate_set
+        assert np.array_equal(cs.a, lin.a)
+        assert list(cs.ids) == ids and np.array_equal(cs.B, b)
+
+    def test_unknown_ring_field_named(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"grid": {"topology": "ring", "buses": 5, "inertias": 2.0}}')
+        with pytest.raises(ProblemFormatError, match="inertias"):
+            load_problem(path)
+
+    def test_ring_without_buses_rejected(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"grid": {"topology": "ring", "chords": 1}}')
+        with pytest.raises(ProblemFormatError, match='"buses"'):
+            load_problem(path)
+
     def test_readme_problem_examples_load(self, tmp_path, capsys):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```json\n(.*?)```", text, re.DOTALL)

@@ -28,7 +28,7 @@ from gramsel.models import random_hurwitz_system
 
 # --- oracle -----------------------------------------------------------------
 # Plain exhaustive enumeration, no shared solver, no sorting tricks:
-# score every subset through the public Gramian constructor.
+# score every subset through the public controllability_gramian.
 
 def exhaustive_best(cs, k):
     best_ids, best_val = None, -math.inf
@@ -333,7 +333,7 @@ class TestCentrality:
             scores = controllability_centrality(a)
             total_gramian = controllability_gramian(a, np.eye(6))
             assert math.fsum(scores.tolist()) == pytest.approx(
-                total_gramian.trace(), rel=1e-9
+                np.trace(total_gramian), rel=1e-9
             )
 
     def test_positive_for_stable_systems(self):
