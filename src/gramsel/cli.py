@@ -306,7 +306,8 @@ def cmd_synthesize(args):
     }
     if args.simulate:
         with _phase("simulate"):
-            sim = simulate_transfer(cs.a, b, args.horizon, x_f, samples=args.samples)
+            sim = simulate_transfer(cs.a, b, args.horizon, x_f, samples=args.samples,
+                                    trajectory=traj)
         results["terminal_error"] = sim.terminal_error
         results["input_energy"] = sim.input_energy
     header = ["time"] + [f"u_{cid}" for cid in ids]

@@ -210,6 +210,7 @@ class InputTrajectory:
     times: np.ndarray  # (samples,)
     inputs: np.ndarray  # (samples, m)
     energy: float  # analytic minimum energy x_f^T W(t)^{-1} x_f
+    costate: np.ndarray  # (n,) W(t)^{-1} x_f, the costate at tau = t
 
     @property
     def samples(self):
@@ -240,7 +241,7 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     for k in range(samples - 2, -1, -1):
         z[k] = step @ z[k + 1]
     inputs = z @ b  # row k: B^T z_k
-    return InputTrajectory(times=times, inputs=inputs, energy=float(x @ eta))
+    return InputTrajectory(times=times, inputs=inputs, energy=float(x @ eta), costate=eta)
 
 
 @dataclass(frozen=True)
@@ -255,13 +256,15 @@ class TransferResult:
     min_energy: float  # analytic x_f^T W(t)^{-1} x_f
 
 
-def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
+def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12, trajectory=None):
     """Drive x' = a x + b u with the minimum-energy input and integrate.
 
     The costate z(tau) = e^{A^T (t-tau)} W(t)^{-1} x_f obeys z' = -A^T z,
     so the state, costate, and running input energy are integrated jointly
     with an adaptive Runge-Kutta scheme; no sampled-and-held input
-    approximation is involved.
+    approximation is involved.  ``trajectory``, an :class:`InputTrajectory`
+    synthesized for the same (a, b, t, x_f), lends its W(t)^{-1} x_f so
+    that W(t) is not built a second time.
     """
     import scipy.integrate  # only this function integrates; keep it off the CLI start-up
 
@@ -270,8 +273,14 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
     b = _input_matrix(b, n)
     x = as_vector(x_f, n, "x_f")
     t = as_number(t, "horizon t", 0.0, strict=True)
+    samples = as_number(samples, "samples", 2, integer=True)
 
-    eta, _ = _range_solve(finite_horizon_gramian(a, b, t), x)
+    if trajectory is None:
+        eta, _ = _range_solve(finite_horizon_gramian(a, b, t), x)
+    elif trajectory.times[-1] != t:
+        raise DomainError(f"trajectory has horizon {trajectory.times[-1]}, expected {t}")
+    else:
+        eta = as_vector(trajectory.costate, n, "trajectory costate")
     z0 = matrix_exponential(a.T * t) @ eta
     bbt = b @ b.T
 
@@ -281,7 +290,7 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12):
         return np.concatenate([a @ xs + bbt @ zs, -(a.T @ zs), [u_sq]])
 
     y0 = np.concatenate([np.zeros(n), z0, [0.0]])
-    grid = np.linspace(0.0, t, as_number(samples, "samples", 2, integer=True))
+    grid = np.linspace(0.0, t, samples)
     sol = scipy.integrate.solve_ivp(
         rhs, (0.0, t), y0, t_eval=grid, rtol=rtol, atol=atol, method="RK45"
     )

@@ -389,6 +389,28 @@ class TestOneEigenSolve:
             assert not np.tril(m, -2).any()
 
 
+class TestSolveCounts:
+    def test_each_command_makes_the_solves_the_adjoint_design_implies(
+            self, tmp_path, capsys, monkeypatch):
+        # one adjoint solve scores every candidate or node, one forward solve
+        # cross-checks it; verify makes four forward solves per trial
+        path = make_problem(tmp_path, capsys, args=("--ring", "6"))
+        calls = []
+        solve = gramian.LyapunovSolver.solve
+
+        def counted(self, q, adjoint=False):
+            calls.append(adjoint)
+            return solve(self, q, adjoint)
+
+        monkeypatch.setattr(gramian.LyapunovSolver, "solve", counted)
+        for command, adjoint, forward in ((["select", "--k", "2"], 1, 2), (["rank"], 1, 1),
+                                          (["centrality"], 1, 1),
+                                          (["verify", "--trials", "2"], 0, 8)):
+            calls.clear()
+            assert run(capsys, [command[0], path, *command[1:]])[0] == 0
+            assert (calls.count(True), calls.count(False)) == (adjoint, forward), command
+
+
 # Well-formed problems that the fuzz test below mutates one field at a time.
 BASE_PROBLEMS = {
     "ring": {"grid": {"topology": "ring", "buses": 4, "chords": 2, "seed": 0,

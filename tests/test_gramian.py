@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from gramsel import gramian
 from gramsel.exceptions import (
     DimensionError,
     DomainError,
+    NumericalError,
     StabilityError,
 )
 from gramsel.gramian import (
@@ -163,6 +165,134 @@ class TestSolveLyapunov:
             b = rng.normal(size=(5, 2))
             q = (b @ b.T + (b @ b.T).T) / 2
             assert np.array_equal(solver.solve(q), solve_lyapunov(a, q))
+
+
+def _quasi_triangular(n, seed, pairs):
+    """Stable upper quasi-triangular T in Schur canonical form.
+
+    A 2x2 block [[x, y], [-z, x]] (y, z > 0, x < 0) starts at each index in
+    ``pairs``; every other diagonal entry is a negative real eigenvalue.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.triu(rng.normal(size=(n, n))) / math.sqrt(n)  # mildly non-normal
+    np.fill_diagonal(t, -rng.uniform(0.5, 2.0, size=n))
+    for p in pairs:
+        x = -rng.uniform(0.5, 2.0)
+        t[p:p + 2, p:p + 2] = [[x, rng.uniform(0.5, 2.0)], [-rng.uniform(0.5, 2.0), x]]
+    return t
+
+
+def _rotated(t, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=t.shape))
+    return q @ t @ q.T
+
+
+def _rhs(n, seed):
+    b = np.random.default_rng(seed).normal(size=(n, 3))
+    return b @ b.T
+
+
+# A small leaf keeps every recursion branch within the dense oracle's reach.
+_SMALL_LEAF = 6
+
+
+class TestBlockedKernel:
+    """The recursive blocked solve against the Kronecker oracle and a fake leaf."""
+
+    @pytest.fixture
+    def leaf(self, monkeypatch):
+        monkeypatch.setattr(gramian, "_LEAF", _SMALL_LEAF)
+        return _SMALL_LEAF
+
+    def _assert_matches_oracle(self, a):
+        q = _rhs(a.shape[0], 1)
+        solver = LyapunovSolver(a)
+        for adjoint, a_eq in ((False, a), (True, a.T)):
+            w = solver.solve(q, adjoint=adjoint)
+            oracle = lyap_kron(a_eq, q)
+            assert np.linalg.norm(w - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    # below, at and above the leaf size, and beyond twice it
+    @pytest.mark.parametrize("n", [_SMALL_LEAF - 1, _SMALL_LEAF, _SMALL_LEAF + 1,
+                                   2 * _SMALL_LEAF + 3])
+    def test_sizes_around_the_leaf(self, leaf, n):
+        a, _ = _system(40 + n, n=n)
+        self._assert_matches_oracle(a)
+
+    def test_sizes_around_the_real_leaf(self):
+        for n in (gramian._LEAF - 1, gramian._LEAF, gramian._LEAF + 1):
+            self._assert_matches_oracle(_rotated(_quasi_triangular(n, n, range(0, n - 1, 5)), n))
+
+    def test_two_by_two_blocks_straddle_every_midpoint(self, leaf):
+        n = 2 * leaf + 4  # a multiple of 4: blocks at odd starts cover n // 2 - 1 and n // 2
+        t = _quasi_triangular(n, 3, range(1, n - 1, 2))
+        solver = LyapunovSolver(t)
+        for _, factor in solver._factors.values():
+            assert factor[n // 2, n // 2 - 1] != 0.0  # a plain halving would cut this block
+        self._assert_matches_oracle(t)
+
+    def test_real_spectrum(self, leaf):
+        n = 3 * leaf + 1
+        t = _quasi_triangular(n, 4, ())
+        self._assert_matches_oracle(_rotated(t, 4))
+
+    def test_beyond_twice_the_real_leaf_has_a_small_residual(self):
+        n = 2 * gramian._LEAF + 7
+        a = _rotated(_quasi_triangular(n, 8, range(0, n - 1, 3)), 8)
+        q = _rhs(n, 2)
+        solver = LyapunovSolver(a)
+        for adjoint, a_eq in ((False, a), (True, a.T)):
+            w = solver.solve(q, adjoint=adjoint)
+            scale = 2 * np.linalg.norm(a) * np.linalg.norm(w) + np.linalg.norm(q)
+            assert lyapunov_residual(a_eq, w, q) <= 100 * np.finfo(float).eps * scale
+
+    # -- a fake leaf routine drives the scale/info branches on every leaf --
+
+    def _faked(self, monkeypatch, fake):
+        a, _ = _system(11, n=2 * gramian._LEAF + 3)
+        solver = LyapunovSolver(a)
+        real = solver._trsyl
+        calls = []
+
+        def leaf(*args, **kwargs):
+            calls.append(None)
+            return fake(len(calls) - 1, *real(*args, **kwargs))
+
+        monkeypatch.setattr(solver, "_trsyl", leaf)
+        return solver, calls
+
+    def test_leaf_scale_is_undone_exactly(self, monkeypatch):
+        solver, calls = self._faked(monkeypatch, lambda i, y, scale, info: (y * 0.5, 0.5, info))
+        q = _rhs(solver.n, 5)
+        for adjoint in (False, True):
+            expected = LyapunovSolver(solver.a).solve(q, adjoint=adjoint)
+            assert np.array_equal(solver.solve(q, adjoint=adjoint), expected)
+        assert len(calls) > 2  # every leaf was rescaled
+
+    @pytest.mark.parametrize("fault, message", [((0.0, 0), "zero scale"),
+                                                ((1.0, -3), "illegal argument 3")])
+    def test_a_failed_leaf_raises(self, monkeypatch, fault, message):
+        solver, _ = self._faked(
+            monkeypatch, lambda i, y, scale, info: (y, *fault) if i == 2 else (y, scale, info))
+        with pytest.raises(NumericalError, match=message):
+            solver.solve(_rhs(solver.n, 6))
+
+    def test_a_perturbed_leaf_warns_once_per_solve(self, monkeypatch):
+        flagged = []
+        solver, calls = self._faked(
+            monkeypatch, lambda i, y, scale, info: (y, scale, int(i in flagged)))
+        q = _rhs(solver.n, 7)
+        solver.solve(q)
+        leaves = len(calls)
+        for first in range(leaves):
+            flagged[:] = [first, leaves - 1]  # one or two perturbed leaves
+            for adjoint in (False, True):
+                calls.clear()
+                with pytest.warns(RuntimeWarning) as record:
+                    solver.solve(q, adjoint=adjoint)
+                assert [str(r.message) for r in record] == [
+                    "trsyl perturbed nearly-common eigenvalues to solve; "
+                    "result may be inaccurate"]
 
 
 class TestControllabilityGramian:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
+from gramsel import metrics
 from gramsel.exceptions import (
     DegenerateGramianWarning,
     DimensionError,
@@ -251,6 +252,31 @@ class TestSynthesis:
 
             x_end = integrate_with_input(a, b, t, u_star, 4)
             assert np.linalg.norm(x_end - x_f) <= 1e-6 * max(1.0, np.linalg.norm(x_f))
+
+    def test_simulate_transfer_validates_before_any_gramian(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(metrics, "finite_horizon_gramian",
+                            lambda *args: built.append(args))
+        a, b = np.diag([-1.0, -2.0]), np.eye(2)
+        for kwargs in ({"samples": 1}, {"samples": 2.5}, {"t": 0.0}, {"x_f": np.ones(3)}):
+            call = {"t": 1.0, "x_f": np.ones(2), **kwargs}
+            with pytest.raises((DomainError, DimensionError)):
+                simulate_transfer(a, b, **call)
+        assert built == []
+
+    def test_simulate_transfer_reuses_the_trajectory_costate(self, monkeypatch):
+        a, b = _system(10, n=5, m=2)
+        x_f = np.array([0.1, 0.2, -0.3, 0.0, 0.15])
+        traj = synthesize_min_energy_input(a, b, 2.5, x_f, samples=101)
+        alone = simulate_transfer(a, b, 2.5, x_f, samples=101)
+        monkeypatch.setattr(metrics, "finite_horizon_gramian", None)  # must not be called
+        reused = simulate_transfer(a, b, 2.5, x_f, samples=101, trajectory=traj)
+        eta = np.linalg.solve(finite_horizon_gramian(a, b, 2.5), x_f)
+        assert np.allclose(traj.costate, eta, rtol=1e-9, atol=0.0)
+        assert np.array_equal(reused.states, alone.states)
+        assert reused.min_energy == alone.min_energy == traj.energy
+        with pytest.raises(DomainError, match="horizon"):
+            simulate_transfer(a, b, 2.0, x_f, trajectory=traj)
 
     def test_simulate_transfer_consistency(self):
         a, b = _system(10, n=5, m=2)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gramsel import cli
+from gramsel import cli, metrics
 from gramsel.exceptions import (
     DimensionError,
     DomainError,
@@ -459,7 +459,7 @@ class TestProblemIO:
         with pytest.raises(ProblemFormatError, match='"buses"'):
             load_problem(path)
 
-    def test_readme_problem_examples_load(self, tmp_path, capsys):
+    def test_readme_problem_examples_load(self, tmp_path, capsys, monkeypatch):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```json\n(.*?)```", text, re.DOTALL)
         assert len(blocks) == 2
@@ -472,10 +472,16 @@ class TestProblemIO:
         argv = shlex.split(line.group(1).replace("\\\n", " "))
         argv[1] = str(tmp_path / "readme0.json")
         argv[argv.index("--out") + 1] = str(tmp_path / "transfer.json")
+        built = []
+        real_gramian = metrics.finite_horizon_gramian
+        monkeypatch.setattr(metrics, "finite_horizon_gramian",
+                            lambda *args: built.append(args) or real_gramian(*args))
         assert cli.main(argv) == 0
-        # p0, p1 cannot reach state 2: synthesis and simulation each warn in one line
+        # the simulation reuses the synthesis's W(t)^{-1} x_f: one W(t), one warning line
+        assert len(built) == 1
+        # p0, p1 cannot reach state 2, which the one range solve reports in one line
         err = capsys.readouterr().err
-        assert err.count("[gramsel] warning: gramian is singular") == 2
+        assert err.count("[gramsel] warning: gramian is singular") == 1
         assert "DegenerateGramianWarning" not in err
         report = json.loads((tmp_path / "transfer.json").read_text())
         assert report["results"]["terminal_error"] < 1e-8
