@@ -57,11 +57,10 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     grid = ring_grid(args.buses, chords=args.chords, seed=args.seed)
-    lin = build_swing_matrix(grid)
-    cs = CandidateSet(lin.a, *hvdc_candidates(lin), MetricSpec.trace())
+    cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid), MetricSpec.trace())
     n_subsets = math.comb(cs.size, args.k)
     print(f"grid: {args.buses} buses, {len(grid.lines)} lines "
-          f"-> {lin.n}-dimensional state space, Hurwitz={lin.hurwitz}")
+          f"-> {cs.n}-dimensional state space, Hurwitz={grid.grounded}")
     print(f"candidates: {cs.size} HVDC links, one ({cs.n}, {cs.size}) input matrix; "
           f"C({cs.size}, {args.k}) = {n_subsets:.3e} subsets")
 
@@ -73,7 +72,7 @@ def main(argv=None):
 
     sweep(cs, args.k, "trace", out_dir)
 
-    weighted = cs.with_metric(MetricSpec.h2(frequency_selector(lin)))
+    weighted = cs.with_metric(MetricSpec.h2(frequency_selector(grid)))
     sweep(weighted, args.k, "freq_h2", out_dir)
     return 0
 

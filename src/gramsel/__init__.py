@@ -67,7 +67,6 @@ from .models import (
     Bus,
     GridModel,
     Line,
-    LinearizedGrid,
     Problem,
     build_swing_matrix,
     frequency_selector,
@@ -76,6 +75,7 @@ from .models import (
     random_hurwitz_system,
     ring_grid,
     ring_problem_dict,
+    state_labels,
     system_problem_dict,
     write_problem,
 )
@@ -103,8 +103,8 @@ __all__ = [
     "select_top_k", "brute_force_best", "verify_modularity",
     "controllability_centrality",
     # models
-    "Bus", "Line", "GridModel", "LinearizedGrid", "build_swing_matrix",
-    "frequency_selector", "hvdc_candidates", "ring_grid",
+    "Bus", "Line", "GridModel", "build_swing_matrix",
+    "state_labels", "frequency_selector", "hvdc_candidates", "ring_grid",
     "random_hurwitz_system", "Problem", "load_problem", "write_problem",
     "system_problem_dict", "ring_problem_dict",
 ]

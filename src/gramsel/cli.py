@@ -30,6 +30,7 @@ from .models import (
     random_hurwitz_system,
     read_json,
     ring_problem_dict,
+    state_labels,
     system_problem_dict,
     write_json,
     write_problem,
@@ -106,7 +107,7 @@ def _load(args, ranking=True):
     with _phase("load"):
         problem = load_problem(args.problem)
     # ranking needs a Hurwitz A; a grid builds without one only if no bus is grounded
-    if ranking and problem.grid is not None and not problem.grid.hurwitz:
+    if ranking and problem.grid is not None and not problem.grid.grounded:
         raise StabilityError("no bus is grounded, so A has a zero eigenvalue (a uniform angle "
                              "shift) and no infinite-horizon Gramian; ground at least one bus")
     return problem
@@ -115,12 +116,15 @@ def _load(args, ranking=True):
 def _resolve_metric(args, problem):
     """CLI metric flags override whatever the problem file declared."""
     cs = problem.candidate_set
+    metric_flag = getattr(args, "metric", None)
+    weight_file = getattr(args, "weight_file", None)
     if getattr(args, "weight", None) == "frequencies":
+        for flag, value in (("--metric", metric_flag), ("--weight-file", weight_file)):
+            if value is not None:
+                raise DomainError(f"--weight frequencies conflicts with {flag}")
         if problem.grid is None:
             raise DomainError("--weight frequencies requires a grid-based problem")
         return MetricSpec.h2(frequency_selector(problem.grid))
-    metric_flag = getattr(args, "metric", None)
-    weight_file = getattr(args, "weight_file", None)
     if metric_flag is None and weight_file is None:
         return cs.metric
     kind = metric_flag or "weighted"
@@ -212,11 +216,7 @@ def cmd_centrality(args):
     cs = problem.candidate_set
     with _phase(f"centrality over {cs.n} nodes"):
         scores = controllability_centrality(cs.a, margin=args.margin)
-    labels = [""] * cs.n
-    if problem.grid is not None:
-        for bus_id, (ang, frq) in problem.grid.bus_index.items():
-            labels[ang] = f"{bus_id}:angle"
-            labels[frq] = f"{bus_id}:freq"
+    labels = [""] * cs.n if problem.grid is None else state_labels(problem.grid)
     rows = [
         {"node": i, "label": labels[i], "score": float(scores[i])}
         for i in range(cs.n)
@@ -306,8 +306,7 @@ def cmd_synthesize(args):
     }
     if args.simulate:
         with _phase("simulate"):
-            sim = simulate_transfer(cs.a, b, args.horizon, x_f, samples=args.samples,
-                                    trajectory=traj)
+            sim = simulate_transfer(cs.a, b, x_f, traj)
         results["terminal_error"] = sim.terminal_error
         results["input_energy"] = sim.input_energy
     header = ["time"] + [f"u_{cid}" for cid in ids]

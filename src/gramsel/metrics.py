@@ -47,6 +47,10 @@ SINGULAR_RTOL = 1e-12
 # which the state is declared unreachable rather than merely degenerate.
 _RANGE_RTOL = 1e-8
 
+# Integrator tolerances of simulate_transfer.
+_SIMULATE_RTOL = 1e-9
+_SIMULATE_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -256,15 +260,16 @@ class TransferResult:
     min_energy: float  # analytic x_f^T W(t)^{-1} x_f
 
 
-def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12, trajectory=None):
-    """Drive x' = a x + b u with the minimum-energy input and integrate.
+def simulate_transfer(a, b, x_f, trajectory):
+    """Drive x' = a x + b u with the synthesized minimum-energy input and integrate.
 
-    The costate z(tau) = e^{A^T (t-tau)} W(t)^{-1} x_f obeys z' = -A^T z,
-    so the state, costate, and running input energy are integrated jointly
-    with an adaptive Runge-Kutta scheme; no sampled-and-held input
-    approximation is involved.  ``trajectory``, an :class:`InputTrajectory`
-    synthesized for the same (a, b, t, x_f), lends its W(t)^{-1} x_f so
-    that W(t) is not built a second time.
+    ``trajectory`` is the :class:`InputTrajectory` that
+    :func:`synthesize_min_energy_input` returned for the same (a, b, x_f);
+    it supplies the horizon, the sample grid and W(t)^{-1} x_f, so W(t) is
+    not built a second time.  The costate z(tau) = e^{A^T (t-tau)} W(t)^{-1} x_f
+    obeys z' = -A^T z, so the state, costate, and running input energy are
+    integrated jointly with an adaptive Runge-Kutta scheme; no
+    sampled-and-held input approximation is involved.
     """
     import scipy.integrate  # only this function integrates; keep it off the CLI start-up
 
@@ -272,15 +277,7 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12, trajecto
     n = a.shape[0]
     b = _input_matrix(b, n)
     x = as_vector(x_f, n, "x_f")
-    t = as_number(t, "horizon t", 0.0, strict=True)
-    samples = as_number(samples, "samples", 2, integer=True)
-
-    if trajectory is None:
-        eta, _ = _range_solve(finite_horizon_gramian(a, b, t), x)
-    elif trajectory.times[-1] != t:
-        raise DomainError(f"trajectory has horizon {trajectory.times[-1]}, expected {t}")
-    else:
-        eta = as_vector(trajectory.costate, n, "trajectory costate")
+    eta, t = trajectory.costate, float(trajectory.times[-1])
     z0 = matrix_exponential(a.T * t) @ eta
     bbt = b @ b.T
 
@@ -290,9 +287,9 @@ def simulate_transfer(a, b, t, x_f, samples=201, rtol=1e-9, atol=1e-12, trajecto
         return np.concatenate([a @ xs + bbt @ zs, -(a.T @ zs), [u_sq]])
 
     y0 = np.concatenate([np.zeros(n), z0, [0.0]])
-    grid = np.linspace(0.0, t, samples)
     sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, t), y0, t_eval=grid, rtol=rtol, atol=atol, method="RK45"
+        rhs, (0.0, t), y0, t_eval=trajectory.times, rtol=_SIMULATE_RTOL, atol=_SIMULATE_ATOL,
+        method="RK45",
     )
     if not sol.success:  # pragma: no cover - solver failure is pathological
         raise DomainError(f"trajectory integration failed: {sol.message}")

@@ -30,8 +30,8 @@ __all__ = [
     "Bus",
     "Line",
     "GridModel",
-    "LinearizedGrid",
     "build_swing_matrix",
+    "state_labels",
     "frequency_selector",
     "hvdc_candidates",
     "ring_grid",
@@ -115,6 +115,18 @@ class GridModel:
     def bus_ids(self):
         return tuple(b.id for b in self.buses)
 
+    @property
+    def grounded(self):
+        """True iff some bus is grounded, which is exactly when A is Hurwitz.
+
+        With positive inertia, damping and susceptance on a connected grid,
+        M theta'' + D theta' + (L + G) theta = 0 is asymptotically stable
+        iff the stiffness L + G is positive definite, i.e. G != 0.  An
+        ungrounded grid legitimately carries a zero eigenvalue (the uniform
+        angle shift), so it is flagged rather than rejected.
+        """
+        return any(bus.grounding > 0 for bus in self.buses)
+
 
 def _connected(buses, lines):
     if len(buses) <= 1:
@@ -133,84 +145,56 @@ def _connected(buses, lines):
     return len(seen) == len(buses)
 
 
-@dataclass(frozen=True)
-class LinearizedGrid:
-    """Swing dynamics matrix together with its bus-to-state bookkeeping.
-
-    ``bus_index`` maps bus id -> (angle state, frequency state).
-    ``hurwitz`` is True iff some bus is grounded, which is exact: with
-    positive inertia, damping and susceptance on a connected grid, A is
-    Hurwitz iff the stiffness L + G is positive definite, i.e. G != 0.
-    An ungrounded grid legitimately carries a zero eigenvalue (the
-    uniform angle shift) and is flagged False rather than rejected.
-    """
-
-    a: np.ndarray
-    bus_index: dict
-    grid: GridModel
-    hurwitz: bool
-
-    @property
-    def n(self):
-        return self.a.shape[0]
-
-
 def build_swing_matrix(grid):
-    """Assemble the 2N x 2N swing dynamics matrix of a grid.
+    """The (2N, 2N) swing dynamics matrix A of a grid; bus k owns states 2k
+    (angle) and 2k + 1 (frequency).
 
-    No eigenvalues are computed: ``hurwitz`` is "some bus is grounded".
-    GridModel guarantees a connected grid with positive inertia, damping
-    and susceptance, so M theta'' + D theta' + (L + G) theta = 0 is
-    asymptotically stable exactly when L + G is positive definite, i.e.
-    when the grounding G is nonzero.  The stability margin is applied
-    where A is factored (:class:`~gramsel.gramian.LyapunovSolver`).
+    No eigenvalues are computed: see :attr:`GridModel.grounded`.  The
+    stability margin is applied where A is factored
+    (:class:`~gramsel.gramian.LyapunovSolver`).
     """
-    n =  grid.n_buses
-    index = {bus.id: (2 * i, 2 * i + 1) for i, bus in enumerate(grid.buses)}
-    a = np.zeros((2 * n, 2 * n))
-    for bus in grid.buses:
-        ang, frq = index[bus.id]
-        a[ang, frq] = 1.0
-        a[frq, frq] = -bus.damping / bus.inertia
-        a[frq, ang] = -bus.grounding / bus.inertia
+    pos = {bus.id: k for k, bus in enumerate(grid.buses)}
+    a = np.zeros((2 * grid.n_buses, 2 * grid.n_buses))
+    for k, bus in enumerate(grid.buses):
+        a[2 * k, 2 * k + 1] = 1.0
+        a[2 * k + 1, 2 * k + 1] = -bus.damping / bus.inertia
+        a[2 * k + 1, 2 * k] = -bus.grounding / bus.inertia
     for line in grid.lines:
-        ai, fi = index[line.from_bus]
-        aj, fj = index[line.to_bus]
-        mi = grid.buses[ai // 2].inertia
-        mj = grid.buses[aj // 2].inertia
-        a[fi, ai] -= line.susceptance / mi
-        a[fi, aj] += line.susceptance / mi
-        a[fj, aj] -= line.susceptance / mj
-        a[fj, ai] += line.susceptance / mj
-
-    grounded = any(bus.grounding > 0 for bus in grid.buses)
-    return LinearizedGrid(a=a, bus_index=index, grid=grid, hurwitz=grounded)
+        i, j = pos[line.from_bus], pos[line.to_bus]
+        mi, mj = grid.buses[i].inertia, grid.buses[j].inertia
+        a[2 * i + 1, 2 * i] -= line.susceptance / mi
+        a[2 * i + 1, 2 * j] += line.susceptance / mi
+        a[2 * j + 1, 2 * j] -= line.susceptance / mj
+        a[2 * j + 1, 2 * i] += line.susceptance / mj
+    return a
 
 
-def frequency_selector(lin):
+def state_labels(grid):
+    """``"<bus>:angle"`` and ``"<bus>:freq"`` for each bus, in state order."""
+    return [f"{bus.id}:{state}" for bus in grid.buses for state in ("angle", "freq")]
+
+
+def frequency_selector(grid):
     """(N, 2N) output matrix picking every frequency state (row per bus)."""
-    n = lin.grid.n_buses
-    c = np.zeros((n, lin.n))
-    for i, bus in enumerate(lin.grid.buses):
-        c[i, lin.bus_index[bus.id][1]] = 1.0
-    return c
+    return np.kron(np.eye(grid.n_buses), [0.0, 1.0])
 
 
-def hvdc_candidates(lin):
-    """All N(N-1)/2 HVDC-link input columns for a linearized grid.
+def hvdc_candidates(grid):
+    """All N(N-1)/2 HVDC-link input columns of a grid.
 
     Returns ``(ids, b)``.  The link between buses i and j (i before j in
     bus order) gets id "<i>-<j>" and a column of the (2N, N(N-1)/2) matrix
     ``b`` with +1/M_i at bus i's frequency state and -1/M_j at bus j's;
     links are ordered by i, then j.
     """
-    buses = lin.grid.buses
-    pairs = list(itertools.combinations(range(len(buses)), 2))
-    ids = [f"{buses[i].id}-{buses[j].id}" for i, j in pairs]
-    b = np.zeros((lin.n, len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        b[lin.bus_index[buses[i].id][1], col] = 1.0 / buses[i].inertia
-        b[lin.bus_index[buses[j].id][1], col] = -1.0 / buses[j].inertia
+    bus_ids = grid.bus_ids
+    i, j = np.triu_indices(len(bus_ids), 1)
+    ids = [f"{bus_ids[p]}-{bus_ids[q]}" for p, q in zip(i.tolist(), j.tolist())]
+    inv_m = 1.0 / np.array([bus.inertia for bus in grid.buses], dtype=float)
+    links = np.arange(len(ids))
+    b = np.zeros((2 * len(bus_ids), len(ids)))
+    b[2 * i + 1, links] = inv_m[i]
+    b[2 * j + 1, links] = -inv_m[j]
     return ids, b
 
 
@@ -278,13 +262,13 @@ def random_hurwitz_system(n, m, density=0.3, seed=0):
 class Problem:
     """A ready-to-rank instance loaded from disk.
 
-    ``grid`` is populated when the file described a grid (so grid-aware
-    weightings such as the frequency selector remain constructible);
-    explicit-matrix problems leave it None.
+    ``grid`` is the :class:`GridModel` when the file described a grid (so
+    grid-aware weightings such as the frequency selector remain
+    constructible); explicit-matrix problems leave it None.
     """
 
     candidate_set: CandidateSet
-    grid: LinearizedGrid | None = None
+    grid: GridModel | None = None
 
 
 def _parse_metric(doc):
@@ -367,9 +351,9 @@ def load_problem(path):
     if "grid" in doc:
         if not isinstance(doc["grid"], dict):
             raise ProblemFormatError('"grid" must be a JSON object')
-        lin = build_swing_matrix(_parse_grid_block(doc["grid"]))
-        cs = CandidateSet(lin.a, *hvdc_candidates(lin), metric)
-        return Problem(candidate_set=cs, grid=lin)
+        grid = _parse_grid_block(doc["grid"])
+        cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid), metric)
+        return Problem(candidate_set=cs, grid=grid)
 
     for key in ("n", "A", "candidates"):
         if key not in doc:
@@ -414,8 +398,12 @@ def system_problem_dict(a, ids, b, metric=None):
 
 def ring_problem_dict(n_buses, chords=0, seed=0, inertia=1.0, damping=0.5,
                       susceptance=1.0, grounding=0.1):
-    """Problem-file dict describing a ring grid by its parameters."""
-    return {
+    """Problem-file dict describing a ring grid by its parameters.
+
+    The grid is built once from the dict, so parameters that a loader
+    would reject raise here instead of producing an unloadable file.
+    """
+    doc = {
         "grid": {
             "topology": "ring",
             "buses": int(n_buses),
@@ -427,6 +415,8 @@ def ring_problem_dict(n_buses, chords=0, seed=0, inertia=1.0, damping=0.5,
             "grounding": grounding,
         }
     }
+    _parse_grid_block(doc["grid"])
+    return doc
 
 
 _SCALARS = (str, int, float, type(None))

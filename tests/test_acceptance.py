@@ -179,7 +179,7 @@ def test_06_synthesis_lands_on_target():
         a, _, b = _system(seed=6000 + i, n=n, m=m)
         x_f = np.random.default_rng(6100 + i).normal(size=n) * 0.5
         t = 2.0
-        res = simulate_transfer(a, b, t, x_f, samples=101)
+        res = simulate_transfer(a, b, x_f, synthesize_min_energy_input(a, b, t, x_f, samples=101))
         assert res.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(x_f)), (
             f"system {i}: terminal error {res.terminal_error:.3e}"
         )
@@ -190,9 +190,10 @@ def test_06_synthesis_lands_on_target():
 
 @criterion("07 case-study-combinatorics")
 def test_07_case_study_scale_and_refusal():
-    lin = build_swing_matrix(ring_grid(74))
-    assert lin.a.shape == (148, 148)  # 148-dimensional state space
-    ids, b = hvdc_candidates(lin)
+    grid = ring_grid(74)
+    a = build_swing_matrix(grid)
+    assert a.shape == (148, 148)  # 148-dimensional state space
+    ids, b = hvdc_candidates(grid)
     assert len(ids) == 2701  # all HVDC bus pairs
     assert b.shape == (148, 2701)
 
@@ -203,7 +204,7 @@ def test_07_case_study_scale_and_refusal():
     assert count == math.comb(2701, 10)
     assert abs(count - 5.6e27) <= 0.02 * 5.6e27
 
-    cs = CandidateSet(lin.a, ids, b, MetricSpec.trace())
+    cs = CandidateSet(a, ids, b, MetricSpec.trace())
     with pytest.raises(EnumerationCapError) as err:
         brute_force_best(cs, 10)
     assert err.value.count == count
@@ -227,8 +228,7 @@ def test_08_centrality():
         total = np.trace(controllability_gramian(a, np.eye(n)))
         assert abs(math.fsum(scores.tolist()) - total) <= 1e-9 * abs(total)
 
-    lin = build_swing_matrix(ring_grid(12))
-    scores = controllability_centrality(lin.a)
+    scores = controllability_centrality(build_swing_matrix(ring_grid(12)))
     angle, freq = scores[0::2], scores[1::2]
     assert (angle.max() - angle.min()) <= 1e-9 * angle.max()
     assert (freq.max() - freq.min()) <= 1e-9 * freq.max()

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,21 @@ class TestGen:
         with pytest.raises(SystemExit):
             cli.main(["gen", "--out", str(tmp_path / "x.json")])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("args, field", [
+        (("--ring", "1"), "buses"),
+        (("--ring", "4", "--chords", "50"), "chords"),
+        (("--ring", "4", "--inertia", "-1"), "inertia"),
+        (("--ring", "4", "--damping", "0"), "damping"),
+        (("--ring", "4", "--susceptance", "-1"), "susceptance"),
+        (("--ring", "4", "--grounding", "-0.1"), "grounding"),
+    ])
+    def test_ring_a_loader_rejects_is_never_written(self, tmp_path, capsys, args, field):
+        out = tmp_path / "p.json"
+        code, _, err = run(capsys, ["gen", *args, "--out", str(out)])
+        assert code == 2
+        assert field in err
+        assert not out.exists()
 
 
 class TestRank:
@@ -96,6 +112,26 @@ class TestRank:
         got = [r["score"] for r in json.loads(out)["results"]["ranked"]]
         want = [r["score"] for r in json.loads(out2)["results"]["ranked"]]
         assert got == want
+
+    @pytest.mark.parametrize("flags", [("--metric", "trace"),
+                                       ("--weight-file", "missing.json")])
+    def test_frequencies_weight_conflicts_with_metric_flags(self, tmp_path, capsys, flags):
+        path = make_problem(tmp_path, capsys, args=("--ring", "5"))
+        code, out, err = run(capsys, ["rank", path, "--weight", "frequencies", *flags])
+        assert code == 2
+        assert out == ""
+        assert "--weight frequencies" in err and flags[0] in err
+
+    def test_frequencies_weight_is_h2_over_the_frequency_states(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys, args=("--ring", "5"))
+        selector = tmp_path / "c.json"
+        selector.write_text(json.dumps(np.eye(10)[1::2].tolist()))  # rows: the freq states
+        code, out, _ = run(capsys, ["rank", path, "--weight", "frequencies"])
+        assert code == 0
+        code, explicit, _ = run(capsys, ["rank", path, "--metric", "h2",
+                                         "--weight-file", str(selector)])
+        assert code == 0
+        assert json.loads(out)["results"] == json.loads(explicit)["results"]
 
     def test_missing_weight_file(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
@@ -360,6 +396,25 @@ class TestReadme:
                              check=True, capture_output=True, text=True).stdout
         # the third line printed is report.max_violation
         assert float(out.splitlines()[2]) < 1e-12
+
+    def test_cli_quickstart_runs_as_written(self, tmp_path, capsys, monkeypatch):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = [b for b in re.findall(r"```sh\n(.*?)```", text, re.DOTALL)
+                    if "gramsel gen" in b]
+        explicit = re.findall(r"```json\n(.*?)```", text, re.DOTALL)[0]
+        (tmp_path / "problem.json").write_text(explicit)
+        monkeypatch.chdir(tmp_path)
+        lines = [shlex.split(line, comments=True)
+                 for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv[1:] for argv in lines if argv and argv[0] == "gramsel"]
+        assert len(commands) == 9
+        for argv in commands:
+            code, _, err = run(capsys, argv)
+            if argv[0] == "bruteforce":
+                assert code == 2
+                assert "refusing exhaustive search over C(2701, 10)" in err
+            else:
+                assert code == 0, (argv, err)
 
 
 class TestOneEigenSolve:

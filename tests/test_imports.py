@@ -1,5 +1,5 @@
-"""Every imported name in the package and its tests is used, and every
-exported name exists.
+"""Every imported name in the package, its tests and its scripts is used,
+and every exported name exists.
 
 No linter is configured for the project, so this scans each module's
 syntax tree: an imported name must be read somewhere in the module or
@@ -16,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "gramsel").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
 def unused_imports(tree):

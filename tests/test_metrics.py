@@ -254,6 +254,7 @@ class TestSynthesis:
             assert np.linalg.norm(x_end - x_f) <= 1e-6 * max(1.0, np.linalg.norm(x_f))
 
     def test_simulate_transfer_validates_before_any_gramian(self, monkeypatch):
+        # synthesis builds the one W(t) the simulation reuses, after checking its inputs
         built = []
         monkeypatch.setattr(metrics, "finite_horizon_gramian",
                             lambda *args: built.append(args))
@@ -261,27 +262,31 @@ class TestSynthesis:
         for kwargs in ({"samples": 1}, {"samples": 2.5}, {"t": 0.0}, {"x_f": np.ones(3)}):
             call = {"t": 1.0, "x_f": np.ones(2), **kwargs}
             with pytest.raises((DomainError, DimensionError)):
-                simulate_transfer(a, b, **call)
+                synthesize_min_energy_input(a, b, **call)
         assert built == []
+        monkeypatch.undo()
+        traj = synthesize_min_energy_input(a, b, 1.0, np.ones(2), samples=5)
+        with pytest.raises(DimensionError):
+            simulate_transfer(a, b, np.ones(3), traj)
 
     def test_simulate_transfer_reuses_the_trajectory_costate(self, monkeypatch):
         a, b = _system(10, n=5, m=2)
         x_f = np.array([0.1, 0.2, -0.3, 0.0, 0.15])
         traj = synthesize_min_energy_input(a, b, 2.5, x_f, samples=101)
-        alone = simulate_transfer(a, b, 2.5, x_f, samples=101)
         monkeypatch.setattr(metrics, "finite_horizon_gramian", None)  # must not be called
-        reused = simulate_transfer(a, b, 2.5, x_f, samples=101, trajectory=traj)
+        res = simulate_transfer(a, b, x_f, traj)
+        monkeypatch.undo()
         eta = np.linalg.solve(finite_horizon_gramian(a, b, 2.5), x_f)
         assert np.allclose(traj.costate, eta, rtol=1e-9, atol=0.0)
-        assert np.array_equal(reused.states, alone.states)
-        assert reused.min_energy == alone.min_energy == traj.energy
-        with pytest.raises(DomainError, match="horizon"):
-            simulate_transfer(a, b, 2.0, x_f, trajectory=traj)
+        assert np.array_equal(res.times, traj.times)
+        assert res.min_energy == traj.energy
+        # the integrated costate reproduces the sampled closed-form input
+        assert np.allclose(res.inputs, traj.inputs, rtol=1e-6, atol=1e-9)
 
     def test_simulate_transfer_consistency(self):
         a, b = _system(10, n=5, m=2)
         x_f = np.array([0.1, 0.2, -0.3, 0.0, 0.15])
-        res = simulate_transfer(a, b, 2.5, x_f, samples=101)
+        res = simulate_transfer(a, b, x_f, synthesize_min_energy_input(a, b, 2.5, x_f, samples=101))
         assert res.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(x_f))
         assert abs(res.input_energy - res.min_energy) <= 1e-4 * res.min_energy
         assert res.states.shape == (101, 5)

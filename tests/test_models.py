@@ -28,6 +28,7 @@ from gramsel.models import (
     random_hurwitz_system,
     ring_grid,
     ring_problem_dict,
+    state_labels,
     system_problem_dict,
     write_json,
     write_problem,
@@ -78,19 +79,20 @@ class TestGridModel:
 
 class TestSwingMatrix:
     def test_single_grounded_bus(self):
-        lin = build_swing_matrix(_single_bus(1.0))
-        assert np.array_equal(lin.a, [[0.0, 1.0], [-1.0, -1.0]])
-        vals = np.sort_complex(eigenvalues(lin.a))
+        grid = _single_bus(1.0)
+        a = build_swing_matrix(grid)
+        assert np.array_equal(a, [[0.0, 1.0], [-1.0, -1.0]])
+        vals = np.sort_complex(eigenvalues(a))
         expected = np.sort_complex(
             [-0.5 + 1j * math.sqrt(3) / 2, -0.5 - 1j * math.sqrt(3) / 2]
         )
         assert np.allclose(vals, expected, atol=1e-12)
-        assert lin.hurwitz
+        assert grid.grounded
 
     def test_ungrounded_has_single_zero_mode(self):
-        lin = build_swing_matrix(ring_grid(6, grounding=0.0))
-        assert not lin.hurwitz
-        vals = eigenvalues(lin.a)
+        grid = ring_grid(6, grounding=0.0)
+        assert not grid.grounded
+        vals = eigenvalues(build_swing_matrix(grid))
         n_zero = int(np.sum(np.abs(vals) <= 1e-9))
         assert n_zero == 1
         assert np.max(vals.real[np.abs(vals) > 1e-9]) < 0
@@ -99,39 +101,42 @@ class TestSwingMatrix:
         grid = ring_grid(5, grounding=0.0)
         buses = list(grid.buses)
         buses[2] = Bus(buses[2].id, buses[2].inertia, buses[2].damping, 0.1)
-        lin = build_swing_matrix(GridModel(buses=tuple(buses), lines=grid.lines))
-        assert lin.hurwitz
+        grounded = GridModel(buses=tuple(buses), lines=grid.lines)
+        assert grounded.grounded
+        assert is_hurwitz(build_swing_matrix(grounded))
 
     def test_interleaved_state_ordering(self):
-        lin = build_swing_matrix(ring_grid(4))
-        for i, bus in enumerate(lin.grid.buses):
-            ang, frq = lin.bus_index[bus.id]
+        grid = ring_grid(4)
+        a = build_swing_matrix(grid)
+        labels = state_labels(grid)
+        assert len(labels) == a.shape[0]
+        for i, bus in enumerate(grid.buses):
+            ang, frq = labels.index(f"{bus.id}:angle"), labels.index(f"{bus.id}:freq")
             assert (ang, frq) == (2 * i, 2 * i + 1)
-            assert lin.a[ang, frq] == 1.0
-            assert np.count_nonzero(lin.a[ang]) == 1
+            assert a[ang, frq] == 1.0
+            assert np.count_nonzero(a[ang]) == 1
 
     def test_coupling_rows_sum_to_zero_without_grounding(self):
         # each frequency row restricted to angle columns is a Laplacian row
-        lin = build_swing_matrix(ring_grid(7, grounding=0.0))
-        n = lin.grid.n_buses
-        coupling = lin.a[1::2, 0::2]
+        grid = ring_grid(7, grounding=0.0)
+        n = grid.n_buses
+        coupling = build_swing_matrix(grid)[1::2, 0::2]
         assert np.allclose(coupling @ np.ones(n), 0.0, atol=1e-12)
         # grounding shifts only the diagonal
-        lin_g = build_swing_matrix(ring_grid(7, grounding=0.25))
-        coupling_g = lin_g.a[1::2, 0::2]
+        coupling_g = build_swing_matrix(ring_grid(7, grounding=0.25))[1::2, 0::2]
         assert np.allclose(coupling_g @ np.ones(n), -0.25, atol=1e-12)
 
     def test_heterogeneous_inertia_scaling(self):
         buses = (Bus("p", 2.0, 1.0, 0.4), Bus("q", 4.0, 1.0, 0.4))
         grid = GridModel(buses=buses, lines=(Line("p", "q", 3.0),))
-        lin = build_swing_matrix(grid)
+        a = build_swing_matrix(grid)
         # row p: -(g + b)/M_p on own angle, +b/M_p on neighbour
-        assert lin.a[1, 0] == pytest.approx(-(0.4 + 3.0) / 2.0)
-        assert lin.a[1, 2] == pytest.approx(3.0 / 2.0)
-        assert lin.a[3, 2] == pytest.approx(-(0.4 + 3.0) / 4.0)
-        assert lin.a[3, 0] == pytest.approx(3.0 / 4.0)
-        assert lin.a[1, 1] == pytest.approx(-1.0 / 2.0)
-        assert lin.a[3, 3] == pytest.approx(-1.0 / 4.0)
+        assert a[1, 0] == pytest.approx(-(0.4 + 3.0) / 2.0)
+        assert a[1, 2] == pytest.approx(3.0 / 2.0)
+        assert a[3, 2] == pytest.approx(-(0.4 + 3.0) / 4.0)
+        assert a[3, 0] == pytest.approx(3.0 / 4.0)
+        assert a[1, 1] == pytest.approx(-1.0 / 2.0)
+        assert a[3, 3] == pytest.approx(-1.0 / 4.0)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 6))
@@ -146,22 +151,21 @@ class TestSwingMatrix:
         extra = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
         lines = tuple(Line(f"b{i}", f"b{j}", data.draw(positive))
                       for i, j in sorted(tree | extra))
-        lin = build_swing_matrix(GridModel(buses=buses, lines=lines))
-        assert lin.hurwitz == is_hurwitz(lin.a)
+        grid = GridModel(buses=buses, lines=lines)
+        assert grid.grounded == is_hurwitz(build_swing_matrix(grid))
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 30))
     def test_dimension_is_twice_buses(self, n):
-        lin = build_swing_matrix(ring_grid(n))
-        assert lin.a.shape == (2 * n, 2 * n)
-        assert lin.hurwitz
+        grid = ring_grid(n)
+        assert build_swing_matrix(grid).shape == (2 * n, 2 * n)
+        assert grid.grounded
 
 
 class TestHvdcCandidates:
     def test_two_buses_single_link(self):
         buses = (Bus("p", 2.0, 1.0, 0.1), Bus("q", 4.0, 1.0, 0.1))
-        lin = build_swing_matrix(GridModel(buses=buses, lines=(Line("p", "q", 1.0),)))
-        ids, b = hvdc_candidates(lin)
+        ids, b = hvdc_candidates(GridModel(buses=buses, lines=(Line("p", "q", 1.0),)))
         assert ids == ["p-q"]
         expected = np.zeros((4, 1))
         expected[1] = 1.0 / 2.0
@@ -170,16 +174,14 @@ class TestHvdcCandidates:
 
     def test_count_formula(self):
         for n in (2, 5, 10, 74):
-            lin = build_swing_matrix(ring_grid(n))
-            ids, b = hvdc_candidates(lin)
+            ids, b = hvdc_candidates(ring_grid(n))
             assert len(ids) == n * (n - 1) // 2
             assert b.shape == (2 * n, len(ids))
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(2, 25))
     def test_ids_unique_and_columns_two_sparse(self, n):
-        lin = build_swing_matrix(ring_grid(n))
-        ids, b = hvdc_candidates(lin)
+        ids, b = hvdc_candidates(ring_grid(n))
         assert len(set(ids)) == len(ids) == n * (n - 1) // 2
         for col in b.T:
             assert np.count_nonzero(col) == 2
@@ -196,23 +198,23 @@ class TestHvdcCandidates:
         assume(list(order) != sorted(order))
         buses = tuple(Bus(f"n{k}", m, 1.0, 0.1) for k, m in zip(order, inertias))
         lines = tuple(Line(p.id, q.id, 1.0) for p, q in zip(buses, buses[1:]))
-        lin = build_swing_matrix(GridModel(buses=buses, lines=lines))
+        grid = GridModel(buses=buses, lines=lines)
+        labels = state_labels(grid)
         oracle_ids, oracle_cols = [], []
         for i in range(n):
             for j in range(i + 1, n):
-                col = np.zeros(lin.n)
-                col[lin.bus_index[buses[i].id][1]] = 1.0 / buses[i].inertia
-                col[lin.bus_index[buses[j].id][1]] = -1.0 / buses[j].inertia
+                col = np.zeros(len(labels))
+                col[labels.index(f"{buses[i].id}:freq")] = 1.0 / buses[i].inertia
+                col[labels.index(f"{buses[j].id}:freq")] = -1.0 / buses[j].inertia
                 oracle_ids.append(f"{buses[i].id}-{buses[j].id}")
                 oracle_cols.append(col)
-        ids, b = hvdc_candidates(lin)
+        ids, b = hvdc_candidates(grid)
         assert ids == oracle_ids
-        assert b.dtype == np.float64 and b.shape == (lin.n, len(oracle_ids))
+        assert b.dtype == np.float64 and b.shape == (len(labels), len(oracle_ids))
         assert b.tobytes() == np.column_stack(oracle_cols).tobytes()
 
     def test_frequency_selector(self):
-        lin = build_swing_matrix(ring_grid(3))
-        c = frequency_selector(lin)
+        c = frequency_selector(ring_grid(3))
         assert c.shape == (3, 6)
         assert np.array_equal(c @ np.arange(6.0), [1.0, 3.0, 5.0])
 
@@ -370,7 +372,7 @@ class TestProblemIO:
         write_problem(path, doc)
         problem = load_problem(path)
         assert problem.candidate_set.size == 1
-        assert problem.grid.grid.buses[1].grounding == 0.0
+        assert problem.grid.buses[1].grounding == 0.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
@@ -441,10 +443,9 @@ class TestProblemIO:
         path = tmp_path / "r.json"
         path.write_text('{"grid": {"topology": "ring", "buses": 5}}')
         problem = load_problem(path)
-        lin = build_swing_matrix(ring_grid(5))
-        ids, b = hvdc_candidates(lin)
+        ids, b = hvdc_candidates(ring_grid(5))
         cs = problem.candidate_set
-        assert np.array_equal(cs.a, lin.a)
+        assert np.array_equal(cs.a, build_swing_matrix(ring_grid(5)))
         assert list(cs.ids) == ids and np.array_equal(cs.B, b)
 
     def test_unknown_ring_field_named(self, tmp_path):
