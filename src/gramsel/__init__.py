@@ -20,7 +20,6 @@ from .exceptions import (
     NonFiniteError,
     NumericalError,
     ProblemFormatError,
-    SingularGramianError,
     StabilityError,
     TopologyError,
     UnreachableStateError,
@@ -42,14 +41,10 @@ from .gramian import (
     solve_lyapunov,
 )
 from .metrics import (
-    EllipsoidAxes,
     InputTrajectory,
     MetricSpec,
     TransferResult,
-    average_energy_tr_inverse,
     evaluate_metric,
-    min_energy_to_reach,
-    reachability_ellipsoid,
     simulate_transfer,
     synthesize_min_energy_input,
 )
@@ -85,8 +80,8 @@ __all__ = [
     # exceptions
     "GramselError", "DimensionError", "DomainError", "NonFiniteError",
     "ProblemFormatError", "TopologyError", "EnumerationCapError",
-    "NumericalError", "StabilityError", "SingularGramianError",
-    "UnreachableStateError", "DegenerateGramianWarning",
+    "NumericalError", "StabilityError", "UnreachableStateError",
+    "DegenerateGramianWarning",
     # numerics
     "DEFAULT_STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
     "is_hurwitz", "matrix_exponential", "real_schur",
@@ -94,10 +89,8 @@ __all__ = [
     "LyapunovSolver", "solve_lyapunov", "lyapunov_residual",
     "controllability_gramian", "finite_horizon_gramian", "observability_gramian",
     # metrics
-    "MetricSpec", "evaluate_metric", "average_energy_tr_inverse",
-    "min_energy_to_reach", "reachability_ellipsoid", "EllipsoidAxes",
-    "InputTrajectory", "synthesize_min_energy_input", "TransferResult",
-    "simulate_transfer",
+    "MetricSpec", "evaluate_metric", "InputTrajectory",
+    "synthesize_min_energy_input", "TransferResult", "simulate_transfer",
     # placement
     "CandidateSet", "PlacementResult", "ModularityReport", "candidate_weights",
     "select_top_k", "brute_force_best", "verify_modularity",

@@ -37,6 +37,7 @@ from .models import (
 )
 from .numerics import DEFAULT_STABILITY_MARGIN, as_matrix, as_vector
 from .placement import (
+    GRAMIAN_FUNCTIONALS,
     brute_force_best,
     candidate_weights,
     controllability_centrality,
@@ -151,21 +152,24 @@ def _ranked_rows(metric, pairs):
     return rows
 
 
+# gen flags that only one problem kind takes; their defaults live in models
+_GEN_KIND_FLAGS = {"chords": "ring", "inertia": "ring", "damping": "ring",
+                   "susceptance": "ring", "grounding": "ring", "density": "random"}
+
+
 def cmd_gen(args):
-    if args.ring is not None:
-        doc = ring_problem_dict(
-            args.ring,
-            chords=args.chords,
-            seed=args.seed,
-            inertia=args.inertia,
-            damping=args.damping,
-            susceptance=args.susceptance,
-            grounding=args.grounding,
-        )
+    kind = "ring" if args.ring is not None else "random"
+    given = {flag: getattr(args, flag) for flag in _GEN_KIND_FLAGS
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if _GEN_KIND_FLAGS[flag] != kind:
+            raise DomainError(f"--{flag} applies to gen --{_GEN_KIND_FLAGS[flag]} only, "
+                              f"not --{kind}")
+    if kind == "ring":
+        doc = ring_problem_dict(args.ring, seed=args.seed, **given)
     else:
-        n, m = args.random
-        doc = system_problem_dict(*random_hurwitz_system(n, m, density=args.density,
-                                                         seed=args.seed))
+        doc = system_problem_dict(*random_hurwitz_system(*args.random, seed=args.seed,
+                                                         **given))
     write_problem(args.out, doc)
     print(f"[gramsel] wrote problem file {args.out}", file=sys.stderr)
     return 0
@@ -260,9 +264,8 @@ def cmd_bruteforce(args):
     problem = _load(args)
     metric = _resolve_metric(args, problem)
     cs = problem.candidate_set.with_metric(metric)
-    functional = None if args.functional == "metric" else args.functional
     with _phase(f"bruteforce k={args.k} over {cs.size}"):
-        ids, value = brute_force_best(cs, args.k, functional=functional,
+        ids, value = brute_force_best(cs, args.k, functional=args.functional,
                                       cap=args.cap, margin=args.margin)
     results = {
         "metric": metric.describe(),
@@ -323,9 +326,10 @@ def _add_metric_flags(p):
                    help="grid shorthand: h2 metric over all frequency states")
 
 
-def _add_common_flags(p):
-    p.add_argument("--margin", type=float, default=DEFAULT_STABILITY_MARGIN,
-                   help="Hurwitz stability margin")
+def _add_common_flags(p, margin=True):
+    if margin:  # only the commands that factor A test it against a margin
+        p.add_argument("--margin", type=float, default=DEFAULT_STABILITY_MARGIN,
+                       help="Hurwitz stability margin")
     p.add_argument("--csv", action="store_true", help="emit a flat CSV table")
     p.add_argument("--out", default=None, help="write the payload to this file")
 
@@ -344,12 +348,9 @@ def build_parser():
                       help="ring grid with N buses (candidates: all HVDC pairs)")
     kind.add_argument("--random", type=int, nargs=2, default=None, metavar=("N", "M"),
                       help="random Hurwitz system, N states, M candidate columns")
-    p.add_argument("--chords", type=int, default=0)
-    p.add_argument("--inertia", type=float, default=1.0)
-    p.add_argument("--damping", type=float, default=0.5)
-    p.add_argument("--susceptance", type=float, default=1.0)
-    p.add_argument("--grounding", type=float, default=0.1)
-    p.add_argument("--density", type=float, default=0.3)
+    for flag, flag_kind in _GEN_KIND_FLAGS.items():
+        p.add_argument(f"--{flag}", type=int if flag == "chords" else float, default=None,
+                       help=f"--{flag_kind} only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="problem file to write")
     p.set_defaults(func=cmd_gen)
@@ -384,7 +385,7 @@ def build_parser():
     p = sub.add_parser("bruteforce", help="exhaustive subset search (capped)")
     p.add_argument("problem")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--functional", choices=["metric", "min_eig", "log_det"],
+    p.add_argument("--functional", choices=["metric", *GRAMIAN_FUNCTIONALS],
                    default="metric")
     p.add_argument("--cap", type=int, default=1_000_000,
                    help="refuse when C(M, k) exceeds this")
@@ -402,7 +403,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--simulate", action="store_true",
                    help="integrate the closed trajectory and report the terminal error")
-    _add_common_flags(p)
+    _add_common_flags(p, margin=False)
     p.set_defaults(func=cmd_synthesize)
 
     return parser

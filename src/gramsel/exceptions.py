@@ -57,14 +57,6 @@ class StabilityError(NumericalError):
         super().__init__(message)
 
 
-class SingularGramianError(NumericalError):
-    """A Gramian that must be positive definite is singular to working precision."""
-
-    def __init__(self, message, eigenvalue=None):
-        self.eigenvalue = eigenvalue
-        super().__init__(message)
-
-
 class UnreachableStateError(NumericalError):
     """The requested target state lies outside the range of the Gramian."""
 

@@ -2,10 +2,9 @@
 
 The ranking metrics (trace, weighted trace, squared H2 norm) are all of
 the form trace(C_bar W) for some constant weighting, which is what makes
-subset scores additive.  The inverse-Gramian quantities (average energy,
-minimum transfer energy, reachability ellipsoid) go through a symmetric
-eigendecomposition so that near-singular directions are handled
-explicitly instead of blowing up inside a generic solve.
+subset scores additive.  Minimum-energy synthesis applies W(t)^{-1}
+through a symmetric eigendecomposition, so a singular W(t) is handled
+explicitly on its range instead of blowing up inside a generic solve.
 """
 
 import warnings
@@ -17,7 +16,6 @@ from .exceptions import (
     DegenerateGramianWarning,
     DimensionError,
     DomainError,
-    SingularGramianError,
     UnreachableStateError,
 )
 from .gramian import _input_matrix, finite_horizon_gramian
@@ -27,10 +25,6 @@ __all__ = [
     "METRIC_KINDS",
     "MetricSpec",
     "evaluate_metric",
-    "average_energy_tr_inverse",
-    "min_energy_to_reach",
-    "reachability_ellipsoid",
-    "EllipsoidAxes",
     "InputTrajectory",
     "synthesize_min_energy_input",
     "TransferResult",
@@ -118,93 +112,37 @@ def evaluate_metric(spec, w):
     return float(np.vdot(spec.state_weighting(m.shape[0]), m))
 
 
-def _psd_eig(w):
-    """Ascending eigendecomposition of a symmetrized Gramian matrix."""
-    return np.linalg.eigh(_gram_matrix(w))
+def _range_solve(w, x):
+    """Solve W y = x restricted to range(W) for the target state x.
 
-
-def average_energy_tr_inverse(w):
-    """(1/n) trace(W^{-1}): average control energy over random unit targets.
-
-    Requires W positive definite; an eigenvalue at or below
-    SINGULAR_RTOL * lambda_max raises :class:`SingularGramianError`.
+    Raises UnreachableStateError when x has a component outside range(W)
+    beyond _RANGE_RTOL * ||x||; warns with DegenerateGramianWarning when W
+    is singular but x is consistent.
     """
-    vals, _ = _psd_eig(w)
-    lam_max = vals[-1]
-    if not lam_max > 0.0 or vals[0] <= SINGULAR_RTOL * lam_max:
-        raise SingularGramianError(
-            f"gramian is singular to working precision "
-            f"(min eigenvalue {vals[0]:.6e}, max {lam_max:.6e})",
-            eigenvalue=float(vals[0]),
-        )
-    return float(np.mean(1.0 / vals))
-
-
-def _range_solve(w, x, context="target state"):
-    """Solve W y = x restricted to range(W).
-
-    Returns ``(y, degenerate)``.  Raises UnreachableStateError when x has
-    a component outside range(W) beyond _RANGE_RTOL * ||x||; warns with
-    DegenerateGramianWarning when W is singular but x is consistent.
-    """
-    vals, vecs = _psd_eig(w)
+    vals, vecs = np.linalg.eigh(_gram_matrix(w))
     if not np.any(x):
-        return np.zeros_like(x), False
+        return np.zeros_like(x)
     lam_max = max(float(vals[-1]), 0.0)
     zero = vals <= SINGULAR_RTOL * lam_max
     coeff = vecs.T @ x
     leakage = np.linalg.norm(coeff[zero])
     if leakage > _RANGE_RTOL * np.linalg.norm(x):
         raise UnreachableStateError(
-            f"{context} lies outside the range of the gramian "
+            "target state lies outside the range of the gramian "
             f"(out-of-range component {leakage:.3e} of norm "
             f"{np.linalg.norm(x):.3e})"
         )
-    degenerate = bool(zero.any())
-    if degenerate:
+    if zero.any():
         warnings.warn(
-            f"gramian is singular; {context} resolved via pseudo-inverse "
-            f"on the reachable subspace",
+            "gramian is singular; target state resolved via pseudo-inverse "
+            "on the reachable subspace",
             DegenerateGramianWarning,
             stacklevel=3,
         )
     y = np.zeros_like(coeff)
     keep = ~zero
     y[keep] = coeff[keep] / vals[keep]
-    return vecs @ y, degenerate
-
-
-def min_energy_to_reach(w, x_f):
-    """Minimum input energy x_f^T W^{-1} x_f to reach x_f from the origin.
-
-    A zero target costs zero regardless of W.  Unreachable targets raise;
-    reachable targets of a singular W fall back to the pseudo-inverse with
-    a :class:`DegenerateGramianWarning`.
-    """
-    m = _gram_matrix(w)
-    x = as_vector(x_f, m.shape[0], "x_f")
-    y, _ = _range_solve(m, x)
-    return float(x @ y)
-
-
-@dataclass(frozen=True)
-class EllipsoidAxes:
-    """Principal axes of the unit-energy reachable set {W^{1/2} u : |u|<=1}.
-
-    ``directions`` holds orthonormal axis directions as columns, ordered
-    by decreasing ``lengths`` (sqrt of the Gramian eigenvalues).
-    """
-
-    directions: np.ndarray
-    lengths: np.ndarray
-
-
-def reachability_ellipsoid(w):
-    """Semi-axes of the reachability ellipsoid of a PSD Gramian."""
-    vals, vecs = _psd_eig(w)
-    order = np.argsort(vals)[::-1]
-    lengths = np.sqrt(np.clip(vals[order], 0.0, None))
-    return EllipsoidAxes(directions=vecs[:, order], lengths=lengths)
+    return vecs @ y
 
 
 @dataclass(frozen=True)
@@ -236,7 +174,7 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     x = as_vector(x_f, n, "x_f")
     t = as_number(t, "horizon t", 0.0, strict=True)
 
-    eta, _ = _range_solve(finite_horizon_gramian(a, b, t), x)  # W(t)^{-1} x_f
+    eta = _range_solve(finite_horizon_gramian(a, b, t), x)  # W(t)^{-1} x_f
 
     times = np.linspace(0.0, t, samples)
     step = matrix_exponential(a.T * (t / (samples - 1)))

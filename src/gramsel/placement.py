@@ -44,6 +44,9 @@ __all__ = [
 # the combined Gramian when the adjoint weights are cross-checked.
 _ADDITIVITY_RTOL = 1e-9
 
+# Largest relative modularity violation verify_modularity accepts.
+_MODULARITY_RTOL = 1e-8
+
 
 class CandidateSet:
     """A dynamics matrix plus labelled candidate input columns.
@@ -215,14 +218,14 @@ GRAMIAN_FUNCTIONALS = {
 }
 
 
-def brute_force_best(cs, k, functional=None, cap=1_000_000,
+def brute_force_best(cs, k, functional="metric", cap=1_000_000,
                      margin=DEFAULT_STABILITY_MARGIN):
     """Exhaustive search over all C(M, k) subsets.
 
-    ``functional`` maps a combined Gramian matrix to a real score; by
-    default the candidate set's own (modular) metric is used, which makes
-    this an independent oracle for :func:`select_top_k`.  Named
-    non-modular functionals live in :data:`GRAMIAN_FUNCTIONALS`.
+    ``functional`` scores each combined Gramian: ``"metric"``, the default,
+    is the candidate set's own (modular) metric, which makes this an
+    independent oracle for :func:`select_top_k`; any other name is a
+    non-modular functional from :data:`GRAMIAN_FUNCTIONALS`.
 
     Refuses to run when C(M, k) exceeds ``cap`` (EnumerationCapError),
     reporting the exact subset count.  Ties are resolved in favour of the
@@ -234,20 +237,15 @@ def brute_force_best(cs, k, functional=None, cap=1_000_000,
     count = math.comb(cs.size, k)
     if count > cap:
         raise EnumerationCapError(cs.size, k, count, cap)
-    if functional is None:
-        functional = lambda w: evaluate_metric(cs.metric, w)  # noqa: E731
-    elif isinstance(functional, str):
-        if functional not in GRAMIAN_FUNCTIONALS:
-            raise DomainError(
-                f"unknown functional {functional!r}; "
-                f"expected one of {sorted(GRAMIAN_FUNCTIONALS)}"
-            )
-        functional = GRAMIAN_FUNCTIONALS[functional]
+    named = {"metric": lambda w: evaluate_metric(cs.metric, w), **GRAMIAN_FUNCTIONALS}
+    score = named.get(functional) if isinstance(functional, str) else None
+    if score is None:
+        raise DomainError(f"unknown functional {functional!r}; expected one of {sorted(named)}")
 
     solver = LyapunovSolver(cs.a, margin=margin)
     best_ids, best_val = None, -math.inf
     for combo in itertools.combinations(sorted(cs.ids), k):
-        val = functional(solver.gramian(cs.input_matrix(combo)))
+        val = score(solver.gramian(cs.input_matrix(combo)))
         # strict > keeps the first (lexicographically smallest) maximizer
         if val > best_val:
             best_ids, best_val = combo, val
@@ -268,8 +266,7 @@ class ModularityReport:
         return self.max_violation <= self.tolerance
 
 
-def verify_modularity(cs, trials=100, seed=0, tolerance=1e-8,
-                      margin=DEFAULT_STABILITY_MARGIN):
+def verify_modularity(cs, trials=100, seed=0, margin=DEFAULT_STABILITY_MARGIN):
     """Check the modular identity on random subset pairs.
 
     Each trial draws two subsets A, B by including every candidate
@@ -277,6 +274,7 @@ def verify_modularity(cs, trials=100, seed=0, tolerance=1e-8,
     scores from scratch via combined-input Gramians, and records the
     violation |f(A)+f(B)-f(AuB)-f(AnB)| / max(m(A)+m(B), m(AuB)+m(AnB)),
     m = _magnitude (= f under the trace metric), or 0 if all four m are 0.
+    The check passes when no violation exceeds _MODULARITY_RTOL.
     """
     trials = as_number(trials, "trials", 1, integer=True)
     solver = LyapunovSolver(cs.a, margin=margin)
@@ -300,7 +298,7 @@ def verify_modularity(cs, trials=100, seed=0, tolerance=1e-8,
             worst = violation
             worst_pair = (tuple(ids[in_a]), tuple(ids[in_b]))
     return ModularityReport(
-        trials=trials, max_violation=worst, tolerance=tolerance, worst_pair=worst_pair
+        trials=trials, max_violation=worst, tolerance=_MODULARITY_RTOL, worst_pair=worst_pair
     )
 
 

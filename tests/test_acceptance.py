@@ -78,8 +78,7 @@ def test_01_modularity_identity_three_metrics():
         )
         for j, metric in enumerate(metrics):
             cs = CandidateSet(a, ids, b, metric)
-            report = verify_modularity(cs, trials=100, seed=3 * i + j,
-                                       tolerance=1e-8)
+            report = verify_modularity(cs, trials=100, seed=3 * i + j)
             assert report.passed, (
                 f"system {i}, metric {metric.kind}: "
                 f"max violation {report.max_violation:.3e}"

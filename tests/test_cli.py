@@ -63,6 +63,33 @@ class TestGen:
         assert field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        (("--random", "4", "5"), "--chords", "3"),
+        (("--random", "4", "5"), "--inertia", "-5"),
+        (("--random", "4", "5"), "--damping", "0.5"),
+        (("--random", "4", "5"), "--susceptance", "1"),
+        (("--random", "4", "5"), "--grounding", "0.1"),
+        (("--ring", "5"), "--density", "7"),
+    ])
+    def test_flag_of_the_other_kind_is_2(self, tmp_path, capsys, kind, flag, value):
+        out = tmp_path / "p.json"
+        code, _, err = run(capsys, ["gen", *kind, flag, value, "--out", str(out)])
+        assert code == 2
+        assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, grid", [
+        (("--ring", "74"), {"buses": 74, "chords": 0, "inertia": 1.0, "seed": 0}),
+        (("--ring", "9", "--chords", "5", "--seed", "2", "--inertia", "2.0"),
+         {"buses": 9, "chords": 5, "inertia": 2.0, "seed": 2}),
+    ])
+    def test_ring_defaults_come_from_models(self, tmp_path, capsys, args, grid):
+        out = tmp_path / "p.json"
+        assert run(capsys, ["gen", *args, "--out", str(out)])[0] == 0
+        grid = {"topology": "ring", "damping": 0.5, "susceptance": 1.0, "grounding": 0.1,
+                **grid}
+        assert out.read_text() == json.dumps({"grid": grid}, indent=2, sort_keys=True) + "\n"
+
 
 class TestRank:
     def test_report_structure(self, tmp_path, capsys):
@@ -253,6 +280,15 @@ class TestSynthesize:
         ])
         assert code == 2
         assert "zz" in err
+
+    def test_margin_is_not_an_option(self, tmp_path, capsys):
+        # synthesis factors no A, so there is no stability margin to set
+        path = make_problem(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synthesize", path, "--ids", "b0", "--horizon", "1.0",
+                      "--target", "0.1,0,0,0", "--margin", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --margin 1" in capsys.readouterr().err
 
     def test_csv_time_series(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)

@@ -1,5 +1,5 @@
-"""Every imported name in the package, its tests and its scripts is used,
-and every exported name exists.
+"""Every imported name in the package, its tests, its scripts and the
+README's Python quickstart is used, and every exported name exists.
 
 No linter is configured for the project, so this scans each module's
 syntax tree: an imported name must be read somewhere in the module or
@@ -10,6 +10,7 @@ be listed in its ``__all__``.  Since a listed name counts as used, each
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,13 @@ def unused_imports(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_no_unused_imports_in_readme_quickstart():
+    # the python blocks joined as one script, as tests/test_cli.py runs them
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    assert unused_imports(ast.parse("\n".join(blocks))) == []
 
 
 def test_scan_finds_an_unused_import():

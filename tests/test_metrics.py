@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,16 +11,12 @@ from gramsel.exceptions import (
     DegenerateGramianWarning,
     DimensionError,
     DomainError,
-    SingularGramianError,
     UnreachableStateError,
 )
 from gramsel.gramian import controllability_gramian, finite_horizon_gramian
 from gramsel.metrics import (
     MetricSpec,
-    average_energy_tr_inverse,
     evaluate_metric,
-    min_energy_to_reach,
-    reachability_ellipsoid,
     simulate_transfer,
     synthesize_min_energy_input,
 )
@@ -129,70 +127,6 @@ class TestEvaluateMetric:
             assert abs(h2_sq - oracle) <= 1e-6 * abs(oracle)
 
 
-class TestInverseQuantities:
-    def test_average_energy_diagonal(self):
-        assert average_energy_tr_inverse(np.diag([1.0, 0.5])) == pytest.approx(1.5)
-
-    def test_average_energy_rejects_singular(self):
-        with pytest.raises(SingularGramianError) as err:
-            average_energy_tr_inverse(np.diag([1.0, 0.0]))
-        assert err.value.eigenvalue == pytest.approx(0.0, abs=1e-15)
-
-    def test_min_energy_diagonal(self):
-        assert min_energy_to_reach(np.diag([2.0, 0.5]), [1.0, 1.0]) == pytest.approx(2.5)
-
-    def test_min_energy_zero_target_is_free(self):
-        assert min_energy_to_reach(np.diag([1.0, 0.0]), [0.0, 0.0]) == 0.0
-
-    def test_min_energy_unreachable(self):
-        with pytest.raises(UnreachableStateError):
-            min_energy_to_reach(np.diag([1.0, 0.0]), [0.0, 1.0])
-
-    def test_min_energy_degenerate_but_reachable_warns(self):
-        with pytest.warns(DegenerateGramianWarning):
-            e = min_energy_to_reach(np.diag([1.0, 0.0]), [1.0, 0.0])
-        assert e == pytest.approx(1.0)
-
-    def test_min_energy_eigenvector_case(self):
-        # energy along a unit eigenvector is 1/eigenvalue
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=(4, 4))
-        w = m @ m.T + 0.5 * np.eye(4)
-        vals, vecs = np.linalg.eigh(w)
-        for i in range(4):
-            e = min_energy_to_reach(w, vecs[:, i])
-            assert abs(e - 1.0 / vals[i]) <= 1e-10 * (1.0 / vals[i])
-
-    def test_min_energy_scaling_quadratic(self):
-        w = np.diag([2.0, 0.5])
-        base = min_energy_to_reach(w, [1.0, 1.0])
-        assert min_energy_to_reach(w, [3.0, 3.0]) == pytest.approx(9 * base)
-
-    def test_ellipsoid_diagonal(self):
-        axes = reachability_ellipsoid(np.diag([4.0, 1.0]))
-        assert np.allclose(axes.lengths, [2.0, 1.0])
-        assert np.allclose(np.abs(axes.directions), np.eye(2))
-
-    def test_ellipsoid_lengths_sorted_and_nonnegative(self):
-        rng = np.random.default_rng(12)
-        m = rng.normal(size=(5, 5))
-        axes = reachability_ellipsoid(m @ m.T)
-        assert np.all(np.diff(axes.lengths) <= 0)
-        assert np.all(axes.lengths >= 0)
-        assert np.allclose(axes.directions.T @ axes.directions, np.eye(5), atol=1e-12)
-
-    def test_boundary_point_costs_unit_energy(self):
-        # x = W^{1/2} v with |v| = 1 lies on the unit-energy ellipsoid
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(4, 4))
-        w = m @ m.T + 0.1 * np.eye(4)
-        vals, vecs = np.linalg.eigh(w)
-        sqrt_w = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        assert min_energy_to_reach(w, sqrt_w @ v) == pytest.approx(1.0, rel=1e-10)
-
-
 class TestSynthesis:
     def test_zero_target_zero_input(self):
         a, b = _system(2, n=4, m=2)
@@ -225,6 +159,16 @@ class TestSynthesis:
         b = np.array([[1.0], [0.0]])
         with pytest.raises(UnreachableStateError):
             synthesize_min_energy_input(a, b, 1.0, np.array([0.0, 1.0]))
+
+    def test_singular_but_consistent_target_uses_pseudo_inverse(self):
+        # W(t) = diag((1 - e^-2) / 2, 0): singular, yet e1 lies in its range
+        a = np.diag([-1.0, -2.0])
+        b = np.array([[1.0], [0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = synthesize_min_energy_input(a, b, 1.0, np.array([1.0, 0.0]))
+        assert [w.category for w in caught] == [DegenerateGramianWarning]
+        assert traj.energy == pytest.approx(2.0 / (1.0 - np.exp(-2.0)), rel=1e-12, abs=0.0)
 
     def test_input_formula_spot_check(self):
         # u*(tau) = B^T e^{A^T (t-tau)} W(t)^{-1} x_f at a handful of taus

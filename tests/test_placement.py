@@ -254,9 +254,11 @@ class TestBruteForce:
         assert math.isfinite(val) or val == -math.inf
 
     def test_unknown_functional(self):
+        # only names are accepted: an unknown one, a callable, a non-string
         cs = _candidate_set(30, n=4, m=5)
-        with pytest.raises(DomainError):
-            brute_force_best(cs, 2, functional="h_infinity")
+        for functional in ("h_infinity", np.trace, 3):
+            with pytest.raises(DomainError, match=r"\['log_det', 'metric', 'min_eig'\]"):
+                brute_force_best(cs, 2, functional=functional)
 
     def test_lexicographic_tie_break(self):
         a = np.diag([-1.0, -2.0])
