@@ -28,7 +28,7 @@ def sweep(cs, k, label, out_dir):
     result = select_top_k(cs, k)
     dt = time.perf_counter() - t0
     print(f"\n[{label}] ranked {cs.size} candidates in {dt:.1f}s "
-          "(one Schur factorization, one adjoint solve, two forward check solves)")
+          "(one adjoint solve and two forward check solves on the set's one Schur factor)")
     print(f"[{label}] top {k} links, total score {result.total_score:.6f}:")
     for cid, score in result.ranked[:k]:
         print(f"    {cid:>16s}   {score:.6f}")

@@ -25,7 +25,7 @@ from .exceptions import (
     UnreachableStateError,
 )
 from .numerics import (
-    DEFAULT_STABILITY_MARGIN,
+    STABILITY_MARGIN,
     eigenvalues,
     is_hurwitz,
     matrix_exponential,
@@ -83,7 +83,7 @@ __all__ = [
     "NumericalError", "StabilityError", "UnreachableStateError",
     "DegenerateGramianWarning",
     # numerics
-    "DEFAULT_STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
+    "STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
     "is_hurwitz", "matrix_exponential", "real_schur",
     # gramian
     "LyapunovSolver", "solve_lyapunov", "lyapunov_residual",

@@ -3,9 +3,10 @@
 Subcommands: gen, rank, select, centrality, verify, bruteforce,
 synthesize.  Every run emits a single JSON report on stdout (or --out)
 containing the echoed command, a sha256 digest of the input file, the
-package version and the result payload; --csv swaps the payload for a
-flat table suitable for plotting.  Timings and warnings go to stderr as
-``[gramsel]`` lines, so payloads are byte-identical across repeat runs.
+package version and the result payload; --csv (rank, select, centrality,
+synthesize) swaps the payload for a flat table suitable for plotting.
+Timings and warnings go to stderr as ``[gramsel]`` lines, so payloads are
+byte-identical across repeat runs.
 
 Exit codes: 0 success, 1 failed verification, 2 input/usage error,
 3 numerical failure.
@@ -35,7 +36,7 @@ from .models import (
     write_json,
     write_problem,
 )
-from .numerics import DEFAULT_STABILITY_MARGIN, as_matrix, as_vector
+from .numerics import as_matrix, as_vector
 from .placement import (
     GRAMIAN_FUNCTIONALS,
     brute_force_best,
@@ -74,7 +75,7 @@ def _report(args, results):
     options = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in _NON_ANALYSIS_FLAGS and value is not None and not callable(value)
+        if key not in _NON_ANALYSIS_FLAGS and value is not None
     }
     return {
         "command": {"name": args.cmd, "problem": getattr(args, "problem", None),
@@ -87,7 +88,7 @@ def _report(args, results):
 
 def _emit(args, report, header=None, rows=None):
     """Write the report, or with --csv the ``header`` columns of ``rows`` (dicts or lists)."""
-    if getattr(args, "csv", False) and rows is not None:
+    if getattr(args, "csv", False):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -180,7 +181,7 @@ def cmd_rank(args):
     metric = _resolve_metric(args, problem)
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"rank {cs.size} candidates"):
-        weights = candidate_weights(cs, margin=args.margin)
+        weights = candidate_weights(cs)
     rows = _ranked_rows(metric, ranked(weights))
     results = {
         "metric": metric.describe(),
@@ -198,7 +199,7 @@ def cmd_select(args):
     metric = _resolve_metric(args, problem)
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"select {args.k} of {cs.size}"):
-        result = select_top_k(cs, args.k, margin=args.margin)
+        result = select_top_k(cs, args.k)
     rows = _ranked_rows(metric, result.ranked)
     chosen = set(result.selected)
     for row in rows:
@@ -219,7 +220,7 @@ def cmd_centrality(args):
     problem = _load(args)
     cs = problem.candidate_set
     with _phase(f"centrality over {cs.n} nodes"):
-        scores = controllability_centrality(cs.a, margin=args.margin)
+        scores = controllability_centrality(cs.a)
     labels = [""] * cs.n if problem.grid is None else state_labels(problem.grid)
     rows = [
         {"node": i, "label": labels[i], "score": float(scores[i])}
@@ -239,8 +240,7 @@ def cmd_verify(args):
     metric = _resolve_metric(args, problem)
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"verify {args.trials} trials"):
-        report = verify_modularity(cs, trials=args.trials, seed=args.seed,
-                                   margin=args.margin)
+        report = verify_modularity(cs, trials=args.trials, seed=args.seed)
     results = {
         "metric": metric.describe(),
         "trials": report.trials,
@@ -265,8 +265,7 @@ def cmd_bruteforce(args):
     metric = _resolve_metric(args, problem)
     cs = problem.candidate_set.with_metric(metric)
     with _phase(f"bruteforce k={args.k} over {cs.size}"):
-        ids, value = brute_force_best(cs, args.k, functional=args.functional,
-                                      cap=args.cap, margin=args.margin)
+        ids, value = brute_force_best(cs, args.k, functional=args.functional, cap=args.cap)
     results = {
         "metric": metric.describe(),
         "functional": args.functional,
@@ -326,11 +325,7 @@ def _add_metric_flags(p):
                    help="grid shorthand: h2 metric over all frequency states")
 
 
-def _add_common_flags(p, margin=True):
-    if margin:  # only the commands that factor A test it against a margin
-        p.add_argument("--margin", type=float, default=DEFAULT_STABILITY_MARGIN,
-                       help="Hurwitz stability margin")
-    p.add_argument("--csv", action="store_true", help="emit a flat CSV table")
+def _add_common_flags(p):
     p.add_argument("--out", default=None, help="write the payload to this file")
 
 
@@ -403,9 +398,11 @@ def build_parser():
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--simulate", action="store_true",
                    help="integrate the closed trajectory and report the terminal error")
-    _add_common_flags(p, margin=False)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_synthesize)
 
+    for name in ("rank", "select", "centrality", "synthesize"):  # the commands with one table
+        sub.choices[name].add_argument("--csv", action="store_true", help="emit a flat CSV table")
     return parser
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import DimensionError, DomainError, NumericalError, StabilityError
 from .numerics import (
-    DEFAULT_STABILITY_MARGIN,
+    STABILITY_MARGIN,
     as_array,
     as_number,
     as_square,
@@ -68,16 +68,16 @@ class LyapunovSolver:
     equation or its adjoint.
     """
 
-    def __init__(self, a, margin=DEFAULT_STABILITY_MARGIN):
+    def __init__(self, a):
         from scipy.linalg import get_lapack_funcs  # scipy loads only when A is factored
 
         a = as_square(a, "a")
         u, t = real_schur(a)
         # T is orthogonally similar to a; its spectrum is read off the diagonal blocks.
         alpha = spectral_abscissa(t)
-        if not within_margin(alpha, margin):
+        if not within_margin(alpha):
             raise StabilityError(
-                f"dynamics matrix is not Hurwitz within margin {margin:g}: "
+                f"dynamics matrix is not Hurwitz within margin {STABILITY_MARGIN:g}: "
                 f"max Re(eigenvalue) = {alpha:.6e}",
                 max_real_part=alpha,
             )
@@ -176,9 +176,9 @@ def _input_matrix(b, n):
     return b
 
 
-def solve_lyapunov(a, q, margin=DEFAULT_STABILITY_MARGIN):
+def solve_lyapunov(a, q):
     """One-shot solve of a W + W a^T + q = 0 (a Hurwitz, q symmetric)."""
-    return LyapunovSolver(a, margin=margin).solve(q)
+    return LyapunovSolver(a).solve(q)
 
 
 def lyapunov_residual(a, w, q):
@@ -187,7 +187,7 @@ def lyapunov_residual(a, w, q):
     return float(np.linalg.norm(a @ w + w @ a.T + q))
 
 
-def controllability_gramian(a, b, margin=DEFAULT_STABILITY_MARGIN):
+def controllability_gramian(a, b):
     """Infinite-horizon controllability Gramian of (a, b).
 
     Parameters
@@ -202,15 +202,15 @@ def controllability_gramian(a, b, margin=DEFAULT_STABILITY_MARGIN):
     (n, n) ndarray
         The symmetric W solving ``a W + W a^T + b b^T = 0``.
     """
-    return LyapunovSolver(a, margin=margin).gramian(b)
+    return LyapunovSolver(a).gramian(b)
 
 
-def observability_gramian(a, c, margin=DEFAULT_STABILITY_MARGIN):
+def observability_gramian(a, c):
     """Observability Gramian of (a, c): the controllability Gramian of
     the dual pair (a^T, c^T), computed through the identical code path."""
     a = as_square(a, "a")
     c = as_array(c, (1, 2), "c")
-    return controllability_gramian(a.T, c.T, margin=margin)
+    return controllability_gramian(a.T, c.T)
 
 
 def finite_horizon_gramian(a, b, t):

@@ -150,7 +150,7 @@ def build_swing_matrix(grid):
     (angle) and 2k + 1 (frequency).
 
     No eigenvalues are computed: see :attr:`GridModel.grounded`.  The
-    stability margin is applied where A is factored
+    Hurwitz test is made where A is factored
     (:class:`~gramsel.gramian.LyapunovSolver`).
     """
     pos = {bus.id: k for k, bus in enumerate(grid.buses)}

@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import DimensionError, DomainError, NonFiniteError, NumericalError
 
 __all__ = [
-    "DEFAULT_STABILITY_MARGIN",
+    "STABILITY_MARGIN",
     "as_array",
     "as_matrix",
     "as_number",
@@ -31,10 +31,10 @@ __all__ = [
     "symmetrize",
 ]
 
-# Spectra with max Re(lambda) >= -margin are treated as unstable: the
-# infinite-horizon Gramian integral diverges (or is numerically useless)
+# Spectra with max Re(lambda) >= -STABILITY_MARGIN are treated as unstable:
+# the infinite-horizon Gramian integral diverges (or is numerically useless)
 # when eigenvalues touch the imaginary axis.
-DEFAULT_STABILITY_MARGIN = 1e-9
+STABILITY_MARGIN = 1e-9
 
 
 def as_array(x, ndims, name="array"):
@@ -119,14 +119,14 @@ def spectral_abscissa(m):
     return float(np.max(eigenvalues(m).real))
 
 
-def within_margin(alpha, margin=DEFAULT_STABILITY_MARGIN):
-    """The Hurwitz rule: abscissa ``alpha`` < -margin, for a finite margin >= 0."""
-    return bool(alpha < -as_number(margin, "stability margin", 0.0))
+def within_margin(alpha):
+    """The Hurwitz rule: abscissa ``alpha`` < -STABILITY_MARGIN."""
+    return bool(alpha < -STABILITY_MARGIN)
 
 
-def is_hurwitz(m, margin=DEFAULT_STABILITY_MARGIN):
-    """True iff every eigenvalue satisfies Re(lambda) < -margin."""
-    return within_margin(spectral_abscissa(m), margin)
+def is_hurwitz(m):
+    """True iff every eigenvalue satisfies Re(lambda) < -STABILITY_MARGIN."""
+    return within_margin(spectral_abscissa(m))
 
 
 def matrix_exponential(m):

@@ -16,6 +16,7 @@ pairs.
 """
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from .exceptions import DimensionError, DomainError, EnumerationCapError, NumericalError
 from .gramian import LyapunovSolver
 from .metrics import MetricSpec, evaluate_metric
-from .numerics import DEFAULT_STABILITY_MARGIN, as_array, as_number, as_square
+from .numerics import as_array, as_number, as_square
 
 __all__ = [
     "CandidateSet",
@@ -52,13 +53,14 @@ class CandidateSet:
     """A dynamics matrix plus labelled candidate input columns.
 
     ``b`` is the (n, M) input matrix whose j-th column belongs to
-    ``ids[j]``; ids must be unique.  The set keeps ``b`` as the read-only
-    view ``B``: a float64 ``b`` is not copied, so the set shares its memory
-    and the caller must not change ``b`` afterwards.
+    ``ids[j]``; ids must be unique.  The set keeps ``a`` and ``b`` as the
+    read-only views ``a`` and ``B``: float64 input is not copied, so the
+    set shares its memory and the caller must not change ``a`` or ``b``.
     """
 
     def __init__(self, a, ids, b, metric=MetricSpec()):
-        self.a = as_square(a, "a")
+        self.a = as_square(a, "a").view()
+        self.a.flags.writeable = False
         self.metric = metric
         self.ids = tuple(map(str, ids))
         if not self.ids:
@@ -78,6 +80,11 @@ class CandidateSet:
     @property
     def n(self):
         return self.a.shape[0]
+
+    @functools.cached_property
+    def solver(self):
+        """``LyapunovSolver(a)``, built on first use; later with_metric copies share it."""
+        return LyapunovSolver(self.a)
 
     @property
     def size(self):
@@ -126,15 +133,14 @@ class PlacementResult:
         return len(self.selected)
 
 
-def candidate_weights(cs, margin=DEFAULT_STABILITY_MARGIN):
+def candidate_weights(cs):
     """Per-candidate weights w(s) = metric(W_s), W_s from a single column.
 
     Returns an ordered mapping id -> weight in candidate order.  Every
     metric is trace(C_bar W), so w(s) = b_s^T P b_s with P from one adjoint
     Lyapunov solve; each weight depends on its own column only.
     """
-    solver = LyapunovSolver(cs.a, margin=margin)
-    return _weights_with_solver(solver, cs)
+    return _weights_with_solver(cs.solver, cs)
 
 
 def _weights_with_solver(solver, cs):
@@ -177,7 +183,7 @@ def ranked(weights):
     return tuple(sorted(weights.items(), key=lambda item: (-item[1], item[0])))
 
 
-def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN):
+def select_top_k(cs, k):
     """Exact best k-subset under a modular metric, by sorting weights.
 
     Candidates are ordered by descending weight with ties broken by
@@ -186,10 +192,9 @@ def select_top_k(cs, k, margin=DEFAULT_STABILITY_MARGIN):
     against the metric of the combined-input Gramian before returning.
     """
     k = _subset_size(cs, k)
-    solver = LyapunovSolver(cs.a, margin=margin)
-    order = ranked(_weights_with_solver(solver, cs))
+    order = ranked(_weights_with_solver(cs.solver, cs))
     selected = tuple(c for c, _ in order[:k])
-    total = _check_additivity(solver, cs.metric, cs.input_matrix(selected),
+    total = _check_additivity(cs.solver, cs.metric, cs.input_matrix(selected),
                               [w for _, w in order[:k]])
 
     ties = ()
@@ -218,8 +223,7 @@ GRAMIAN_FUNCTIONALS = {
 }
 
 
-def brute_force_best(cs, k, functional="metric", cap=1_000_000,
-                     margin=DEFAULT_STABILITY_MARGIN):
+def brute_force_best(cs, k, functional="metric", cap=1_000_000):
     """Exhaustive search over all C(M, k) subsets.
 
     ``functional`` scores each combined Gramian: ``"metric"``, the default,
@@ -242,10 +246,9 @@ def brute_force_best(cs, k, functional="metric", cap=1_000_000,
     if score is None:
         raise DomainError(f"unknown functional {functional!r}; expected one of {sorted(named)}")
 
-    solver = LyapunovSolver(cs.a, margin=margin)
     best_ids, best_val = None, -math.inf
     for combo in itertools.combinations(sorted(cs.ids), k):
-        val = score(solver.gramian(cs.input_matrix(combo)))
+        val = score(cs.solver.gramian(cs.input_matrix(combo)))
         # strict > keeps the first (lexicographically smallest) maximizer
         if val > best_val:
             best_ids, best_val = combo, val
@@ -266,7 +269,7 @@ class ModularityReport:
         return self.max_violation <= self.tolerance
 
 
-def verify_modularity(cs, trials=100, seed=0, margin=DEFAULT_STABILITY_MARGIN):
+def verify_modularity(cs, trials=100, seed=0):
     """Check the modular identity on random subset pairs.
 
     Each trial draws two subsets A, B by including every candidate
@@ -277,12 +280,11 @@ def verify_modularity(cs, trials=100, seed=0, margin=DEFAULT_STABILITY_MARGIN):
     The check passes when no violation exceeds _MODULARITY_RTOL.
     """
     trials = as_number(trials, "trials", 1, integer=True)
-    solver = LyapunovSolver(cs.a, margin=margin)
     rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     ids = np.array(cs.ids, dtype=object)
 
     def score(mask):
-        g = solver.gramian(cs.input_matrix(ids[mask]))
+        g = cs.solver.gramian(cs.input_matrix(ids[mask]))
         return evaluate_metric(cs.metric, g), _magnitude(cs.metric, g)
 
     worst, worst_pair = 0.0, ((), ())
@@ -302,7 +304,7 @@ def verify_modularity(cs, trials=100, seed=0, margin=DEFAULT_STABILITY_MARGIN):
     )
 
 
-def controllability_centrality(a, margin=DEFAULT_STABILITY_MARGIN):
+def controllability_centrality(a):
     """Average-energy controllability centrality of every state node.
 
     Node i scores trace(W_i) where W_i solves A W + W A^T + e_i e_i^T = 0:
@@ -314,7 +316,7 @@ def controllability_centrality(a, margin=DEFAULT_STABILITY_MARGIN):
     trace(W) for the input diag(sqrt(i + 1)).  The weights are distinct
     because the plain sum equals trace(W) even for a forward-solved P.
     """
-    solver = LyapunovSolver(a, margin=margin)
+    solver = LyapunovSolver(a)
     scores = np.diag(solver.solve(np.eye(solver.n), adjoint=True)).copy()
     d = np.arange(1.0, solver.n + 1.0)
     _check_additivity(solver, MetricSpec.trace(), np.diag(np.sqrt(d)), (d * scores).tolist())

@@ -281,14 +281,24 @@ class TestSynthesize:
         assert code == 2
         assert "zz" in err
 
-    def test_margin_is_not_an_option(self, tmp_path, capsys):
-        # synthesis factors no A, so there is no stability margin to set
-        path = make_problem(tmp_path, capsys)
+    # each subcommand with its required arguments; argparse rejects the flag before any work
+    REQUIRED_ARGS = {
+        "gen": ["--ring", "4", "--out", "p.json"], "rank": ["p.json"],
+        "select": ["p.json", "--k", "2"], "centrality": ["p.json"], "verify": ["p.json"],
+        "bruteforce": ["p.json", "--k", "2"],
+        "synthesize": ["p.json", "--ids", "b0", "--horizon", "1.0", "--target", "0.1,0,0,0"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--margin 1") for command in REQUIRED_ARGS),
+        ("verify", "--csv"), ("bruteforce", "--csv"),
+    ], ids=lambda value: value.split()[0].lstrip("-"))
+    def test_margin_is_not_an_option(self, capsys, command, flag):
+        # the Hurwitz rule has no knob, and --csv belongs to the commands with one table
         with pytest.raises(SystemExit) as exc:
-            cli.main(["synthesize", path, "--ids", "b0", "--horizon", "1.0",
-                      "--target", "0.1,0,0,0", "--margin", "1"])
+            cli.main([command, *self.REQUIRED_ARGS[command], *flag.split()])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --margin 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_csv_time_series(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
@@ -310,12 +320,14 @@ class TestExitCodes:
 
     def test_numerical_failure_is_3(self, tmp_path, capsys):
         path = tmp_path / "unstable.json"
-        path.write_text(json.dumps({
-            "n": 1, "A": [[0.1]], "candidates": [{"id": "x", "b": [1.0]}],
-        }))
-        code, _, err = run(capsys, ["rank", str(path)])
-        assert code == 3
-        assert "Hurwitz" in err
+        for a in ([[0.1]], [[0.5, 0.0], [0.0, -1.0]]):
+            path.write_text(json.dumps({
+                "n": len(a), "A": a, "candidates": [{"id": "x", "b": [1.0] * len(a)}],
+            }))
+            code, out, err = run(capsys, ["rank", str(path)])
+            assert code == 3
+            assert out == ""
+            assert "Hurwitz" in err
 
     def test_wrong_adjoint_is_3(self, tmp_path, capsys, skewed_adjoint):
         path = make_problem(tmp_path, capsys)
@@ -579,17 +591,6 @@ class TestMalformedInput:
         assert code == 2
         assert field in err
 
-    @pytest.mark.parametrize("margin", ["-1", "-inf"])
-    def test_margin_must_be_finite_and_nonnegative(self, tmp_path, capsys, margin):
-        # A = diag(0.5, -1) is unstable; a negative margin must not let it through
-        path = tmp_path / "u.json"
-        path.write_text(json.dumps({"n": 2, "A": [[0.5, 0.0], [0.0, -1.0]],
-                                    "candidates": [{"id": "u", "b": [1.0, 0.0]}]}))
-        code, out, err = run(capsys, ["rank", str(path), f"--margin={margin}"])
-        assert code == 2
-        assert out == ""
-        assert "stability margin" in err
-
     def test_non_numeric_target(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
         for target in ("0.1,x,0,0", "x"):
@@ -635,9 +636,9 @@ class TestWarnings:
         path = make_problem(tmp_path, capsys)
         expected = run(capsys, ["centrality", path])[1]
 
-        def warning_centrality(a, margin):
+        def warning_centrality(a):
             warnings.warn("trsyl perturbed nearly-common eigenvalues", RuntimeWarning)
-            return controllability_centrality(a, margin=margin)
+            return controllability_centrality(a)
 
         monkeypatch.setattr(cli, "controllability_centrality", warning_centrality)
         code, out, err = run(capsys, ["centrality", path])

@@ -261,7 +261,7 @@ class TestRandomSystem:
     def test_hurwitz_with_margin(self):
         for seed in range(10):
             a = random_hurwitz_system(8, 2, seed=seed)[0]
-            assert is_hurwitz(a, margin=0.05)
+            assert is_hurwitz(a)
             assert spectral_abscissa(a) == pytest.approx(-0.1, abs=1e-9)
 
     def test_columns_unit_norm(self):

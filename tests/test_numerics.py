@@ -85,20 +85,14 @@ class TestEigenvalues:
 
 class TestHurwitz:
     def test_stable_diagonal(self):
-        assert is_hurwitz(np.diag([-1.0, -2.0]), margin=0.0)
+        assert is_hurwitz(np.diag([-1.0, -2.0]))
 
     def test_marginal_zero_is_not_stable(self):
-        assert not is_hurwitz([[0.0]], margin=0.0)
+        assert not is_hurwitz([[0.0]])
 
     def test_default_margin_rejects_barely_stable(self):
-        # -1e-12 is inside the default 1e-9 margin
+        # -1e-12 is inside STABILITY_MARGIN = 1e-9
         assert not is_hurwitz([[-1e-12]])
-        assert is_hurwitz([[-1e-12]], margin=0.0)
-
-    def test_negative_margin_rejected(self):
-        for margin in (-0.1, -np.inf, np.inf, np.nan):
-            with pytest.raises(DomainError, match="stability margin"):
-                is_hurwitz([[-1.0]], margin=margin)
 
     def test_abscissa(self):
         assert spectral_abscissa(np.diag([-3.0, -0.25])) == pytest.approx(-0.25)

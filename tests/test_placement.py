@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gramsel import placement
+from gramsel import gramian, placement
 from gramsel.exceptions import (
     DimensionError,
     DomainError,
@@ -74,6 +74,28 @@ class TestCandidateSet:
         assert np.shares_memory(cs.B, b)
         assert not cs.B.flags.writeable
         assert b.flags.writeable
+
+    def test_stores_a_read_only_view_of_a(self):
+        # the set caches a Schur factorization of a, so a must not change under it
+        a, ids, b = random_hurwitz_system(4, 3, seed=1)
+        cs = CandidateSet(a, ids, b)
+        assert np.shares_memory(cs.a, a)
+        with pytest.raises(ValueError):
+            cs.a[0, 0] = 0.0
+        assert a.flags.writeable
+
+    def test_one_schur_factorization_per_set(self, monkeypatch):
+        calls = []
+        schur = gramian.real_schur
+        monkeypatch.setattr(gramian, "real_schur", lambda m: calls.append(m) or schur(m))
+        cs = _candidate_set(2, n=5, m=4)
+        candidate_weights(cs)
+        other = cs.with_metric(MetricSpec.weighted(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])))
+        select_top_k(other, 2)
+        verify_modularity(other, trials=3)
+        brute_force_best(other, 2)
+        assert len(calls) == 1
+        assert other.solver is cs.solver
 
     def test_input_matrix_stacks_columns(self):
         cs = _candidate_set(1, n=4, m=3)
