@@ -36,7 +36,7 @@ from .models import (
     write_json,
     write_problem,
 )
-from .numerics import as_matrix, as_vector
+from .numerics import as_vector
 from .placement import (
     GRAMIAN_FUNCTIONALS,
     brute_force_best,
@@ -117,7 +117,6 @@ def _load(args, ranking=True):
 
 def _resolve_metric(args, problem):
     """CLI metric flags override whatever the problem file declared."""
-    cs = problem.candidate_set
     metric_flag = getattr(args, "metric", None)
     weight_file = getattr(args, "weight_file", None)
     if getattr(args, "weight", None) == "frequencies":
@@ -128,7 +127,7 @@ def _resolve_metric(args, problem):
             raise DomainError("--weight frequencies requires a grid-based problem")
         return MetricSpec.h2(frequency_selector(problem.grid))
     if metric_flag is None and weight_file is None:
-        return cs.metric
+        return problem.metric
     kind = metric_flag or "weighted"
     if kind == "trace":
         if weight_file:
@@ -136,10 +135,8 @@ def _resolve_metric(args, problem):
         return MetricSpec.trace()
     if weight_file is None:
         raise DomainError(f"--metric {kind} requires --weight-file")
-    matrix = as_matrix(read_json(weight_file, "weight file"), "weight matrix")
-    if kind == "weighted":
-        return MetricSpec.weighted(matrix)
-    return MetricSpec.h2(matrix)
+    spec = MetricSpec.weighted if kind == "weighted" else MetricSpec.h2
+    return spec(read_json(weight_file, "weight file"))
 
 
 def _ranked_rows(metric, pairs):
@@ -179,9 +176,9 @@ def cmd_gen(args):
 def cmd_rank(args):
     problem = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set.with_metric(metric)
+    cs = problem.candidate_set
     with _phase(f"rank {cs.size} candidates"):
-        weights = candidate_weights(cs)
+        weights = candidate_weights(cs, metric)
     rows = _ranked_rows(metric, ranked(weights))
     results = {
         "metric": metric.describe(),
@@ -197,9 +194,9 @@ def cmd_rank(args):
 def cmd_select(args):
     problem = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set.with_metric(metric)
+    cs = problem.candidate_set
     with _phase(f"select {args.k} of {cs.size}"):
-        result = select_top_k(cs, args.k)
+        result = select_top_k(cs, args.k, metric)
     rows = _ranked_rows(metric, result.ranked)
     chosen = set(result.selected)
     for row in rows:
@@ -238,9 +235,9 @@ def cmd_centrality(args):
 def cmd_verify(args):
     problem = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set.with_metric(metric)
+    cs = problem.candidate_set
     with _phase(f"verify {args.trials} trials"):
-        report = verify_modularity(cs, trials=args.trials, seed=args.seed)
+        report = verify_modularity(cs, metric, trials=args.trials, seed=args.seed)
     results = {
         "metric": metric.describe(),
         "trials": report.trials,
@@ -263,9 +260,9 @@ def cmd_verify(args):
 def cmd_bruteforce(args):
     problem = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set.with_metric(metric)
+    cs = problem.candidate_set
     with _phase(f"bruteforce k={args.k} over {cs.size}"):
-        ids, value = brute_force_best(cs, args.k, functional=args.functional, cap=args.cap)
+        ids, value = brute_force_best(cs, args.k, metric, args.functional, args.cap)
     results = {
         "metric": metric.describe(),
         "functional": args.functional,

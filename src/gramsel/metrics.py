@@ -72,7 +72,7 @@ class MetricSpec:
             if self.weight is None:
                 raise DomainError(f"{self.kind} metric requires a weight matrix")
             check = as_square if self.kind == "weighted_trace" else as_matrix
-            object.__setattr__(self, "weight", check(self.weight, f"{self.kind} weight"))
+            object.__setattr__(self, "weight", check(self.weight, f"{self.kind} weight matrix"))
 
     @classmethod
     def trace(cls):

@@ -264,11 +264,13 @@ class Problem:
 
     ``grid`` is the :class:`GridModel` when the file described a grid (so
     grid-aware weightings such as the frequency selector remain
-    constructible); explicit-matrix problems leave it None.
+    constructible); explicit-matrix problems leave it None.  ``metric`` is
+    the weight the file declares (trace when it declares none).
     """
 
     candidate_set: CandidateSet
     grid: GridModel | None = None
+    metric: MetricSpec = MetricSpec()
 
 
 def _parse_metric(doc):
@@ -282,7 +284,7 @@ def _parse_metric(doc):
     if kind in ("weighted_trace", "h2"):
         if "matrix" not in doc:
             raise ProblemFormatError(f'weight kind "{kind}" requires a "matrix" field')
-        return MetricSpec(kind, as_matrix(doc["matrix"], "weight matrix"))
+        return MetricSpec(kind, doc["matrix"])
     raise ProblemFormatError(
         f'unknown weight kind {kind!r}; expected "trace", "weighted_trace" or "h2"'
     )
@@ -352,8 +354,8 @@ def load_problem(path):
         if not isinstance(doc["grid"], dict):
             raise ProblemFormatError('"grid" must be a JSON object')
         grid = _parse_grid_block(doc["grid"])
-        cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid), metric)
-        return Problem(candidate_set=cs, grid=grid)
+        cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid))
+        return Problem(candidate_set=cs, grid=grid, metric=metric)
 
     for key in ("n", "A", "candidates"):
         if key not in doc:
@@ -376,7 +378,7 @@ def load_problem(path):
         for cid, e in zip(ids, entries):
             as_vector(e["b"], n, f"candidate {cid!r} column")
         raise
-    return Problem(candidate_set=CandidateSet(a, ids, np.ascontiguousarray(b.T), metric))
+    return Problem(candidate_set=CandidateSet(a, ids, np.ascontiguousarray(b.T)), metric=metric)
 
 
 def system_problem_dict(a, ids, b, metric=None):

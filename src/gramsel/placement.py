@@ -15,7 +15,6 @@ non-modular functionals (smallest eigenvalue, log-determinant), and
 pairs.
 """
 
-import copy
 import functools
 import itertools
 import math
@@ -58,10 +57,9 @@ class CandidateSet:
     set shares its memory and the caller must not change ``a`` or ``b``.
     """
 
-    def __init__(self, a, ids, b, metric=MetricSpec()):
+    def __init__(self, a, ids, b):
         self.a = as_square(a, "a").view()
         self.a.flags.writeable = False
-        self.metric = metric
         self.ids = tuple(map(str, ids))
         if not self.ids:
             raise DomainError("candidate set is empty")
@@ -83,7 +81,7 @@ class CandidateSet:
 
     @functools.cached_property
     def solver(self):
-        """``LyapunovSolver(a)``, built on first use; later with_metric copies share it."""
+        """``LyapunovSolver(a)``, built on first use and shared by every metric scored."""
         return LyapunovSolver(self.a)
 
     @property
@@ -102,15 +100,13 @@ class CandidateSet:
         return self.B[:, j]
 
     def input_matrix(self, ids):
-        """Stack the columns of the given ids into an (n, |ids|) matrix."""
+        """Stack the columns of the given distinct ids into an (n, |ids|) matrix."""
+        seen = set()
+        repeated = [c for c in ids if c in seen or seen.add(c)]
+        if repeated:
+            raise DomainError(f"candidate id {repeated[0]!r} is named more than once")
         cols = [self.column(c) for c in ids]
         return np.array(cols).T if cols else np.zeros((self.n, 0))
-
-    def with_metric(self, metric):
-        """The same candidates under another metric, sharing the stored columns."""
-        other = copy.copy(self)
-        other.metric = metric
-        return other
 
 
 @dataclass(frozen=True)
@@ -133,20 +129,20 @@ class PlacementResult:
         return len(self.selected)
 
 
-def candidate_weights(cs):
+def candidate_weights(cs, metric=MetricSpec()):
     """Per-candidate weights w(s) = metric(W_s), W_s from a single column.
 
     Returns an ordered mapping id -> weight in candidate order.  Every
     metric is trace(C_bar W), so w(s) = b_s^T P b_s with P from one adjoint
     Lyapunov solve; each weight depends on its own column only.
     """
-    return _weights_with_solver(cs.solver, cs)
+    return _weights_with_solver(cs, metric)
 
 
-def _weights_with_solver(solver, cs):
-    p = solver.solve(cs.metric.state_weighting(cs.n), adjoint=True)
+def _weights_with_solver(cs, metric):
+    p = cs.solver.solve(metric.state_weighting(cs.n), adjoint=True)
     scores = np.einsum("ij,ij->j", cs.B, p @ cs.B).tolist()
-    _check_additivity(solver, cs.metric, cs.B, scores)
+    _check_additivity(cs.solver, metric, cs.B, scores)
     return dict(zip(cs.ids, scores))
 
 
@@ -183,7 +179,7 @@ def ranked(weights):
     return tuple(sorted(weights.items(), key=lambda item: (-item[1], item[0])))
 
 
-def select_top_k(cs, k):
+def select_top_k(cs, k, metric=MetricSpec()):
     """Exact best k-subset under a modular metric, by sorting weights.
 
     Candidates are ordered by descending weight with ties broken by
@@ -192,9 +188,9 @@ def select_top_k(cs, k):
     against the metric of the combined-input Gramian before returning.
     """
     k = _subset_size(cs, k)
-    order = ranked(_weights_with_solver(cs.solver, cs))
+    order = ranked(_weights_with_solver(cs, metric))
     selected = tuple(c for c, _ in order[:k])
-    total = _check_additivity(cs.solver, cs.metric, cs.input_matrix(selected),
+    total = _check_additivity(cs.solver, metric, cs.input_matrix(selected),
                               [w for _, w in order[:k]])
 
     ties = ()
@@ -223,13 +219,13 @@ GRAMIAN_FUNCTIONALS = {
 }
 
 
-def brute_force_best(cs, k, functional="metric", cap=1_000_000):
+def brute_force_best(cs, k, metric=MetricSpec(), functional="metric", cap=1_000_000):
     """Exhaustive search over all C(M, k) subsets.
 
     ``functional`` scores each combined Gramian: ``"metric"``, the default,
-    is the candidate set's own (modular) metric, which makes this an
-    independent oracle for :func:`select_top_k`; any other name is a
-    non-modular functional from :data:`GRAMIAN_FUNCTIONALS`.
+    is the modular ``metric``, which makes this an independent oracle for
+    :func:`select_top_k`; any other name is a non-modular functional from
+    :data:`GRAMIAN_FUNCTIONALS`.
 
     Refuses to run when C(M, k) exceeds ``cap`` (EnumerationCapError),
     reporting the exact subset count.  Ties are resolved in favour of the
@@ -241,7 +237,7 @@ def brute_force_best(cs, k, functional="metric", cap=1_000_000):
     count = math.comb(cs.size, k)
     if count > cap:
         raise EnumerationCapError(cs.size, k, count, cap)
-    named = {"metric": lambda w: evaluate_metric(cs.metric, w), **GRAMIAN_FUNCTIONALS}
+    named = {"metric": lambda w: evaluate_metric(metric, w), **GRAMIAN_FUNCTIONALS}
     score = named.get(functional) if isinstance(functional, str) else None
     if score is None:
         raise DomainError(f"unknown functional {functional!r}; expected one of {sorted(named)}")
@@ -269,7 +265,7 @@ class ModularityReport:
         return self.max_violation <= self.tolerance
 
 
-def verify_modularity(cs, trials=100, seed=0):
+def verify_modularity(cs, metric=MetricSpec(), trials=100, seed=0):
     """Check the modular identity on random subset pairs.
 
     Each trial draws two subsets A, B by including every candidate
@@ -285,7 +281,7 @@ def verify_modularity(cs, trials=100, seed=0):
 
     def score(mask):
         g = cs.solver.gramian(cs.input_matrix(ids[mask]))
-        return evaluate_metric(cs.metric, g), _magnitude(cs.metric, g)
+        return evaluate_metric(metric, g), _magnitude(metric, g)
 
     worst, worst_pair = 0.0, ((), ())
     for _ in range(trials):

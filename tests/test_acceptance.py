@@ -77,8 +77,8 @@ def test_01_modularity_identity_three_metrics():
             MetricSpec.h2(c),
         )
         for j, metric in enumerate(metrics):
-            cs = CandidateSet(a, ids, b, metric)
-            report = verify_modularity(cs, trials=100, seed=3 * i + j)
+            cs = CandidateSet(a, ids, b)
+            report = verify_modularity(cs, metric, trials=100, seed=3 * i + j)
             assert report.passed, (
                 f"system {i}, metric {metric.kind}: "
                 f"max violation {report.max_violation:.3e}"
@@ -103,9 +103,9 @@ def test_02_select_matches_brute_force():
             metric = MetricSpec.h2(rng.normal(size=(2, n)))
         else:
             metric = MetricSpec.trace()
-        cs = CandidateSet(a, ids, b, metric)
-        result = select_top_k(cs, k)
-        brute_ids, brute_val = brute_force_best(cs, k)
+        cs = CandidateSet(a, ids, b)
+        result = select_top_k(cs, k, metric)
+        brute_ids, brute_val = brute_force_best(cs, k, metric)
         assert tuple(sorted(result.selected)) == brute_ids, (
             f"instance {i}: sort gave {sorted(result.selected)}, "
             f"brute force gave {brute_ids}"
@@ -203,7 +203,7 @@ def test_07_case_study_scale_and_refusal():
     assert count == math.comb(2701, 10)
     assert abs(count - 5.6e27) <= 0.02 * 5.6e27
 
-    cs = CandidateSet(a, ids, b, MetricSpec.trace())
+    cs = CandidateSet(a, ids, b)
     with pytest.raises(EnumerationCapError) as err:
         brute_force_best(cs, 10)
     assert err.value.count == count

@@ -281,6 +281,16 @@ class TestSynthesize:
         assert code == 2
         assert "zz" in err
 
+    def test_repeated_id_is_2(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys)
+        code, out, err = run(capsys, [
+            "synthesize", path, "--ids", "b0,b0", "--horizon", "1",
+            "--target", "0.1,0,0,0", "--csv",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "'b0' is named more than once" in err
+
     # each subcommand with its required arguments; argparse rejects the flag before any work
     REQUIRED_ARGS = {
         "gen": ["--ring", "4", "--out", "p.json"], "rank": ["p.json"],

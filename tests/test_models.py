@@ -331,7 +331,7 @@ class TestProblemIO:
             assert np.array_equal(cs.column(cid), col)
         # stored C-ordered, bit for bit
         assert cs.B.flags.c_contiguous and cs.B.tobytes() == b.tobytes()
-        assert cs.metric.kind == "trace"
+        assert problem.metric.kind == "trace"
 
     def test_roundtrip_bytes_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -346,7 +346,7 @@ class TestProblemIO:
                                   metric=MetricSpec.weighted(cbar))
         path = tmp_path / "w.json"
         write_problem(path, doc)
-        metric = load_problem(path).candidate_set.metric
+        metric = load_problem(path).metric
         assert metric.kind == "weighted_trace"
         assert np.array_equal(metric.weight, cbar)
 

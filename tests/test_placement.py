@@ -30,25 +30,25 @@ from gramsel.models import random_hurwitz_system
 # Plain exhaustive enumeration, no shared solver, no sorting tricks:
 # score every subset through the public controllability_gramian.
 
-def exhaustive_best(cs, k):
+def exhaustive_best(cs, k, metric=MetricSpec()):
     best_ids, best_val = None, -math.inf
     for combo in itertools.combinations(sorted(cs.ids), k):
         b = cs.input_matrix(combo)
-        val = evaluate_metric(cs.metric, controllability_gramian(cs.a, b))
+        val = evaluate_metric(metric, controllability_gramian(cs.a, b))
         if val > best_val:
             best_ids, best_val = combo, val
     return best_ids, best_val
 
 
 def _scaled(cs, scale):
-    return CandidateSet(cs.a, cs.ids, scale * cs.B, cs.metric)
+    return CandidateSet(cs.a, cs.ids, scale * cs.B)
 
 
-def _candidate_set(seed, n=None, m=None, metric=None):
+def _candidate_set(seed, n=None, m=None):
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(3, 9))
     m = m or int(rng.integers(2, 7))
-    return CandidateSet(*random_hurwitz_system(n, m, seed=seed), metric or MetricSpec.trace())
+    return CandidateSet(*random_hurwitz_system(n, m, seed=seed))
 
 
 class TestCandidateSet:
@@ -85,17 +85,19 @@ class TestCandidateSet:
         assert a.flags.writeable
 
     def test_one_schur_factorization_per_set(self, monkeypatch):
+        # the metric is an argument, so a sweep over metrics reuses the set's one factor
         calls = []
         schur = gramian.real_schur
         monkeypatch.setattr(gramian, "real_schur", lambda m: calls.append(m) or schur(m))
         cs = _candidate_set(2, n=5, m=4)
-        candidate_weights(cs)
-        other = cs.with_metric(MetricSpec.weighted(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])))
-        select_top_k(other, 2)
-        verify_modularity(other, trials=3)
-        brute_force_best(other, 2)
+        metrics = (MetricSpec.trace(), MetricSpec.weighted(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])),
+                   MetricSpec.h2(np.ones((2, 5))))
+        for metric in metrics:
+            candidate_weights(cs, metric)
+            select_top_k(cs, 2, metric)
+            verify_modularity(cs, metric, trials=3)
+            brute_force_best(cs, 2, metric)
         assert len(calls) == 1
-        assert other.solver is cs.solver
 
     def test_input_matrix_stacks_columns(self):
         cs = _candidate_set(1, n=4, m=3)
@@ -107,6 +109,11 @@ class TestCandidateSet:
         cs = _candidate_set(1, n=4, m=3)
         with pytest.raises(DomainError):
             cs.column("nope")
+
+    def test_input_matrix_rejects_repeated_ids(self):
+        cs = _candidate_set(1, n=4, m=3)
+        with pytest.raises(DomainError, match=f"id {cs.ids[1]!r} is named more than once"):
+            cs.input_matrix([cs.ids[1], cs.ids[0], cs.ids[1]])
 
 
 class TestCandidateWeights:
@@ -126,8 +133,8 @@ class TestCandidateWeights:
         r = rng.normal(size=(n, n))
         c = rng.normal(size=(int(rng.integers(1, 4)), n))
         for metric in (MetricSpec.trace(), MetricSpec.weighted(r @ r.T), MetricSpec.h2(c)):
-            cs = _candidate_set(seed, n=n, m=int(rng.integers(1, 7)), metric=metric)
-            w = candidate_weights(cs)
+            cs = _candidate_set(seed, n=n, m=int(rng.integers(1, 7)))
+            w = candidate_weights(cs, metric)
             for cid, col in cs.candidates:
                 direct = evaluate_metric(metric, controllability_gramian(cs.a, col))
                 assert w[cid] == pytest.approx(direct, rel=1e-12)
@@ -146,12 +153,12 @@ class TestCandidateWeights:
         # score is zero up to rounding noise, on both sides of each check
         q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
         a = q @ np.diag([-1.0, -2.0, -3.0]) @ q.T
-        cs = CandidateSet(a, ["u", "v", "w"], q[:, :1] * [1.0, 2.0, -1.0],
-                          MetricSpec.h2(q[:, 1:2].T))
-        weights = candidate_weights(cs)
+        cs = CandidateSet(a, ["u", "v", "w"], q[:, :1] * [1.0, 2.0, -1.0])
+        h2 = MetricSpec.h2(q[:, 1:2].T)
+        weights = candidate_weights(cs, h2)
         assert max(map(abs, weights.values())) < 1e-15
-        assert select_top_k(cs, 2).k == 2
-        assert verify_modularity(cs, trials=20).passed
+        assert select_top_k(cs, 2, h2).k == 2
+        assert verify_modularity(cs, h2, trials=20).passed
 
     def test_unstable_dynamics_rejected(self):
         cs = CandidateSet(np.diag([0.1, -1.0]), ["x"], [[1.0], [0.0]])
@@ -168,7 +175,7 @@ class TestCandidateWeights:
 
     def test_order_invariance_bitwise(self):
         cs = _candidate_set(9, n=5, m=6)
-        reversed_cs = CandidateSet(cs.a, cs.ids[::-1], cs.B[:, ::-1], cs.metric)
+        reversed_cs = CandidateSet(cs.a, cs.ids[::-1], cs.B[:, ::-1])
         w_fwd = candidate_weights(cs)
         w_rev = candidate_weights(reversed_cs)
         assert {c: w_fwd[c] for c in sorted(w_fwd)} == {
@@ -234,9 +241,9 @@ class TestSelectTopK:
         cbar = cbar @ cbar.T
         c = rng.normal(size=(2, 5))
         for metric in (MetricSpec.weighted(cbar), MetricSpec.h2(c)):
-            cs = _candidate_set(13, n=5, m=6, metric=metric)
-            res = select_top_k(cs, 2)
-            oracle_ids, oracle_val = exhaustive_best(cs, 2)
+            cs = _candidate_set(13, n=5, m=6)
+            res = select_top_k(cs, 2, metric)
+            oracle_ids, oracle_val = exhaustive_best(cs, 2, metric)
             assert tuple(sorted(res.selected)) == oracle_ids
             assert res.total_score == pytest.approx(oracle_val, rel=1e-9)
 
@@ -302,8 +309,8 @@ class TestVerifyModularity:
         cbar = rng.normal(size=(5, 5))
         c = rng.normal(size=(3, 5))
         for metric in (MetricSpec.weighted(cbar @ cbar.T), MetricSpec.h2(c)):
-            cs = _candidate_set(11, n=5, m=6, metric=metric)
-            assert verify_modularity(cs, trials=60, seed=1).passed
+            cs = _candidate_set(11, n=5, m=6)
+            assert verify_modularity(cs, metric, trials=60, seed=1).passed
 
     @pytest.mark.parametrize("scale", [1.0, 1e-5])
     def test_non_additive_metric_fails(self, monkeypatch, scale):
@@ -335,7 +342,7 @@ class TestVerifyModularity:
             if not ids:
                 return 0.0
             b = cs.input_matrix(ids)
-            return evaluate_metric(cs.metric, controllability_gramian(cs.a, b))
+            return evaluate_metric(MetricSpec.trace(), controllability_gramian(cs.a, b))
 
         ids = list(cs.ids)
         half = len(ids) // 2
