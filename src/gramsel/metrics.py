@@ -52,7 +52,8 @@ class MetricSpec:
 
     kind
         ``"trace"``          -> trace(W)
-        ``"weighted_trace"`` -> trace(weight @ W), weight symmetric PSD (n, n)
+        ``"weighted_trace"`` -> trace(weight @ W), any finite (n, n) weight; its
+        symmetric part is used, and an indefinite one gives scores of either sign.
         ``"h2"``             -> trace(weight @ W @ weight.T), the *squared*
         H2 norm of the transfer function with output matrix ``weight``.
     """

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, GramselError, ProblemFormatError, TopologyError
-from .metrics import MetricSpec
+from .metrics import METRIC_KINDS, MetricSpec
 from .numerics import as_array, as_matrix, as_number, as_vector, spectral_abscissa
 from .placement import CandidateSet
 
@@ -279,26 +279,23 @@ def _parse_metric(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ProblemFormatError('weight block must be an object with a "kind" field')
     kind = doc["kind"]
-    if kind == "trace":
-        return MetricSpec.trace()
-    if kind in ("weighted_trace", "h2"):
-        if "matrix" not in doc:
-            raise ProblemFormatError(f'weight kind "{kind}" requires a "matrix" field')
-        return MetricSpec(kind, doc["matrix"])
-    raise ProblemFormatError(
-        f'unknown weight kind {kind!r}; expected "trace", "weighted_trace" or "h2"'
-    )
+    if kind not in METRIC_KINDS:
+        raise ProblemFormatError(f"unknown weight kind {kind!r}; expected one of {METRIC_KINDS}")
+    _reject_unknown(doc, {"kind"} if kind == "trace" else {"kind", "matrix"}, "weight")
+    return MetricSpec(kind, doc.get("matrix"))  # MetricSpec validates the matrix
+
+
+def _reject_unknown(doc, keys, what):
+    if unknown := set(doc) - keys:
+        raise ProblemFormatError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def _parse_grid_block(doc):
     if "topology" in doc:
         if doc["topology"] != "ring":
             raise ProblemFormatError(f'unknown topology {doc["topology"]!r}')
-        keys = {"topology", "buses", "chords", "seed", "inertia", "damping",
-                "susceptance", "grounding"}
-        unknown = set(doc) - keys
-        if unknown:
-            raise ProblemFormatError(f"unknown grid fields: {sorted(unknown)}")
+        _reject_unknown(doc, {"topology", "buses", "chords", "seed", "inertia", "damping",
+                              "susceptance", "grounding"}, "grid")
         if "buses" not in doc:
             raise ProblemFormatError('ring grid requires a "buses" count')
         return ring_grid(doc["buses"],
@@ -347,6 +344,8 @@ def load_problem(path):
     doc = read_json(path, "problem file")
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must contain a JSON object")
+    keys = {"grid", "weight"} if "grid" in doc else {"n", "A", "candidates", "weight"}
+    _reject_unknown(doc, keys, "problem")
 
     metric = _parse_metric(doc.get("weight"))
 

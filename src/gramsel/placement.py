@@ -140,9 +140,9 @@ def candidate_weights(cs, metric=MetricSpec()):
 
 
 def _weights_with_solver(cs, metric):
-    p = cs.solver.solve(metric.state_weighting(cs.n), adjoint=True)
-    scores = np.einsum("ij,ij->j", cs.B, p @ cs.B).tolist()
-    _check_additivity(cs.solver, metric, cs.B, scores)
+    pb = cs.solver.solve(metric.state_weighting(cs.n), adjoint=True) @ cs.B
+    scores = np.einsum("ij,ij->j", cs.B, pb).tolist()
+    _check_additivity(cs, metric, cs.B, scores, out=pb)
     return dict(zip(cs.ids, scores))
 
 
@@ -152,22 +152,27 @@ def _magnitude(metric, g):
     return float(np.vdot(np.abs(metric.state_weighting(g.shape[0])), np.abs(g)))
 
 
-def _check_additivity(solver, metric, b, weights):
-    """Check adjoint weights against one forward solve; return their sum.
+def _check_additivity(cs, metric, b, weights, out=None):
+    """Check ``b``'s column weights by one forward solve; return fsum(weights).
 
-    fsum(weights) must match the metric of the forward Gramian of ``b`` to
-    _ADDITIVITY_RTOL relative to max(fsum(|weights|), that score's magnitude).
+    fsum(d_j w_j), d_j = j + 1, must match the metric of the forward Gramian of
+    b diag(sqrt(d)) (built in ``out`` if given) to _ADDITIVITY_RTOL relative to
+    max(fsum(d_j |w_j|), that score's magnitude).  Unlike a plain sum, this catches
+    weights paired with the wrong columns, and a transposed solve when b = C_bar = I.
     """
-    total = math.fsum(weights)
-    g = solver.gramian(b)
+    d = np.arange(1.0, len(weights) + 1.0)
+    bs = np.multiply(b, np.sqrt(d), out=out)
+    g = cs.solver.solve(bs @ bs.T)
     combined = evaluate_metric(metric, g)
-    scale = max(math.fsum(map(abs, weights)), _magnitude(metric, g))
-    if abs(combined - total) > _ADDITIVITY_RTOL * scale:
+    dw = d * weights
+    expected = math.fsum(dw)
+    scale = max(math.fsum(np.abs(dw)), _magnitude(metric, g))
+    if abs(combined - expected) > _ADDITIVITY_RTOL * scale:
         raise NumericalError(
-            f"additivity cross-check failed: sum of weights {total!r} vs "
+            f"additivity cross-check failed: weighted sum of weights {expected!r} vs "
             f"combined-gramian score {combined!r}"
         )
-    return total
+    return math.fsum(weights)
 
 
 def _subset_size(cs, k):
@@ -190,8 +195,7 @@ def select_top_k(cs, k, metric=MetricSpec()):
     k = _subset_size(cs, k)
     order = ranked(_weights_with_solver(cs, metric))
     selected = tuple(c for c, _ in order[:k])
-    total = _check_additivity(cs.solver, metric, cs.input_matrix(selected),
-                              [w for _, w in order[:k]])
+    total = _check_additivity(cs, metric, cs.input_matrix(selected), [w for _, w in order[:k]])
 
     ties = ()
     boundary = order[k - 1][1]
@@ -305,15 +309,10 @@ def controllability_centrality(a):
 
     Node i scores trace(W_i) where W_i solves A W + W A^T + e_i e_i^T = 0:
     the total state variance excited by white noise injected at node i
-    alone.  trace(W_i) = P_ii for A^T P + P A + I = 0, so one adjoint solve
-    scores every node.  Returns an array of length n indexed by node.
-
-    One forward solve checks the scores: sum_i (i + 1) P_ii must equal
-    trace(W) for the input diag(sqrt(i + 1)).  The weights are distinct
-    because the plain sum equals trace(W) even for a forward-solved P.
+    alone.  The unit inputs e_i are a candidate set like any other: the
+    scores are their :func:`candidate_weights` under the trace metric, P_ii
+    from one adjoint solve, returned as an array indexed by node.
     """
-    solver = LyapunovSolver(a)
-    scores = np.diag(solver.solve(np.eye(solver.n), adjoint=True)).copy()
-    d = np.arange(1.0, solver.n + 1.0)
-    _check_additivity(solver, MetricSpec.trace(), np.diag(np.sqrt(d)), (d * scores).tolist())
-    return scores
+    n = as_square(a, "a").shape[0]
+    weights = candidate_weights(CandidateSet(a, range(n), np.eye(n)))
+    return np.fromiter(weights.values(), float, n)

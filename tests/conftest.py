@@ -24,3 +24,11 @@ def forward_for_adjoint(monkeypatch):
             return super().solve(q)
 
     monkeypatch.setattr(placement, "LyapunovSolver", ForwardForAdjointSolver)
+
+
+@pytest.fixture
+def reversed_scores(monkeypatch):
+    """Planted fault: the score vector placement computes comes back reversed, so
+    each weight is paired with another candidate's column (same plain sum)."""
+    einsum = placement.np.einsum  # numpy's; in gramsel only the scoring calls it
+    monkeypatch.setattr(placement.np, "einsum", lambda *args, **kw: einsum(*args, **kw)[::-1])

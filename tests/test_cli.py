@@ -346,6 +346,13 @@ class TestExitCodes:
         assert out == ""
         assert "additivity" in err
 
+    def test_misaligned_weights_are_3(self, tmp_path, capsys, reversed_scores):
+        path = make_problem(tmp_path, capsys)
+        code, out, err = run(capsys, ["rank", path])
+        assert code == 3
+        assert out == ""
+        assert "additivity" in err
+
     def test_malformed_json_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for text in ("{oops", "[" * 200_000):  # a syntax error; nesting too deep to parse
@@ -583,6 +590,12 @@ MALFORMED = [
     (("explicit", ("A", 0, 0)), "-1", "A"),
     (("explicit", ("candidates", 1, "b", 0)), "0.5", "u1"),
     (("explicit", ("weight", "matrix", 0, 1)), "0.5", "weight matrix"),
+    # unknown fields once loaded silently: a misspelled "weight" meant the trace metric
+    (("explicit", ("weight", "extra")), 3, "weight fields: ['extra']"),
+    (("explicit", ("weight", "kind")), "trace", "weight fields: ['matrix']"),
+    (("explicit", ("wieght",)), {"kind": "trace"}, "problem fields: ['wieght']"),
+    (("explicit", ("extra_top",)), 1, "problem fields: ['extra_top']"),
+    (("ring", ("n",)), 2, "problem fields: ['n']"),
 ]
 
 

@@ -7,6 +7,7 @@ be listed in its ``__all__``.  Since a listed name counts as used, each
 ``__all__`` entry must also resolve on the imported module, or
 ``from gramsel import *`` would fail.  Every gramsel name that the
 benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
+Placement builds its Lyapunov solver in one place.
 """
 
 import ast
@@ -72,3 +73,11 @@ def test_benchmark_span_targets_resolve():
     spec.loader.exec_module(spans)
     with spans.Tracer().installed():
         pass
+
+
+def test_placement_builds_its_solver_in_one_place():
+    # calls, not text: the solver property's docstring names LyapunovSolver too
+    tree = ast.parse((ROOT / "src" / "gramsel" / "placement.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "LyapunovSolver"]
+    assert len(calls) == 1, calls

@@ -23,7 +23,7 @@ from gramsel.placement import (
     select_top_k,
     verify_modularity,
 )
-from gramsel.models import random_hurwitz_system
+from gramsel.models import build_swing_matrix, random_hurwitz_system, ring_grid
 
 
 # --- oracle -----------------------------------------------------------------
@@ -147,6 +147,14 @@ class TestCandidateWeights:
                 candidate_weights(cs)
             with pytest.raises(NumericalError, match="additivity"):
                 select_top_k(cs, 2)
+
+    def test_misaligned_weights_are_caught(self, reversed_scores):
+        # the reversed vector has the same plain sum; the d_j = j + 1 rule sees the swap
+        cs = _candidate_set(3, n=5, m=4)
+        with pytest.raises(NumericalError, match="additivity"):
+            candidate_weights(cs)
+        with pytest.raises(NumericalError, match="additivity"):
+            select_top_k(cs, 2)
 
     def test_scores_that_cancel_to_rounding_noise_pass(self):
         # h2 output on a state no column reaches, in a rotated basis: every
@@ -380,6 +388,13 @@ class TestCentrality:
         a = random_hurwitz_system(7, 1, seed=2)[0]
         with pytest.raises(NumericalError, match="additivity"):
             controllability_centrality(a)
+
+    def test_bitwise_equal_to_the_adjoint_diagonal(self):
+        # scoring the unit inputs as candidates moves no bit of diag(P)
+        for a in (build_swing_matrix(ring_grid(6)), random_hurwitz_system(8, 5)[0]):
+            n = a.shape[0]
+            p = LyapunovSolver(a).solve(np.eye(n), adjoint=True)
+            assert np.array_equal(controllability_centrality(a), np.diag(p))
 
     def test_matches_per_node_forward_solves(self):
         # oracle: one forward solve per node with q = e_i e_i^T
