@@ -2,9 +2,9 @@
 
 Subcommands: gen, rank, select, centrality, verify, bruteforce,
 synthesize.  Every run emits a single JSON report on stdout (or --out)
-containing the echoed command, a sha256 digest of the input file, the
-package version and the result payload; --csv (rank, select, centrality,
-synthesize) swaps the payload for a flat table suitable for plotting.
+containing the echoed command, the sha256 digest of the problem-file bytes
+it parsed, the package version and the result payload; --csv (rank,
+select, centrality, synthesize) swaps the payload for a flat table.
 Timings and warnings go to stderr as ``[gramsel]`` lines, so payloads are
 byte-identical across repeat runs.
 
@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 failed verification, 2 input/usage error,
 
 import argparse
 import csv
-import hashlib
 import io
 import math
 import sys
@@ -57,37 +56,15 @@ def _phase(label):
     print(f"[gramsel] {label}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
 
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return "sha256:" + h.hexdigest()
-
-
 # Flags that route output without changing results; they stay out of the
 # command echo so payloads are byte-identical whenever the same analysis
 # ran on the same input.
 _NON_ANALYSIS_FLAGS = {"out", "csv", "func", "cmd", "problem"}
 
 
-def _report(args, results):
-    options = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in _NON_ANALYSIS_FLAGS and value is not None
-    }
-    return {
-        "command": {"name": args.cmd, "problem": getattr(args, "problem", None),
-                    "options": options},
-        "input_digest": _digest(args.problem) if getattr(args, "problem", None) else None,
-        "version": __version__,
-        "results": results,
-    }
-
-
-def _emit(args, report, header=None, rows=None):
-    """Write the report, or with --csv the ``header`` columns of ``rows`` (dicts or lists)."""
+def _emit(args, problem, results, header=None, rows=None):
+    """Write the report of ``results`` on ``problem``, or with --csv the ``header``
+    columns of ``rows`` (dicts or lists)."""
     if getattr(args, "csv", False):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -95,8 +72,15 @@ def _emit(args, report, header=None, rows=None):
         writer.writerows([r[c] for c in header] if isinstance(r, dict) else r for r in rows)
         payload = buf.getvalue()
     else:
+        options = {key: value for key, value in sorted(vars(args).items())
+                   if key not in _NON_ANALYSIS_FLAGS and value is not None}
         chunks = []
-        write_json(report, chunks.append)
+        write_json({
+            "command": {"name": args.cmd, "problem": args.problem, "options": options},
+            "input_digest": problem.digest,
+            "version": __version__,
+            "results": results,
+        }, chunks.append)
         payload = "".join(chunks) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -136,7 +120,7 @@ def _resolve_metric(args, problem):
     if weight_file is None:
         raise DomainError(f"--metric {kind} requires --weight-file")
     spec = MetricSpec.weighted if kind == "weighted" else MetricSpec.h2
-    return spec(read_json(weight_file, "weight file"))
+    return spec(read_json(weight_file, "weight file")[0])
 
 
 def _ranked_rows(metric, pairs):
@@ -187,7 +171,7 @@ def cmd_rank(args):
         "ranked": rows,
     }
     header = ["rank", "id", "score"] + (["h2_norm"] if metric.kind == "h2" else [])
-    _emit(args, _report(args, results), header, rows)
+    _emit(args, problem, results, header, rows)
     return 0
 
 
@@ -209,7 +193,7 @@ def cmd_select(args):
         "ties": [list(group) for group in result.ties],
         "ranked": rows,
     }
-    _emit(args, _report(args, results), ["rank", "id", "score", "selected"], rows)
+    _emit(args, problem, results, ["rank", "id", "score", "selected"], rows)
     return 0
 
 
@@ -228,7 +212,7 @@ def cmd_centrality(args):
         "nodes": rows,
         "total": math.fsum(scores.tolist()),
     }
-    _emit(args, _report(args, results), ["node", "label", "score"], rows)
+    _emit(args, problem, results, ["node", "label", "score"], rows)
     return 0
 
 
@@ -246,7 +230,7 @@ def cmd_verify(args):
         "passed": report.passed,
         "worst_pair": [list(report.worst_pair[0]), list(report.worst_pair[1])],
     }
-    _emit(args, _report(args, results))
+    _emit(args, problem, results)
     if not report.passed:
         print(
             f"[gramsel] modularity check FAILED: max violation "
@@ -271,7 +255,7 @@ def cmd_bruteforce(args):
         "best_ids": list(ids),
         "best_value": value,
     }
-    _emit(args, _report(args, results))
+    _emit(args, problem, results)
     return 0
 
 
@@ -290,7 +274,7 @@ def cmd_synthesize(args):
         raise DomainError("--ids must name at least one candidate")
     b = cs.input_matrix(ids)
     raw = (_parse_target(args.target) if args.target is not None
-           else read_json(args.target_file, "target file"))
+           else read_json(args.target_file, "target file")[0])
     x_f = as_vector(raw, cs.n, "target")
     with _phase("synthesize"):
         traj = synthesize_min_energy_input(cs.a, b, args.horizon, x_f,
@@ -309,7 +293,7 @@ def cmd_synthesize(args):
         results["terminal_error"] = sim.terminal_error
         results["input_energy"] = sim.input_energy
     header = ["time"] + [f"u_{cid}" for cid in ids]
-    _emit(args, _report(args, results), header, ([t, *u] for t, u in zip(traj.times, traj.inputs)))
+    _emit(args, problem, results, header, ([t, *u] for t, u in zip(traj.times, traj.inputs)))
     return 0
 
 

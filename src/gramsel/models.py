@@ -14,6 +14,7 @@ two frequency states, giving N(N-1)/2 candidate columns for N buses.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 from collections import deque
@@ -265,62 +266,82 @@ class Problem:
     ``grid`` is the :class:`GridModel` when the file described a grid (so
     grid-aware weightings such as the frequency selector remain
     constructible); explicit-matrix problems leave it None.  ``metric`` is
-    the weight the file declares (trace when it declares none).
+    the weight the file declares (trace when it declares none); ``digest``
+    is ``"sha256:<hex>"`` of the bytes the file was parsed from.
     """
 
     candidate_set: CandidateSet
+    digest: str
     grid: GridModel | None = None
     metric: MetricSpec = MetricSpec()
+
+
+_IDS = (str, int)  # the JSON types of a bus id, line endpoint or candidate id (bool is not one)
+_RING_FIELDS = ("chords", "seed", "inertia", "damping", "susceptance", "grounding")
+
+
+def _fields(doc, what, required, optional=(), ids=()):
+    """``doc`` if it is a JSON object with every ``required`` field, no other field
+    than ``required`` and ``optional``, and a JSON string or integer in each ``ids``
+    field; otherwise a ProblemFormatError naming ``what`` and the field."""
+    if not isinstance(doc, dict):
+        raise ProblemFormatError(f"{what} must be a JSON object")
+    if unknown := doc.keys() - {*required, *optional}:
+        raise ProblemFormatError(f"unknown {what} fields: {sorted(unknown)}")
+    if missing := [key for key in required if key not in doc]:
+        raise ProblemFormatError(f'{what} is missing required field "{missing[0]}"')
+    if bad := [key for key in ids if type(doc[key]) not in _IDS]:
+        raise ProblemFormatError(f"{what} {bad[0]} must be a JSON string or integer, "
+                                 f"got {doc[bad[0]]!r}")
+    return doc
+
+
+def _entries(doc, key, what, required, optional=(), ids=()):
+    """The JSON list ``doc[key]`` (empty if absent), each entry checked by :func:`_fields`
+    and named ``<what> <index>``.  A list of valid entries costs one pass of set tests."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ProblemFormatError(f'"{key}" must be a JSON list')
+    need, allowed = set(required), {*required, *optional}
+    if not (all(type(e) is dict and need <= e.keys() <= allowed for e in entries)
+            and all(type(e[k]) in _IDS for k in ids for e in entries)):
+        for i, entry in enumerate(entries):
+            _fields(entry, f"{what} {i}", required, optional, ids)
+    return entries
 
 
 def _parse_metric(doc):
     if doc is None:
         return MetricSpec.trace()
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ProblemFormatError('weight block must be an object with a "kind" field')
-    kind = doc["kind"]
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    _fields(doc, "weight", ("kind",), () if kind == "trace" else ("matrix",))
     if kind not in METRIC_KINDS:
         raise ProblemFormatError(f"unknown weight kind {kind!r}; expected one of {METRIC_KINDS}")
-    _reject_unknown(doc, {"kind"} if kind == "trace" else {"kind", "matrix"}, "weight")
     return MetricSpec(kind, doc.get("matrix"))  # MetricSpec validates the matrix
 
 
-def _reject_unknown(doc, keys, what):
-    if unknown := set(doc) - keys:
-        raise ProblemFormatError(f"unknown {what} fields: {sorted(unknown)}")
-
-
 def _parse_grid_block(doc):
-    if "topology" in doc:
+    if isinstance(doc, dict) and "topology" in doc:
+        _fields(doc, "grid", ("topology", "buses"), _RING_FIELDS)
         if doc["topology"] != "ring":
             raise ProblemFormatError(f'unknown topology {doc["topology"]!r}')
-        _reject_unknown(doc, {"topology", "buses", "chords", "seed", "inertia", "damping",
-                              "susceptance", "grounding"}, "grid")
-        if "buses" not in doc:
-            raise ProblemFormatError('ring grid requires a "buses" count')
-        return ring_grid(doc["buses"],
-                         **{k: v for k, v in doc.items() if k not in ("topology", "buses")})
-    try:
-        buses = tuple(
-            Bus(id=str(b["id"]), inertia=b["inertia"], damping=b["damping"],
-                grounding=b.get("grounding", 0.0))
-            for b in doc["buses"]
-        )
-        lines = tuple(
-            Line(from_bus=str(ln["from"]), to_bus=str(ln["to"]),
-                 susceptance=ln["susceptance"])
-            for ln in doc.get("lines", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise ProblemFormatError(f"malformed grid block: {exc!r}") from None
-    return GridModel(buses=buses, lines=lines)
+        return ring_grid(doc["buses"], **{k: doc[k] for k in _RING_FIELDS if k in doc})
+    _fields(doc, "grid", ("buses",), ("lines",))
+    buses = _entries(doc, "buses", "bus", ("id", "inertia", "damping"), ("grounding",), ("id",))
+    lines = _entries(doc, "lines", "line", ("from", "to", "susceptance"), (), ("from", "to"))
+    return GridModel(buses=tuple(Bus(**{**b, "id": str(b["id"])}) for b in buses),
+                     lines=tuple(Line(str(ln["from"]), str(ln["to"]), ln["susceptance"])
+                                 for ln in lines))
 
 
 def read_json(path, what):
-    """Parse the JSON file ``path``; every failure is a ProblemFormatError naming ``what``."""
+    """``(doc, "sha256:<hex>")`` of the JSON file ``path``, read once and decoded as
+    strict UTF-8; every failure is a ProblemFormatError naming ``what``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest, data = "sha256:" + hashlib.sha256(data).hexdigest(), data.decode("utf-8")
+        return json.loads(data), digest  # the bytes are freed before the parse
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {what} {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
@@ -330,44 +351,37 @@ def read_json(path, what):
 def load_problem(path):
     """Load and validate a problem file (JSON).
 
-    Two forms are accepted.  Explicit:
+    Every object has its required fields and no others (``?``: optional):
 
-        {"n": 2, "A": [[...], [...]],
-         "candidates": [{"id": "u0", "b": [...]}, ...],
-         "weight": {"kind": "trace"}}            # weight optional
+        problem    {"n", "A", "candidates": [candidate], "weight"?}
+                   or {"grid", "weight"?}
+        weight     {"kind", "matrix"?}, no "matrix" when kind is "trace"
+        grid       {"topology": "ring", "buses": <count>, "chords"?, "seed"?,
+                    "inertia"?, "damping"?, "susceptance"?, "grounding"?}
+                   or {"buses": [bus], "lines"?: [line]}
+        bus        {"id", "inertia", "damping", "grounding"?}
+        line       {"from", "to", "susceptance"}
+        candidate  {"id", "b"}
 
-    Grid-based (candidates become all HVDC pairs):
-
-        {"grid": {"topology": "ring", "buses": 74, "chords": 0, "seed": 0},
-         "weight": ...}
+    Bus ids, line ends and candidate ids are JSON strings or integers (not
+    booleans), read as strings.  A grid's candidates are all its HVDC links.
+    ``Problem.digest`` is the sha256 of the bytes parsed.
     """
-    doc = read_json(path, "problem file")
-    if not isinstance(doc, dict):
-        raise ProblemFormatError("problem file must contain a JSON object")
-    keys = {"grid", "weight"} if "grid" in doc else {"n", "A", "candidates", "weight"}
-    _reject_unknown(doc, keys, "problem")
-
+    doc, digest = read_json(path, "problem file")
+    is_grid = isinstance(doc, dict) and "grid" in doc
+    _fields(doc, "problem", ("grid",) if is_grid else ("n", "A", "candidates"), ("weight",))
     metric = _parse_metric(doc.get("weight"))
 
-    if "grid" in doc:
-        if not isinstance(doc["grid"], dict):
-            raise ProblemFormatError('"grid" must be a JSON object')
+    if is_grid:
         grid = _parse_grid_block(doc["grid"])
         cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid))
-        return Problem(candidate_set=cs, grid=grid, metric=metric)
+        return Problem(candidate_set=cs, grid=grid, metric=metric, digest=digest)
 
-    for key in ("n", "A", "candidates"):
-        if key not in doc:
-            raise ProblemFormatError(f'problem file is missing required field "{key}"')
     n = as_number(doc["n"], '"n"', 1, integer=True)
     a = as_matrix(doc["A"], "A")
     if a.shape != (n, n):
         raise DimensionError(f"A has shape {a.shape}, expected ({n}, {n})")
-    if not isinstance(doc["candidates"], list):
-        raise ProblemFormatError('"candidates" must be a JSON list')
-    entries = doc["candidates"]
-    if not all(isinstance(e, dict) and "id" in e and "b" in e for e in entries):
-        raise ProblemFormatError('each candidate must be an object with "id" and "b" fields')
+    entries = _entries(doc, "candidates", "candidate", ("id", "b"), ids=("id",))
     ids = [str(e["id"]) for e in entries]
     try:
         b = as_array([e["b"] for e in entries] or np.zeros((0, n)), (2,), "candidate columns")
@@ -377,7 +391,8 @@ def load_problem(path):
         for cid, e in zip(ids, entries):
             as_vector(e["b"], n, f"candidate {cid!r} column")
         raise
-    return Problem(candidate_set=CandidateSet(a, ids, np.ascontiguousarray(b.T)), metric=metric)
+    cs = CandidateSet(a, ids, np.ascontiguousarray(b.T))
+    return Problem(candidate_set=cs, metric=metric, digest=digest)
 
 
 def system_problem_dict(a, ids, b, metric=None):

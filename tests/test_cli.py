@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import os
 import re
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gramsel
-from gramsel import cli, gramian, numerics
+from gramsel import cli, gramian, models, numerics
 from gramsel.placement import ModularityReport, controllability_centrality
 
 
@@ -373,6 +375,16 @@ class TestExitCodes:
                                         "--target-file", str(bad)])
             assert code == 2 and "target file" in err
 
+    def test_bom_and_invalid_utf8_problem_files_are_2(self, tmp_path, capsys):
+        text = Path(make_problem(tmp_path, capsys)).read_text()
+        bad = tmp_path / "bad.json"
+        # strict UTF-8: no BOM sniffing, unlike json.loads on bytes
+        for data in (b"\xef\xbb\xbf" + text.encode(),
+                     text.replace('"b0"', '"b\xff"').encode("latin-1")):
+            bad.write_bytes(data)
+            code, out, err = run(capsys, ["centrality", str(bad)])
+            assert code == 2 and out == "" and "invalid JSON in problem file" in err
+
     def test_link_id_collision_is_2(self, tmp_path, capsys):
         # links "a-b"+"c" and "a"+"b-c" would both be called "a-b-c"
         names = ("a-b", "a", "b-c", "c")
@@ -398,6 +410,38 @@ class TestDeterminism:
         assert run(capsys, ["rank", path, "--out", str(out1)])[0] == 0
         assert run(capsys, ["rank", path, "--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+LOADING_COMMANDS = [
+    ["rank"], ["select", "--k", "2"], ["centrality"], ["verify", "--trials", "3"],
+    ["bruteforce", "--k", "2"],
+    ["synthesize", "--ids", "b0", "--horizon", "1.0", "--target", "0.1,0,0.2,0",
+     "--samples", "5"],
+]
+
+
+class TestInputDigest:
+    @pytest.mark.parametrize("command", LOADING_COMMANDS)
+    def test_digest_is_of_the_bytes_read_once(self, tmp_path, capsys, monkeypatch, command):
+        path = Path(make_problem(tmp_path, capsys))
+        # non-ASCII and CRLF bytes that a re-encoding would not reproduce
+        doc = json.loads(path.read_text())
+        doc["candidates"][1]["id"] = "b\u00fc"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).replace(", ", ",\r\n").encode())
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(models, "open", counting_open, raising=False)
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code, out, _ = run(capsys, [command[0], str(path), *command[1:]])
+        assert code == 0
+        digest = json.loads(out)["input_digest"]
+        assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        assert opened.count(str(path)) == 1
 
 
 class TestJsonLayout:
@@ -596,7 +640,20 @@ MALFORMED = [
     (("explicit", ("wieght",)), {"kind": "trace"}, "problem fields: ['wieght']"),
     (("explicit", ("extra_top",)), 1, "problem fields: ['extra_top']"),
     (("ring", ("n",)), 2, "problem fields: ['n']"),
+    # ... and so did unknown fields, and null or object ids, in a bus list or a candidate
+    (("bus list", ("grid", "extra")), 1, "grid fields: ['extra']"),
+    (("bus list", ("grid", "buses", 0, "grouding")), 0.1, "bus 0 fields: ['grouding']"),
+    (("bus list", ("grid", "lines", 0, "extra")), 1, "line 0 fields: ['extra']"),
+    (("explicit", ("candidates", 0, "weight")), 2, "candidate 0 fields: ['weight']"),
+    (("explicit", ("candidates", 1, "id")), None, "candidate 1 id"),
+    (("explicit", ("candidates", 1, "id")), {}, "candidate 1 id"),
+    (("bus list", ("grid", "buses", 0, "id")), None, "bus 0 id"),
+    (("bus list", ("grid", "lines", 0, "from")), None, "line 0 from"),
 ]
+# Every JSON object of every base problem, by its path.
+OBJECT_SITES = [(name, path) for name, path in MUTATION_SITES
+                if isinstance(functools.reduce(lambda node, key: node[key], path,
+                                               BASE_PROBLEMS[name]), dict)]
 
 
 def _fuzz_examples(test):
@@ -613,6 +670,15 @@ class TestMalformedInput:
         code, _, err = run(capsys, ["centrality", str(path)])
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize("name, path", OBJECT_SITES)
+    def test_every_object_rejects_an_unknown_field(self, tmp_path, capsys, name, path):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(_mutated(name, path + ("unlisted",), 1)))
+        for command in ("centrality", "rank"):
+            code, out, err = run(capsys, [command, str(problem)])
+            assert code == 2 and out == ""
+            assert "fields: ['unlisted']" in err
 
     def test_non_numeric_target(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
