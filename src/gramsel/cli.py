@@ -9,7 +9,7 @@ Timings and warnings go to stderr as ``[gramsel]`` lines, so payloads are
 byte-identical across repeat runs.
 
 Exit codes: 0 success, 1 failed verification, 2 input/usage error,
-3 numerical failure.
+3 numerical failure or memory exhausted.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from .models import (
     write_json,
     write_problem,
 )
-from .numerics import as_vector
+from .numerics import as_array
 from .placement import (
     GRAMIAN_FUNCTIONALS,
     brute_force_best,
@@ -275,7 +275,7 @@ def cmd_synthesize(args):
     b = cs.input_matrix(ids)
     raw = (_parse_target(args.target) if args.target is not None
            else read_json(args.target_file, "target file")[0])
-    x_f = as_vector(raw, cs.n, "target")
+    x_f = as_array(raw, (cs.n,), "target")
     with _phase("synthesize"):
         traj = synthesize_min_energy_input(cs.a, b, args.horizon, x_f,
                                            samples=args.samples)
@@ -398,8 +398,8 @@ def main(argv=None):
             warnings.showwarning = lambda message, *_: print(
                 f"[gramsel] warning: {message}", file=sys.stderr)
             return args.func(args)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:  # numpy's MemoryError names its allocation
+        print(f"error: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 3
     except (GramselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

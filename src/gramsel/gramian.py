@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, NumericalError, StabilityError
+from .exceptions import DomainError, NumericalError, StabilityError
 from .numerics import (
     STABILITY_MARGIN,
     as_array,
@@ -97,10 +97,7 @@ class LyapunovSolver:
 
         ``adjoint`` solves a^T W + W a + q = 0 on the same factors instead.
         """
-        q = as_square(q, "q")
-        n = self.n
-        if q.shape[0] != n:
-            raise DimensionError(f"q has shape {q.shape}, expected ({n}, {n})")
+        q = as_array(q, self.a.shape, "q")
         if np.linalg.norm(q - q.T) > _RHS_SYMMETRY_RTOL * np.linalg.norm(q):
             raise DomainError("right-hand side q must be symmetric")
         u, t = self._factors[bool(adjoint)]
@@ -156,9 +153,12 @@ class LyapunovSolver:
         return info == 1
 
     def gramian(self, b):
-        """Infinite-horizon controllability Gramian of the pair (a, b)."""
+        """Infinite-horizon Gramian of (a, b); a NumericalError if b b^T overflows."""
         b = _input_matrix(b, self.n)
-        return self.solve(b @ b.T)
+        bbt = b @ b.T
+        if not np.isfinite(bbt).all():
+            raise NumericalError("b b^T overflows: the input columns are too large to score")
+        return self.solve(bbt)
 
 
 def _split(t):
@@ -167,13 +167,17 @@ def _split(t):
     return k + 1 if t[k, k - 1] != 0.0 else k
 
 
+def _ndim(x):
+    try:  # ragged nesting has no ndim; as_array rejects it as not numeric
+        return np.ndim(x)
+    except ValueError:
+        return -1
+
+
 def _input_matrix(b, n):
-    b = as_array(b, (1, 2), "b")
-    if b.ndim == 1:
-        b = b[:, None]
-    if b.shape[0] != n:
-        raise DimensionError(f"b has {b.shape[0]} rows, expected {n}")
-    return b
+    """``b`` as an (n, m) array; a single column may be passed as a vector."""
+    b = as_array(b, (n,) if _ndim(b) == 1 else (n, None), "b")
+    return b[:, None] if b.ndim == 1 else b
 
 
 def solve_lyapunov(a, q):
@@ -184,6 +188,7 @@ def solve_lyapunov(a, q):
 def lyapunov_residual(a, w, q):
     """Frobenius norm of a w + w a^T + q."""
     a = as_square(a, "a")
+    w, q = as_array(w, a.shape, "w"), as_array(q, a.shape, "q")
     return float(np.linalg.norm(a @ w + w @ a.T + q))
 
 
@@ -209,7 +214,7 @@ def observability_gramian(a, c):
     """Observability Gramian of (a, c): the controllability Gramian of
     the dual pair (a^T, c^T), computed through the identical code path."""
     a = as_square(a, "a")
-    c = as_array(c, (1, 2), "c")
+    c = as_array(c, (a.shape[0],) if _ndim(c) == 1 else (None, a.shape[0]), "c")
     return controllability_gramian(a.T, c.T)
 
 

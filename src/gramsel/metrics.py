@@ -19,7 +19,7 @@ from .exceptions import (
     UnreachableStateError,
 )
 from .gramian import _input_matrix, finite_horizon_gramian
-from .numerics import as_matrix, as_number, as_square, as_vector, matrix_exponential, symmetrize
+from .numerics import as_array, as_number, as_square, matrix_exponential, symmetrize
 
 __all__ = [
     "METRIC_KINDS",
@@ -72,8 +72,10 @@ class MetricSpec:
         else:
             if self.weight is None:
                 raise DomainError(f"{self.kind} metric requires a weight matrix")
-            check = as_square if self.kind == "weighted_trace" else as_matrix
-            object.__setattr__(self, "weight", check(self.weight, f"{self.kind} weight matrix"))
+            name = f"{self.kind} weight matrix"
+            weight = (as_square(self.weight, name) if self.kind == "weighted_trace"
+                      else as_array(self.weight, (None, None), name))
+            object.__setattr__(self, "weight", weight)
 
     @classmethod
     def trace(cls):
@@ -104,7 +106,7 @@ class MetricSpec:
 
 
 def _gram_matrix(w):
-    return symmetrize(as_square(w, "gramian"))
+    return symmetrize(as_square(w, "w"))
 
 
 def evaluate_metric(spec, w):
@@ -172,7 +174,7 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     n = a.shape[0]
     b = _input_matrix(b, n)
     samples = as_number(samples, "samples", 2, integer=True)
-    x = as_vector(x_f, n, "x_f")
+    x = as_array(x_f, (n,), "x_f")
     t = as_number(t, "horizon t", 0.0, strict=True)
 
     eta = _range_solve(finite_horizon_gramian(a, b, t), x)  # W(t)^{-1} x_f
@@ -215,7 +217,7 @@ def simulate_transfer(a, b, x_f, trajectory):
     a = as_square(a, "a")
     n = a.shape[0]
     b = _input_matrix(b, n)
-    x = as_vector(x_f, n, "x_f")
+    x = as_array(x_f, (n,), "x_f")
     eta, t = trajectory.costate, float(trajectory.times[-1])
     z0 = matrix_exponential(a.T * t) @ eta
     bbt = b @ b.T

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, GramselError, ProblemFormatError, TopologyError
+from .exceptions import GramselError, ProblemFormatError, TopologyError
 from .metrics import METRIC_KINDS, MetricSpec
-from .numerics import as_array, as_matrix, as_number, as_vector, spectral_abscissa
+from .numerics import as_array, as_number, spectral_abscissa
 from .placement import CandidateSet
 
 __all__ = [
@@ -378,18 +378,15 @@ def load_problem(path):
         return Problem(candidate_set=cs, grid=grid, metric=metric, digest=digest)
 
     n = as_number(doc["n"], '"n"', 1, integer=True)
-    a = as_matrix(doc["A"], "A")
-    if a.shape != (n, n):
-        raise DimensionError(f"A has shape {a.shape}, expected ({n}, {n})")
+    a = as_array(doc["A"], (n, n), "A")
     entries = _entries(doc, "candidates", "candidate", ("id", "b"), ids=("id",))
     ids = [str(e["id"]) for e in entries]
     try:
-        b = as_array([e["b"] for e in entries] or np.zeros((0, n)), (2,), "candidate columns")
-        if b.shape != (len(ids), n):
-            raise DimensionError(f"candidate columns have shape {b.shape}")
+        b = as_array([e["b"] for e in entries] or np.zeros((0, n)), (len(ids), n),
+                     "candidate columns")
     except GramselError:  # name the first bad candidate
         for cid, e in zip(ids, entries):
-            as_vector(e["b"], n, f"candidate {cid!r} column")
+            as_array(e["b"], (n,), f"candidate {cid!r} column")
         raise
     cs = CandidateSet(a, ids, np.ascontiguousarray(b.T))
     return Problem(candidate_set=cs, metric=metric, digest=digest)

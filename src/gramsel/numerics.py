@@ -2,8 +2,10 @@
 
 Thin, validated wrappers over LAPACK-backed numpy/scipy routines:
 eigenvalues, real Schur form, matrix exponential, and the Hurwitz test
-that gates every infinite-horizon computation.  :func:`as_array` and
-:func:`as_number` check every array and number from outside the program.
+that gates every infinite-horizon computation.  :func:`as_array` checks
+every array from outside the program against the shape it must have,
+:func:`as_square` a matrix whose order is not known in advance, and
+:func:`as_number` every number.
 scipy.linalg is imported inside the functions that call it, so commands
 that never factor a matrix (``gen``, ``--version``) load numpy only.
 """
@@ -18,10 +20,8 @@ from .exceptions import DimensionError, DomainError, NonFiniteError, NumericalEr
 __all__ = [
     "STABILITY_MARGIN",
     "as_array",
-    "as_matrix",
     "as_number",
     "as_square",
-    "as_vector",
     "eigenvalues",
     "spectral_abscissa",
     "is_hurwitz",
@@ -37,8 +37,13 @@ __all__ = [
 STABILITY_MARGIN = 1e-9
 
 
-def as_array(x, ndims, name="array"):
-    """Coerce to a finite float array whose ndim is one of ``ndims``; no strings."""
+def as_array(x, shape, name="array"):
+    """Coerce ``x`` to a finite float array of ``shape``; every error names ``name``.
+
+    ``shape`` has one entry per axis, an int for an exact length or None for
+    any: ``(n,)`` is a length-n vector, ``(None, None)`` any matrix.  Input
+    that is not numeric (or holds a string), then a wrong shape, raise
+    DimensionError; then non-finite entries raise NonFiniteError."""
     try:
         raw = np.asarray(x)
         if raw.dtype.kind in "USO" and any(isinstance(v, (str, bytes)) for v in raw.flat):
@@ -46,32 +51,18 @@ def as_array(x, ndims, name="array"):
         x = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} is not numeric: {exc}") from None
-    if x.ndim not in ndims:
-        dims = " or ".join(f"{d}-D" for d in ndims)
-        raise DimensionError(f"{name} must be {dims}, got shape {x.shape}")
+    if x.ndim != len(shape) or any(d is not None and d != s for d, s in zip(shape, x.shape)):
+        expected = str(tuple(shape)).replace("None", "any")
+        raise DimensionError(f"{name} has shape {x.shape}, expected {expected}")
     if not np.isfinite(x).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return x
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a 2-D float array, rejecting non-finite entries."""
-    return as_array(a, (2,), name)
-
-
 def as_square(a, name="matrix"):
-    a = as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def as_vector(x, n=None, name="vector"):
-    """Coerce to a finite 1-D float array, optionally of prescribed length."""
-    x = as_array(x, (1,), name)
-    if n is not None and x.shape[0] != n:
-        raise DimensionError(f"{name} has length {x.shape[0]}, expected {n}")
-    return x
+    """``as_array(a, (n, n), name)`` for the order n that ``a`` has."""
+    a = as_array(a, (None, None), name)
+    return as_array(a, (a.shape[0],) * 2, name)
 
 
 def as_number(x, name, low, high=math.inf, *, integer=False, strict=False):

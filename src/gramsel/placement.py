@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, EnumerationCapError, NumericalError
+from .exceptions import DomainError, EnumerationCapError, NumericalError
 from .gramian import LyapunovSolver
 from .metrics import MetricSpec, evaluate_metric
 from .numerics import as_array, as_number, as_square
@@ -67,12 +67,7 @@ class CandidateSet:
         for j, cid in enumerate(self.ids):
             if self._index.setdefault(cid, j) != j:
                 raise DomainError(f"duplicate candidate id {cid!r}")
-        b = as_array(b, (2,), "candidate columns")
-        if b.shape != (self.n, self.size):
-            raise DimensionError(
-                f"candidate columns have shape {b.shape}, expected {(self.n, self.size)}"
-            )
-        self.B = b.view()
+        self.B = as_array(b, (self.n, self.size), "b").view()
         self.B.flags.writeable = False
 
     @property
@@ -162,7 +157,7 @@ def _check_additivity(cs, metric, b, weights, out=None):
     """
     d = np.arange(1.0, len(weights) + 1.0)
     bs = np.multiply(b, np.sqrt(d), out=out)
-    g = cs.solver.solve(bs @ bs.T)
+    g = cs.solver.gramian(bs)
     combined = evaluate_metric(metric, g)
     dw = d * weights
     expected = math.fsum(dw)

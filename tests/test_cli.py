@@ -397,6 +397,35 @@ class TestExitCodes:
         assert out == ""
         assert "duplicate candidate id 'a-b-c'" in err
 
+    def test_overflow_inside_scoring_is_3(self, tmp_path, capsys):
+        # finite inputs whose b b^T overflows: a numerical failure, not an input error
+        explicit = {"n": 2, "A": [[-1, 0], [0, -2]], "candidates": [{"id": "a", "b": [1e200, 0]}]}
+        grid = {"grid": {
+            "buses": [{"id": "b0", "inertia": 1e-300, "damping": 1e-300, "grounding": 0.1},
+                      {"id": "b1", "inertia": 2.0, "damping": 0.4}],
+            "lines": [{"from": "b0", "to": "b1", "susceptance": 1.0}],
+        }}
+        path = tmp_path / "big.json"
+        for doc in (explicit, grid):
+            path.write_text(json.dumps(doc))
+            for command in (["rank"], ["select", "--k", "1"]):
+                code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert code == 3 and out == "" and len(errors) == 1
+                assert "overflows" in errors[0] and not re.search(r"\bq\b", errors[0])
+
+    def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):
+        path = make_problem(tmp_path, capsys, args=("--ring", "4"))
+        for message, shown in (("", "error: out of memory"),
+                               ("Unable to allocate 201. GiB", "error: Unable to allocate")):
+            def exhausted(grid, message=message):
+                raise MemoryError(message)
+
+            monkeypatch.setattr(models, "hvdc_candidates", exhausted)
+            code, out, err = run(capsys, ["select", path, "--k", "1"])
+            assert code == 3 and out == ""
+            assert shown in err and "Traceback" not in err
+
     def test_no_subcommand_prints_help(self, capsys):
         code = cli.main([])
         assert code == 2
@@ -649,6 +678,9 @@ MALFORMED = [
     (("explicit", ("candidates", 1, "id")), {}, "candidate 1 id"),
     (("bus list", ("grid", "buses", 0, "id")), None, "bus 0 id"),
     (("bus list", ("grid", "lines", 0, "from")), None, "line 0 from"),
+    # array shapes are checked by numerics.as_array, which names the array
+    (("explicit", ("A",)), [[-1.0, 0.3]], "A has shape (1, 2), expected (2, 2)"),
+    (("explicit", ("candidates", 1, "b")), [1.0], "candidate 'u1' column has shape (1,)"),
 ]
 # Every JSON object of every base problem, by its path.
 OBJECT_SITES = [(name, path) for name, path in MUTATION_SITES

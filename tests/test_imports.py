@@ -7,7 +7,8 @@ be listed in its ``__all__``.  Since a listed name counts as used, each
 ``__all__`` entry must also resolve on the imported module, or
 ``from gramsel import *`` would fail.  Every gramsel name that the
 benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
-Placement builds its Lyapunov solver in one place.
+Placement builds its Lyapunov solver in one place, and shape errors come
+from the one array validator in ``numerics``.
 """
 
 import ast
@@ -81,3 +82,30 @@ def test_placement_builds_its_solver_in_one_place():
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "LyapunovSolver"]
     assert len(calls) == 1, calls
+
+
+def dimension_errors(tree):
+    """{line: innermost enclosing function name (None at module level)} of each
+    ``raise DimensionError``."""
+    found = {}
+    scopes = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in [tree, *scopes]:  # ast.walk is breadth-first: inner scopes come last
+        for node in ast.walk(scope):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            if getattr(getattr(exc, "func", exc), "id", None) == "DimensionError":
+                found[node.lineno] = getattr(scope, "name", None)
+    return found
+
+
+def test_scan_finds_dimension_errors():
+    tree = ast.parse("raise DimensionError\ndef f():\n    def g():\n"
+                     "        raise DimensionError('x')\n    raise ValueError('y')\n")
+    assert dimension_errors(tree) == {1: None, 4: "g"}
+
+
+def test_shape_errors_come_from_the_array_validator():
+    # numerics.as_array checks every array against the shape it must have; the one
+    # other shape rule is that a metric's weight fits the states it scores
+    raised = [(path.name, name, line) for path in PACKAGE if path.name != "numerics.py"
+              for line, name in dimension_errors(ast.parse(path.read_text("utf-8"))).items()]
+    assert [r for r in raised if r[:2] != ("metrics.py", "state_weighting")] == []

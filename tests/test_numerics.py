@@ -8,6 +8,14 @@ from gramsel.exceptions import (
     NonFiniteError,
     NumericalError,
 )
+from gramsel.gramian import (
+    controllability_gramian,
+    finite_horizon_gramian,
+    lyapunov_residual,
+    observability_gramian,
+    solve_lyapunov,
+)
+from gramsel.metrics import MetricSpec, evaluate_metric, synthesize_min_energy_input
 from gramsel.numerics import (
     as_number,
     eigenvalues,
@@ -17,6 +25,7 @@ from gramsel.numerics import (
     spectral_abscissa,
     symmetrize,
 )
+from gramsel.placement import CandidateSet, controllability_centrality
 
 
 # --- oracle -----------------------------------------------------------------
@@ -194,3 +203,64 @@ class TestRealSchur:
         m = np.random.default_rng(5).normal(size=(8, 8))
         _, t = real_schur(m)
         assert np.allclose(np.tril(t, -2), 0.0, atol=1e-14)
+
+
+# --- the array validator ------------------------------------------------------
+# Every public function that takes an array checks it with numerics.as_array
+# (or as_square): a string entry and a wrong shape raise DimensionError, a NaN
+# NonFiniteError.  Rows: (function, valid arguments, the array argument
+# mutated, a wrong shape for it, the name its messages use).
+
+A = [[-1.0, 0.0], [0.0, -2.0]]
+I2 = [[1.0, 0.0], [0.0, 1.0]]
+B = [[1.0], [1.0]]
+WIDE = np.ones((2, 3)).tolist()
+TALL = np.ones((3, 1)).tolist()
+ARRAY_ARGUMENTS = [
+    (controllability_gramian, {"a": A, "b": B}, "a", WIDE, "a"),
+    (controllability_gramian, {"a": A, "b": B}, "b", TALL, "b"),
+    (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "a", WIDE, "a"),
+    (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "c", [[1.0, 0.0, 0.0]], "c"),
+    (solve_lyapunov, {"a": A, "q": I2}, "a", WIDE, "a"),
+    (solve_lyapunov, {"a": A, "q": I2}, "q", np.eye(3).tolist(), "q"),
+    (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "a", WIDE, "a"),
+    (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "w", np.zeros((2, 2, 2)).tolist(), "w"),
+    (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "q", np.eye(3).tolist(), "q"),
+    (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "a", WIDE, "a"),
+    (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "b", TALL, "b"),
+    (CandidateSet, {"a": A, "ids": ["x"], "b": B}, "a", WIDE, "a"),
+    (CandidateSet, {"a": A, "ids": ["x"], "b": B}, "b", TALL, "b"),
+    (MetricSpec.h2, {"output_matrix": [[1.0, 0.0]]}, "output_matrix", [1.0, 0.0],
+     "h2 weight matrix"),
+    (MetricSpec.weighted, {"matrix": I2}, "matrix", WIDE, "weighted_trace weight matrix"),
+    (evaluate_metric, {"spec": MetricSpec.trace(), "w": I2}, "w", WIDE, "w"),
+    (synthesize_min_energy_input, {"a": A, "b": B, "t": 1.0, "x_f": [1.0, 0.0]}, "a", WIDE,
+     "a"),
+    (synthesize_min_energy_input, {"a": A, "b": B, "t": 1.0, "x_f": [1.0, 0.0]}, "b", TALL,
+     "b"),
+    (synthesize_min_energy_input, {"a": A, "b": B, "t": 1.0, "x_f": [1.0, 0.0]}, "x_f",
+     [1.0, 0.0, 0.0], "x_f"),
+    (controllability_centrality, {"a": A}, "a", WIDE, "a"),
+    (is_hurwitz, {"m": A}, "m", WIDE, "m"),
+    (real_schur, {"m": A}, "m", WIDE, "m"),
+    (matrix_exponential, {"m": A}, "m", WIDE, "m"),
+]
+
+
+def _first_entry_set(value, entry):
+    cells = np.array(value, dtype=object)
+    cells.flat[0] = entry
+    return cells.tolist()
+
+
+@pytest.mark.parametrize("fn, kwargs, arg, wrong_shape, name", ARRAY_ARGUMENTS,
+                         ids=[f"{row[0].__qualname__}-{row[2]}" for row in ARRAY_ARGUMENTS])
+def test_array_arguments_are_validated(fn, kwargs, arg, wrong_shape, name):
+    fn(**kwargs)  # the valid arguments pass
+    with pytest.raises(DimensionError, match="not numeric"):
+        fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], "x")})
+    with pytest.raises(NonFiniteError):
+        fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], np.nan)})
+    with pytest.raises(DimensionError) as err:
+        fn(**{**kwargs, arg: wrong_shape})
+    assert str(err.value).startswith(f"{name} has shape {np.shape(wrong_shape)}, expected")
