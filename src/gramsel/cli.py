@@ -123,15 +123,20 @@ def _resolve_metric(args, problem):
     return spec(read_json(weight_file, "weight file")[0])
 
 
-def _ranked_rows(metric, pairs):
-    """Report rows for (id, weight) pairs already in ranked order."""
+def _ranked_table(metric, pairs, chosen):
+    """CSV header and report rows for (id, weight) pairs already in ranked order: an
+    h2 metric adds "h2_norm", and a set ``chosen`` (None for none) a "selected" flag."""
+    header = ["rank", "id", "score"] + ["h2_norm"] * (metric.kind == "h2")
+    header += ["selected"] * (chosen is not None)
     rows = []
     for rank, (cid, weight) in enumerate(pairs, start=1):
         row = {"rank": rank, "id": cid, "score": weight}
         if metric.kind == "h2":
             row["h2_norm"] = math.sqrt(max(weight, 0.0))
+        if chosen is not None:
+            row["selected"] = int(cid in chosen)
         rows.append(row)
-    return rows
+    return header, rows
 
 
 # gen flags that only one problem kind takes; their defaults live in models
@@ -163,14 +168,13 @@ def cmd_rank(args):
     cs = problem.candidate_set
     with _phase(f"rank {cs.size} candidates"):
         weights = candidate_weights(cs, metric)
-    rows = _ranked_rows(metric, ranked(weights))
+    header, rows = _ranked_table(metric, ranked(weights), None)
     results = {
         "metric": metric.describe(),
         "n": cs.n,
         "count": cs.size,
         "ranked": rows,
     }
-    header = ["rank", "id", "score"] + (["h2_norm"] if metric.kind == "h2" else [])
     _emit(args, problem, results, header, rows)
     return 0
 
@@ -181,10 +185,7 @@ def cmd_select(args):
     cs = problem.candidate_set
     with _phase(f"select {args.k} of {cs.size}"):
         result = select_top_k(cs, args.k, metric)
-    rows = _ranked_rows(metric, result.ranked)
-    chosen = set(result.selected)
-    for row in rows:
-        row["selected"] = int(row["id"] in chosen)
+    header, rows = _ranked_table(metric, result.ranked, set(result.selected))
     results = {
         "metric": metric.describe(),
         "k": result.k,
@@ -193,7 +194,7 @@ def cmd_select(args):
         "ties": [list(group) for group in result.ties],
         "ranked": rows,
     }
-    _emit(args, problem, results, ["rank", "id", "score", "selected"], rows)
+    _emit(args, problem, results, header, rows)
     return 0
 
 

@@ -16,6 +16,7 @@ from .exceptions import (
     DegenerateGramianWarning,
     DimensionError,
     DomainError,
+    NumericalError,
     UnreachableStateError,
 )
 from .gramian import _input_matrix, finite_horizon_gramian
@@ -90,13 +91,17 @@ class MetricSpec:
         return cls("h2", output_matrix)
 
     def state_weighting(self, n):
-        """The symmetric (n, n) C_bar with metric(W) = trace(C_bar @ W) on n states."""
+        """The symmetric (n, n) C_bar with metric(W) = trace(C_bar @ W) on n states;
+        a NumericalError if the finite weight makes it overflow."""
         if self.kind == "trace":
             return np.eye(n)
         w = self.weight
         cbar = symmetrize(w if self.kind == "weighted_trace" else w.T @ w)
         if cbar.shape != (n, n):
             raise DimensionError(f"{self.kind} weight of shape {w.shape} does not fit {n} states")
+        if not np.isfinite(cbar).all():
+            raise NumericalError(f"{self.kind} weight overflows: its state weighting C_bar "
+                                 "has non-finite entries")
         return cbar
 
     def describe(self):
@@ -110,9 +115,13 @@ def _gram_matrix(w):
 
 
 def evaluate_metric(spec, w):
-    """Score a Gramian under a MetricSpec: trace(C_bar W), linear in W."""
+    """Score a Gramian under a MetricSpec: trace(C_bar W), linear in W; NumericalError if
+    the score overflows."""
     m = _gram_matrix(w)
-    return float(np.vdot(spec.state_weighting(m.shape[0]), m))
+    score = float(np.vdot(spec.state_weighting(m.shape[0]), m))
+    if not np.isfinite(score):
+        raise NumericalError(f"{spec.describe()} score overflows to {score}")
+    return score
 
 
 def _range_solve(w, x):

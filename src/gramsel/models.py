@@ -298,15 +298,12 @@ def _fields(doc, what, required, optional=(), ids=()):
 
 def _entries(doc, key, what, required, optional=(), ids=()):
     """The JSON list ``doc[key]`` (empty if absent), each entry checked by :func:`_fields`
-    and named ``<what> <index>``.  A list of valid entries costs one pass of set tests."""
+    and named ``<what> <index>``."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise ProblemFormatError(f'"{key}" must be a JSON list')
-    need, allowed = set(required), {*required, *optional}
-    if not (all(type(e) is dict and need <= e.keys() <= allowed for e in entries)
-            and all(type(e[k]) in _IDS for k in ids for e in entries)):
-        for i, entry in enumerate(entries):
-            _fields(entry, f"{what} {i}", required, optional, ids)
+    for i, entry in enumerate(entries):
+        _fields(entry, f"{what} {i}", required, optional, ids)
     return entries
 
 
@@ -413,23 +410,16 @@ def ring_problem_dict(n_buses, chords=0, seed=0, inertia=1.0, damping=0.5,
                       susceptance=1.0, grounding=0.1):
     """Problem-file dict describing a ring grid by its parameters.
 
-    The grid is built once from the dict, so parameters that a loader
-    would reject raise here instead of producing an unloadable file.
+    The grid is built once from the parameters as given, so parameters that
+    a loader would reject raise here instead of producing an unloadable file;
+    the integer ones are then written as JSON integers.
     """
-    doc = {
-        "grid": {
-            "topology": "ring",
-            "buses": int(n_buses),
-            "chords": int(chords),
-            "seed": int(seed),
-            "inertia": inertia,
-            "damping": damping,
-            "susceptance": susceptance,
-            "grounding": grounding,
-        }
-    }
-    _parse_grid_block(doc["grid"])
-    return doc
+    grid = {"topology": "ring", "buses": n_buses, "chords": chords, "seed": seed,
+            "inertia": inertia, "damping": damping, "susceptance": susceptance,
+            "grounding": grounding}
+    _parse_grid_block(grid)
+    grid.update(buses=int(n_buses), chords=int(chords), seed=int(seed))
+    return {"grid": grid}
 
 
 _SCALARS = (str, int, float, type(None))

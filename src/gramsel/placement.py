@@ -141,10 +141,16 @@ def _weights_with_solver(cs, metric):
     return dict(zip(cs.ids, scores))
 
 
-def _magnitude(metric, g):
-    """vdot(|C_bar|, |W|) >= |metric(W)|: it scales as the score does, but stays
-    above rounding noise when the terms cancel; zero only when every term is."""
-    return float(np.vdot(np.abs(metric.state_weighting(g.shape[0])), np.abs(g)))
+def _subset_score(cs, metric, b):
+    """``(metric(W), vdot(|C_bar|, |W|))`` for the forward Gramian W of ``b``.  The
+    magnitude bounds |metric(W)|, so a NumericalError when it is not finite guards both.
+    It scales as the score does but stays above rounding noise when the terms cancel."""
+    g = cs.solver.gramian(b)
+    magnitude = float(np.vdot(np.abs(metric.state_weighting(cs.n)), np.abs(g)))
+    if not math.isfinite(magnitude):
+        raise NumericalError(f"{metric.describe()} score overflows: its magnitude "
+                             f"vdot(|C_bar|, |W|) is {magnitude}")
+    return evaluate_metric(metric, g), magnitude
 
 
 def _check_additivity(cs, metric, b, weights, out=None):
@@ -154,19 +160,18 @@ def _check_additivity(cs, metric, b, weights, out=None):
     b diag(sqrt(d)) (built in ``out`` if given) to _ADDITIVITY_RTOL relative to
     max(fsum(d_j |w_j|), that score's magnitude).  Unlike a plain sum, this catches
     weights paired with the wrong columns, and a transposed solve when b = C_bar = I.
+    A NaN or infinite weight fails: the magnitude is finite, so the scale is too.
     """
     d = np.arange(1.0, len(weights) + 1.0)
-    bs = np.multiply(b, np.sqrt(d), out=out)
-    g = cs.solver.gramian(bs)
-    combined = evaluate_metric(metric, g)
+    combined, magnitude = _subset_score(cs, metric, np.multiply(b, np.sqrt(d), out=out))
     dw = d * weights
-    expected = math.fsum(dw)
-    scale = max(math.fsum(np.abs(dw)), _magnitude(metric, g))
-    if abs(combined - expected) > _ADDITIVITY_RTOL * scale:
-        raise NumericalError(
-            f"additivity cross-check failed: weighted sum of weights {expected!r} vs "
-            f"combined-gramian score {combined!r}"
-        )
+    try:  # fsum raises on a sum past the float range and on inf - inf
+        expected, scale = math.fsum(dw), max(math.fsum(np.abs(dw)), magnitude)
+    except (OverflowError, ValueError):
+        expected = scale = math.nan
+    if not abs(combined - expected) <= _ADDITIVITY_RTOL * scale < math.inf:
+        raise NumericalError(f"additivity cross-check failed: weighted sum of weights "
+                             f"{expected!r} vs combined-gramian score {combined!r}")
     return math.fsum(weights)
 
 
@@ -205,17 +210,12 @@ def _min_eigenvalue(w):
 
 def _log_det(w):
     sign, logdet = np.linalg.slogdet(w)
-    if sign <= 0:
-        return -math.inf
-    return float(logdet)
+    return float(logdet) if sign > 0 else -math.inf
 
 
 # Non-modular functionals admissible in brute_force_best (and only there:
 # sorting per-candidate weights is not exact for these).
-GRAMIAN_FUNCTIONALS = {
-    "min_eig": _min_eigenvalue,
-    "log_det": _log_det,
-}
+GRAMIAN_FUNCTIONALS = {"min_eig": _min_eigenvalue, "log_det": _log_det}
 
 
 def brute_force_best(cs, k, metric=MetricSpec(), functional="metric", cap=1_000_000):
@@ -241,13 +241,11 @@ def brute_force_best(cs, k, metric=MetricSpec(), functional="metric", cap=1_000_
     if score is None:
         raise DomainError(f"unknown functional {functional!r}; expected one of {sorted(named)}")
 
-    best_ids, best_val = None, -math.inf
-    for combo in itertools.combinations(sorted(cs.ids), k):
-        val = score(cs.solver.gramian(cs.input_matrix(combo)))
-        # strict > keeps the first (lexicographically smallest) maximizer
-        if val > best_val:
-            best_ids, best_val = combo, val
-    return best_ids, best_val
+    # combinations of sorted ids come in lexicographic order, and max keeps the first maximizer
+    value, ids = max(((score(cs.solver.gramian(cs.input_matrix(combo))), combo)
+                      for combo in itertools.combinations(sorted(cs.ids), k)),
+                     key=lambda pair: pair[0])
+    return ids, value
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,8 @@ def verify_modularity(cs, metric=MetricSpec(), trials=100, seed=0):
     independently with probability 1/2 (seeded), computes all four subset
     scores from scratch via combined-input Gramians, and records the
     violation |f(A)+f(B)-f(AuB)-f(AnB)| / max(m(A)+m(B), m(AuB)+m(AnB)),
-    m = _magnitude (= f under the trace metric), or 0 if all four m are 0.
+    m the magnitude of :func:`_subset_score` (= f under the trace metric), or 0
+    if all four m are 0.
     The check passes when no violation exceeds _MODULARITY_RTOL.
     """
     trials = as_number(trials, "trials", 1, integer=True)
@@ -279,8 +278,7 @@ def verify_modularity(cs, metric=MetricSpec(), trials=100, seed=0):
     ids = np.array(cs.ids, dtype=object)
 
     def score(mask):
-        g = cs.solver.gramian(cs.input_matrix(ids[mask]))
-        return evaluate_metric(metric, g), _magnitude(metric, g)
+        return _subset_score(cs, metric, cs.input_matrix(ids[mask]))
 
     worst, worst_pair = 0.0, ((), ())
     for _ in range(trials):

@@ -123,6 +123,19 @@ class TestRank:
         row = json.loads(out)["results"]["ranked"][0]
         assert row["h2_norm"] == pytest.approx(row["score"] ** 0.5)
 
+    def test_select_csv_keeps_the_h2_norm_column(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys, args=("--ring", "4"))
+        code, out, _ = run(capsys, ["select", path, "--k", "2", "--weight", "frequencies",
+                                    "--csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "rank,id,score,h2_norm,selected"
+        assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == 2
+        # the select table is the rank table plus the "selected" column
+        code, ranked_csv, _ = run(capsys, ["rank", path, "--weight", "frequencies", "--csv"])
+        assert code == 0
+        assert [line.rsplit(",", 1)[0] for line in lines] == ranked_csv.splitlines()
+
     def test_frequencies_weight_requires_grid(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
         code, _, err = run(capsys, ["rank", path, "--weight", "frequencies"])
@@ -161,6 +174,15 @@ class TestRank:
                                          "--weight-file", str(selector)])
         assert code == 0
         assert json.loads(out)["results"] == json.loads(explicit)["results"]
+
+    def test_trace_metric_takes_no_weight_file(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys)
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(np.eye(4).tolist()))
+        code, out, err = run(capsys, ["rank", path, "--metric", "trace",
+                                      "--weight-file", str(wfile)])
+        assert code == 2 and out == ""
+        assert "--metric trace takes no --weight-file" in err
 
     def test_missing_weight_file(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
@@ -246,6 +268,17 @@ class TestBruteforce:
         assert code == 0
         assert len(json.loads(out)["results"]["best_ids"]) == 2
 
+    def test_log_det_when_every_subset_is_singular(self, tmp_path, capsys):
+        # each single column leaves one state unreachable, so every log-det is -inf
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({"n": 2, "A": [[-1, 0], [0, -2]], "candidates": [
+            {"id": "a", "b": [1, 0]}, {"id": "b", "b": [0, 1]}]}))
+        code, out, _ = run(capsys, ["bruteforce", str(path), "--k", "1",
+                                    "--functional", "log_det"])
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["best_ids"] == ["a"] and res["best_value"] == -np.inf
+
 
 class TestSynthesize:
     def test_payload(self, tmp_path, capsys):
@@ -292,6 +325,13 @@ class TestSynthesize:
         assert code == 2
         assert out == ""
         assert "'b0' is named more than once" in err
+
+    def test_empty_ids_is_2(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys)
+        code, out, err = run(capsys, ["synthesize", path, "--ids", ",", "--horizon", "1",
+                                      "--target", "0.1,0,0,0"])
+        assert code == 2 and out == ""
+        assert "--ids must name at least one candidate" in err
 
     # each subcommand with its required arguments; argparse rejects the flag before any work
     REQUIRED_ARGS = {
@@ -405,11 +445,26 @@ class TestExitCodes:
                       {"id": "b1", "inertia": 2.0, "damping": 0.4}],
             "lines": [{"from": "b0", "to": "b1", "susceptance": 1.0}],
         }}
-        path = tmp_path / "big.json"
-        for doc in (explicit, grid):
-            path.write_text(json.dumps(doc))
-            for command in (["rank"], ["select", "--k", "1"]):
-                code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+        path, wfile = tmp_path / "big.json", tmp_path / "w.json"
+        four = make_problem(tmp_path, capsys, "r4.json", ("--random", "3", "4", "--seed", "1"))
+        forty = make_problem(tmp_path, capsys, "r40.json", ("--random", "3", "40", "--seed", "1"))
+        h2 = ["--metric", "h2", "--weight-file", str(wfile)]
+        on_four = (["rank"], ["select", "--k", "1"], ["verify", "--trials", "2"],
+                   ["bruteforce", "--k", "2"])
+        on_forty = (["rank"], ["select", "--k", "5"], ["verify", "--trials", "3"])
+        cases = [  # (file to write, its document, problem, flags, commands)
+            (path, explicit, path, [], on_four[:2]),
+            (path, grid, path, [], on_four[:2]),
+            # finite h2 weights whose C_bar, or the scores it weights, overflow
+            (wfile, [[5e153] * 3], forty, h2, on_forty),
+            (wfile, [[2e153] * 3], forty, h2, on_forty),
+            (wfile, [[1e154, 0, 0]], four, h2, on_four),
+            (wfile, [[9e153] * 3], four, h2, on_four),
+        ]
+        for target, doc, problem, flags, commands in cases:
+            target.write_text(json.dumps(doc))
+            for command in commands:
+                code, out, err = run(capsys, [command[0], str(problem), *command[1:], *flags])
                 errors = [line for line in err.splitlines() if line.startswith("error:")]
                 assert code == 3 and out == "" and len(errors) == 1
                 assert "overflows" in errors[0] and not re.search(r"\bq\b", errors[0])
@@ -681,6 +736,7 @@ MALFORMED = [
     # array shapes are checked by numerics.as_array, which names the array
     (("explicit", ("A",)), [[-1.0, 0.3]], "A has shape (1, 2), expected (2, 2)"),
     (("explicit", ("candidates", 1, "b")), [1.0], "candidate 'u1' column has shape (1,)"),
+    (("bus list", ("grid", "buses")), [], "grid has no buses"),
 ]
 # Every JSON object of every base problem, by its path.
 OBJECT_SITES = [(name, path) for name, path in MUTATION_SITES

@@ -136,6 +136,7 @@ class TestSolveLyapunov:
         a = np.diag([-1.0, -2.0])
         for call in (
             lambda: controllability_gramian(a, "x"),
+            lambda: controllability_gramian(a, [[1.0, 2.0], [3.0]]),  # ragged
             lambda: controllability_gramian("x", [1.0, 0.0]),
             lambda: observability_gramian(a, "x"),
             lambda: observability_gramian([[-1.0, 0.0], [0.0]], [1.0, 0.0]),

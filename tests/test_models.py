@@ -358,6 +358,16 @@ class TestProblemIO:
         assert problem.candidate_set.n == 12
         assert problem.candidate_set.size == 15
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_buses": 2.5}, "buses"),
+        ({"n_buses": 4, "chords": 1.5}, "chords"),
+        ({"n_buses": 4, "seed": True}, "seed"),
+    ])
+    def test_ring_problem_dict_validates_before_it_converts(self, kwargs, field):
+        # int() once made these a 2-bus ring, 1 chord and seed 1
+        with pytest.raises(DomainError, match=field):
+            ring_problem_dict(**kwargs)
+
     def test_explicit_grid_block(self, tmp_path):
         doc = {
             "grid": {

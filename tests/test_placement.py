@@ -156,6 +156,31 @@ class TestCandidateWeights:
         with pytest.raises(NumericalError, match="additivity"):
             select_top_k(cs, 2)
 
+    @pytest.mark.parametrize("first_two", [
+        (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),  # NaN passes ">"; inf the scale
+        (math.inf, -math.inf), (1e308, 6e307),  # fsum raises: inf - inf, a sum past the range
+    ])
+    def test_non_finite_weights_are_caught(self, monkeypatch, first_two):
+        einsum = placement.np.einsum  # numpy's; in gramsel only the scoring calls it
+
+        def spoiled(*args, **kw):
+            scores = einsum(*args, **kw)
+            scores[:2] = first_two
+            return scores
+
+        monkeypatch.setattr(placement.np, "einsum", spoiled)
+        cs = _candidate_set(3, n=5, m=4)
+        with pytest.raises(NumericalError, match="additivity"):
+            candidate_weights(cs)
+        with pytest.raises(NumericalError, match="additivity"):
+            select_top_k(cs, 2)
+
+    def test_an_overflowing_adjoint_fails_the_check(self):
+        # P = C_bar / 0.2 overflows to inf, while the forward scores stay near 1e289
+        cs = CandidateSet([[-0.1]], ["a", "c"], [[1e-10, 2e-10]])
+        with pytest.raises(NumericalError, match="weighted sum of weights inf"):
+            candidate_weights(cs, MetricSpec.weighted([[4e307]]))
+
     def test_scores_that_cancel_to_rounding_noise_pass(self):
         # h2 output on a state no column reaches, in a rotated basis: every
         # score is zero up to rounding noise, on both sides of each check
@@ -289,6 +314,11 @@ class TestBruteForce:
         ids, val = brute_force_best(cs, 4, functional="log_det")
         assert len(ids) == 4
         assert math.isfinite(val) or val == -math.inf
+
+    def test_log_det_when_every_subset_is_singular(self):
+        # every single column leaves one state unreachable: all values are -inf
+        cs = CandidateSet(np.diag([-1.0, -2.0]), ["b", "a"], np.eye(2))
+        assert brute_force_best(cs, 1, functional="log_det") == (("a",), -math.inf)
 
     def test_unknown_functional(self):
         # only names are accepted: an unknown one, a callable, a non-string
