@@ -59,12 +59,11 @@ from .placement import (
     verify_modularity,
 )
 from .models import (
-    Bus,
     GridModel,
-    Line,
     Problem,
     build_swing_matrix,
     frequency_selector,
+    grid_model,
     hvdc_candidates,
     load_problem,
     random_hurwitz_system,
@@ -96,7 +95,7 @@ __all__ = [
     "select_top_k", "brute_force_best", "verify_modularity",
     "controllability_centrality",
     # models
-    "Bus", "Line", "GridModel", "build_swing_matrix",
+    "GridModel", "grid_model", "build_swing_matrix",
     "state_labels", "frequency_selector", "hvdc_candidates", "ring_grid",
     "random_hurwitz_system", "Problem", "load_problem", "write_problem",
     "system_problem_dict", "ring_problem_dict",

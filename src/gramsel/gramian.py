@@ -236,7 +236,9 @@ def finite_horizon_gramian(a, b, t):
     n = a.shape[0]
     b = _input_matrix(b, n)
 
-    norm_a = np.linalg.norm(a, 1)
+    norm_a = float(np.linalg.norm(a, 1))
+    if not math.isfinite(t * norm_a):
+        raise NumericalError(f"horizon t = {t:g} times ||A||_1 = {norm_a:g} overflows")
     doublings = 0
     if norm_a > 0.0 and t * norm_a > _BLOCK_NORM_BOUND:
         doublings = int(math.ceil(math.log2(t * norm_a / _BLOCK_NORM_BOUND)))

@@ -17,20 +17,18 @@ import functools
 import hashlib
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GramselError, ProblemFormatError, TopologyError
+from .exceptions import DomainError, GramselError, ProblemFormatError, TopologyError
 from .metrics import METRIC_KINDS, MetricSpec
 from .numerics import as_array, as_number, spectral_abscissa
 from .placement import CandidateSet
 
 __all__ = [
-    "Bus",
-    "Line",
     "GridModel",
+    "grid_model",
     "build_swing_matrix",
     "state_labels",
     "frequency_selector",
@@ -47,74 +45,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Bus:
-    id: str
-    inertia: float
-    damping: float
-    grounding: float = 0.0
+# The largest ring whose dense (2N, N(N-1)/2) HVDC column matrix numpy can address,
+# 8 N^2 (N - 1) bytes <= the intp maximum: 2**20 buses on a 64-bit build.
+_MAX_RING_BUSES = round((np.iinfo(np.intp).max / 8) ** (1 / 3))
 
 
-@dataclass(frozen=True)
-class Line:
-    from_bus: str
-    to_bus: str
-    susceptance: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridModel:
-    """Validated grid description: buses plus undirected AC lines.
+    """A checked grid as read-only arrays (see :func:`grid_model`): N bus ``ids``,
+    their ``inertia`` M > 0, ``damping`` D > 0 and ``grounding`` g >= 0, and
+    ``lines``, the (L, 2) bus positions of the AC lines, with their
+    ``susceptance`` b > 0."""
 
-    Construction enforces positive inertia/damping/susceptance,
-    non-negative grounding, unique bus ids, no self-loops or duplicate
-    lines, endpoints that exist, and a connected topology.
-    """
-
-    buses: tuple
-    lines: tuple
+    ids: tuple
+    inertia: np.ndarray
+    damping: np.ndarray
+    grounding: np.ndarray
+    lines: np.ndarray
+    susceptance: np.ndarray
 
     def __post_init__(self):
-        buses = tuple(self.buses)
-        lines = tuple(self.lines)
-        if not buses:
-            raise TopologyError("grid has no buses")
-        seen = set()
-        for bus in buses:
-            if bus.id in seen:
-                raise TopologyError(f"duplicate bus id {bus.id!r}")
-            seen.add(bus.id)
-            as_number(bus.inertia, f"bus {bus.id!r} inertia", 0.0, strict=True)
-            as_number(bus.damping, f"bus {bus.id!r} damping", 0.0, strict=True)
-            as_number(bus.grounding, f"bus {bus.id!r} grounding", 0.0)
-        pairs = set()
-        for line in lines:
-            if line.from_bus not in seen or line.to_bus not in seen:
-                raise TopologyError(
-                    f"line {line.from_bus!r}-{line.to_bus!r} references an unknown bus"
-                )
-            if line.from_bus == line.to_bus:
-                raise TopologyError(f"self-loop on bus {line.from_bus!r}")
-            key = frozenset((line.from_bus, line.to_bus))
-            if key in pairs:
-                raise TopologyError(
-                    f"duplicate line between {line.from_bus!r} and {line.to_bus!r}"
-                )
-            pairs.add(key)
-            name = f"line {line.from_bus!r}-{line.to_bus!r} susceptance"
-            as_number(line.susceptance, name, 0.0, strict=True)
-        if not _connected(buses, lines):
-            raise TopologyError("grid graph is not connected")
-        object.__setattr__(self, "buses", buses)
-        object.__setattr__(self, "lines", lines)
-
-    @property
-    def n_buses(self):
-        return len(self.buses)
-
-    @property
-    def bus_ids(self):
-        return tuple(b.id for b in self.buses)
+        for array in (self.inertia, self.damping, self.grounding, self.lines, self.susceptance):
+            array.flags.writeable = False
 
     @property
     def grounded(self):
@@ -126,58 +78,52 @@ class GridModel:
         ungrounded grid legitimately carries a zero eigenvalue (the uniform
         angle shift), so it is flagged rather than rejected.
         """
-        return any(bus.grounding > 0 for bus in self.buses)
+        return bool(np.any(self.grounding > 0))
 
 
-def _connected(buses, lines):
-    if len(buses) <= 1:
-        return True
-    adj = {b.id: [] for b in buses}
-    for ln in lines:
-        adj[ln.from_bus].append(ln.to_bus)
-        adj[ln.to_bus].append(ln.from_bus)
-    seen = {buses[0].id}
-    queue = deque([buses[0].id])
-    while queue:
-        for nxt in adj[queue.popleft()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(buses)
+def _connected(n, lines):
+    """True iff the (L, 2) bus positions ``lines`` connect all ``n`` buses.  Each
+    round gives every bus the least label of its neighbours and itself, then that
+    label's own label, until each component carries one label: bus 0's is 0."""
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, lines, label[lines[:, ::-1]])
+        low = low[low]
+        if np.array_equal(low, label):
+            return not label.any()
+        label = low
 
 
 def build_swing_matrix(grid):
     """The (2N, 2N) swing dynamics matrix A of a grid; bus k owns states 2k
     (angle) and 2k + 1 (frequency).
 
-    No eigenvalues are computed: see :attr:`GridModel.grounded`.  The
-    Hurwitz test is made where A is factored
+    Each line's four terms are added in line order, as a loop over the lines
+    adds them.  No eigenvalues are computed: see :attr:`GridModel.grounded`.
+    The Hurwitz test is made where A is factored
     (:class:`~gramsel.gramian.LyapunovSolver`).
     """
-    pos = {bus.id: k for k, bus in enumerate(grid.buses)}
-    a = np.zeros((2 * grid.n_buses, 2 * grid.n_buses))
-    for k, bus in enumerate(grid.buses):
-        a[2 * k, 2 * k + 1] = 1.0
-        a[2 * k + 1, 2 * k + 1] = -bus.damping / bus.inertia
-        a[2 * k + 1, 2 * k] = -bus.grounding / bus.inertia
-    for line in grid.lines:
-        i, j = pos[line.from_bus], pos[line.to_bus]
-        mi, mj = grid.buses[i].inertia, grid.buses[j].inertia
-        a[2 * i + 1, 2 * i] -= line.susceptance / mi
-        a[2 * i + 1, 2 * j] += line.susceptance / mi
-        a[2 * j + 1, 2 * j] -= line.susceptance / mj
-        a[2 * j + 1, 2 * i] += line.susceptance / mj
+    k = np.arange(len(grid.ids))
+    a = np.zeros((2 * len(k), 2 * len(k)))
+    a[2 * k, 2 * k + 1] = 1.0
+    a[2 * k + 1, 2 * k + 1] = -grid.damping / grid.inertia
+    a[2 * k + 1, 2 * k] = -grid.grounding / grid.inertia
+    i, j = grid.lines.T
+    bi, bj = grid.susceptance / grid.inertia[i], grid.susceptance / grid.inertia[j]
+    terms = (2 * np.column_stack([i, i, j, j]) + 1, 2 * np.column_stack([i, j, j, i]))
+    np.add.at(a, terms, np.column_stack([-bi, bi, -bj, bj]))  # row-major: line order
     return a
 
 
 def state_labels(grid):
     """``"<bus>:angle"`` and ``"<bus>:freq"`` for each bus, in state order."""
-    return [f"{bus.id}:{state}" for bus in grid.buses for state in ("angle", "freq")]
+    return [f"{bus}:{state}" for bus in grid.ids for state in ("angle", "freq")]
 
 
 def frequency_selector(grid):
     """(N, 2N) output matrix picking every frequency state (row per bus)."""
-    return np.kron(np.eye(grid.n_buses), [0.0, 1.0])
+    return np.kron(np.eye(len(grid.ids)), [0.0, 1.0])
 
 
 def hvdc_candidates(grid):
@@ -188,12 +134,12 @@ def hvdc_candidates(grid):
     ``b`` with +1/M_i at bus i's frequency state and -1/M_j at bus j's;
     links are ordered by i, then j.
     """
-    bus_ids = grid.bus_ids
-    i, j = np.triu_indices(len(bus_ids), 1)
-    ids = [f"{bus_ids[p]}-{bus_ids[q]}" for p, q in zip(i.tolist(), j.tolist())]
-    inv_m = 1.0 / np.array([bus.inertia for bus in grid.buses], dtype=float)
+    names = grid.ids
+    i, j = np.triu_indices(len(names), 1)
+    ids = [f"{names[p]}-{names[q]}" for p, q in zip(i.tolist(), j.tolist())]
+    inv_m = 1.0 / grid.inertia
     links = np.arange(len(ids))
-    b = np.zeros((2 * len(bus_ids), len(ids)))
+    b = np.zeros((2 * len(names), len(ids)))
     b[2 * i + 1, links] = inv_m[i]
     b[2 * j + 1, links] = -inv_m[j]
     return ids, b
@@ -201,35 +147,28 @@ def hvdc_candidates(grid):
 
 def ring_grid(n_buses, inertia=1.0, damping=0.5, susceptance=1.0,
               grounding=0.1, chords=0, seed=0):
-    """Uniform ring of buses, optionally with seeded random chord lines."""
-    n_buses = as_number(n_buses, "buses", 2, integer=True)
+    """Uniform ring of at most ``_MAX_RING_BUSES`` buses, optionally with seeded random
+    chord lines.  A line joins buses i < j: the ring's lines come first, ordered by
+    (i, j), then the chords, drawn without replacement from the other pairs in that order."""
+    n = as_number(n_buses, "buses", 2, _MAX_RING_BUSES, integer=True)
     seed = as_number(seed, "seed", 0, integer=True)
-    width = len(str(n_buses - 1))
-    buses = tuple(
-        Bus(id=f"bus{i:0{width}d}", inertia=inertia, damping=damping,
-            grounding=grounding)
-        for i in range(n_buses)
-    )
-    ring_pairs = {frozenset((i, (i + 1) % n_buses)) for i in range(n_buses)}
-    max_chords = n_buses * (n_buses - 1) // 2 - len(ring_pairs)
-    chords = as_number(chords, "chords", 0, max_chords, integer=True)
-    lines = [
-        Line(buses[min(p)].id, buses[max(p)].id, susceptance)
-        for p in sorted(ring_pairs, key=sorted)
-    ]
-    if chords > 0:
-        candidates = [
-            (i, j)
-            for i in range(n_buses)
-            for j in range(i + 1, n_buses)
-            if frozenset((i, j)) not in ring_pairs
-        ]
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(candidates), size=chords, replace=False)
-        for idx in sorted(picks):
-            i, j = candidates[idx]
-            lines.append(Line(buses[i].id, buses[j].id, susceptance))
-    return GridModel(buses=buses, lines=tuple(lines))
+    k = np.arange(n - 1)
+    lines = np.column_stack([k, k + 1])
+    if n > 2:  # the closing line (0, n - 1) sorts second
+        lines = np.insert(lines, 1, [0, n - 1], axis=0)
+    chords = as_number(chords, "chords", 0, n * (n - 1) // 2 - len(lines), integer=True)
+    per_bus = [np.full(n, as_number(value, name, 0.0, strict=name != "grounding"))
+               for name, value in zip(("inertia", "damping", "grounding"),
+                                      (inertia, damping, grounding))]
+    susceptance = as_number(susceptance, "susceptance", 0.0, strict=True)
+    if chords:
+        i, j = np.triu_indices(n, 1)
+        free = np.flatnonzero((j - i > 1) & ((i > 0) | (j < n - 1)))
+        picks = np.sort(free[np.random.default_rng(seed).choice(len(free), chords, replace=False)])
+        lines = np.vstack([lines, np.column_stack([i[picks], j[picks]])])
+    width = len(str(n - 1))
+    return GridModel(tuple(f"bus{p:0{width}d}" for p in range(n)), *per_bus, lines,
+                     np.full(len(lines), susceptance))
 
 
 def random_hurwitz_system(n, m, density=0.3, seed=0):
@@ -244,6 +183,9 @@ def random_hurwitz_system(n, m, density=0.3, seed=0):
     """
     n = as_number(n, "n", 1, integer=True)
     m = as_number(m, "m", 1, integer=True)
+    if 8 * n * max(n, m) > np.iinfo(np.intp).max:
+        raise DomainError(f"{'n' if n >= m else 'm'} is too large for numpy to address "
+                          f"an ({n}, {max(n, m)}) float array")
     density = as_number(density, "density", 0.0, 1.0, strict=True)
     rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     s = rng.normal(size=(n, n)) * (rng.random(size=(n, n)) < density)
@@ -317,7 +259,11 @@ def _parse_metric(doc):
     return MetricSpec(kind, doc.get("matrix"))  # MetricSpec validates the matrix
 
 
-def _parse_grid_block(doc):
+def grid_model(doc):
+    """The :class:`GridModel` of a problem file's ``"grid"`` block, a ring
+    (:func:`ring_grid`) or a bus list.  A bus list is checked bus by bus, then line
+    by line: unique ids, numbers in range, lines between two different known buses
+    and no pair twice; then the lines must connect every bus."""
     if isinstance(doc, dict) and "topology" in doc:
         _fields(doc, "grid", ("topology", "buses"), _RING_FIELDS)
         if doc["topology"] != "ring":
@@ -326,9 +272,33 @@ def _parse_grid_block(doc):
     _fields(doc, "grid", ("buses",), ("lines",))
     buses = _entries(doc, "buses", "bus", ("id", "inertia", "damping"), ("grounding",), ("id",))
     lines = _entries(doc, "lines", "line", ("from", "to", "susceptance"), (), ("from", "to"))
-    return GridModel(buses=tuple(Bus(**{**b, "id": str(b["id"])}) for b in buses),
-                     lines=tuple(Line(str(ln["from"]), str(ln["to"]), ln["susceptance"])
-                                 for ln in lines))
+    if not buses:
+        raise TopologyError("grid has no buses")
+    pos, per_bus = {}, []
+    for bus in buses:
+        bid = str(bus["id"])
+        if bid in pos:
+            raise TopologyError(f"duplicate bus id {bid!r}")
+        pos[bid] = len(pos)
+        per_bus.append([as_number(bus.get(key, 0.0), f"bus {bid!r} {key}", 0.0,
+                                  strict=key != "grounding")
+                        for key in ("inertia", "damping", "grounding")])
+    ends, susceptance = {}, []
+    for line in lines:
+        i, j = str(line["from"]), str(line["to"])
+        if i not in pos or j not in pos:
+            raise TopologyError(f"line {i!r}-{j!r} references an unknown bus")
+        if i == j:
+            raise TopologyError(f"self-loop on bus {i!r}")
+        if frozenset((i, j)) in ends:
+            raise TopologyError(f"duplicate line between {i!r} and {j!r}")
+        ends[frozenset((i, j))] = (pos[i], pos[j])
+        susceptance.append(as_number(line["susceptance"], f"line {i!r}-{j!r} susceptance",
+                                     0.0, strict=True))
+    ends = np.array(list(ends.values()), dtype=np.intp).reshape(-1, 2)
+    if not _connected(len(pos), ends):
+        raise TopologyError("grid graph is not connected")
+    return GridModel(tuple(pos), *np.array(per_bus).T, ends, np.array(susceptance))
 
 
 def read_json(path, what):
@@ -370,7 +340,7 @@ def load_problem(path):
     metric = _parse_metric(doc.get("weight"))
 
     if is_grid:
-        grid = _parse_grid_block(doc["grid"])
+        grid = grid_model(doc["grid"])
         cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid))
         return Problem(candidate_set=cs, grid=grid, metric=metric, digest=digest)
 
@@ -417,7 +387,7 @@ def ring_problem_dict(n_buses, chords=0, seed=0, inertia=1.0, damping=0.5,
     grid = {"topology": "ring", "buses": n_buses, "chords": chords, "seed": seed,
             "inertia": inertia, "damping": damping, "susceptance": susceptance,
             "grounding": grounding}
-    _parse_grid_block(grid)
+    grid_model(grid)
     grid.update(buses=int(n_buses), chords=int(chords), seed=int(seed))
     return {"grid": grid}
 

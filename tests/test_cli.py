@@ -57,6 +57,7 @@ class TestGen:
         (("--ring", "4", "--damping", "0"), "damping"),
         (("--ring", "4", "--susceptance", "-1"), "susceptance"),
         (("--ring", "4", "--grounding", "-0.1"), "grounding"),
+        (("--ring", "100000000000000000000"), "buses"),
     ])
     def test_ring_a_loader_rejects_is_never_written(self, tmp_path, capsys, args, field):
         out = tmp_path / "p.json"
@@ -64,6 +65,17 @@ class TestGen:
         assert code == 2
         assert field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sizes, field", [
+        (("2", "10000000000000000000"), "m"),
+        (("10000000000000000000", "2"), "n"),
+    ])
+    def test_random_sizes_numpy_cannot_address_are_2(self, tmp_path, capsys, sizes, field):
+        out = tmp_path / "p.json"
+        code, _, err = run(capsys, ["gen", "--random", *sizes, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert err.splitlines() == [f"error: {field} is too large for numpy to address an "
+                                    f"({sizes[0]}, 10000000000000000000) float array"]
 
     @pytest.mark.parametrize("kind, flag, value", [
         (("--random", "4", "5"), "--chords", "3"),
@@ -481,6 +493,17 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert shown in err and "Traceback" not in err
 
+    def test_horizon_whose_split_overflows_is_3(self, tmp_path, capsys):
+        # the README's explicit problem, where t ||A||_1 = 2.2e308 is past the float range
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "problem.json"
+        path.write_text(re.findall(r"```json\n(.*?)```", text, re.DOTALL)[0])
+        code, out, err = run(capsys, ["synthesize", str(path), "--ids", "p0,p1", "--horizon",
+                                      "1e308", "--target", "0.1,0.2,0"])
+        assert code == 3 and out == ""
+        assert [line for line in err.splitlines() if not line.startswith("[gramsel]")] == [
+            "error: horizon t = 1e+308 times ||A||_1 = 2.2 overflows"]
+
     def test_no_subcommand_prints_help(self, capsys):
         code = cli.main([])
         assert code == 2
@@ -674,8 +697,7 @@ BASE_PROBLEMS = {
                                 {"id": "u1", "b": [0.5, 1.0]}],
                  "weight": {"kind": "h2", "matrix": [[1.0, 0.5]]}},
 }
-# No huge integers: "buses": 1e300 would build an enormous ring.
-MUTANT_VALUES = ["x", "nan", None, True, -1, 0, 4.5, [], {}, 5, float("nan")]
+MUTANT_VALUES = ["x", "nan", None, True, -1, 0, 4.5, [], {}, 5, float("nan"), 10**20]
 
 
 def _paths(node, prefix=()):
@@ -737,6 +759,8 @@ MALFORMED = [
     (("explicit", ("A",)), [[-1.0, 0.3]], "A has shape (1, 2), expected (2, 2)"),
     (("explicit", ("candidates", 1, "b")), [1.0], "candidate 'u1' column has shape (1,)"),
     (("bus list", ("grid", "buses")), [], "grid has no buses"),
+    # a ring whose dense HVDC matrix numpy cannot address once built Bus objects until killed
+    (("ring", ("grid", "buses")), 10**20, "buses"),
 ]
 # Every JSON object of every base problem, by its path.
 OBJECT_SITES = [(name, path) for name, path in MUTATION_SITES

@@ -398,6 +398,15 @@ class TestFiniteHorizon:
         w_inf = controllability_gramian(a, b)
         assert np.allclose(g, w_inf, rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("a, t", [
+        ([[-1.0, 0.2], [0.0, -2.2]], 1e308),  # t ||A||_1 = 2.2e308
+        ([[-1e308, 0.0], [-1e308, -1.0]], 1.0),  # ||A||_1 itself overflows
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    def test_horizon_whose_split_overflows_is_a_numerical_error(self, a, t):
+        with pytest.raises(NumericalError, match="overflows"):
+            finite_horizon_gramian(a, [[1.0], [0.0]], t)
+
 
 class TestObservability:
     def test_scalar(self):

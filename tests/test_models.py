@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gramsel import cli, metrics
+from gramsel import cli, metrics, models
 from gramsel.exceptions import (
     DimensionError,
     DomainError,
@@ -18,11 +18,9 @@ from gramsel.exceptions import (
 )
 from gramsel.metrics import MetricSpec
 from gramsel.models import (
-    Bus,
-    GridModel,
-    Line,
     build_swing_matrix,
     frequency_selector,
+    grid_model,
     hvdc_candidates,
     load_problem,
     random_hurwitz_system,
@@ -36,45 +34,92 @@ from gramsel.models import (
 from gramsel.numerics import eigenvalues, is_hurwitz, spectral_abscissa
 
 
+def _bus(bid, inertia, damping, grounding=None):
+    """A bus object of a problem file's bus list."""
+    bus = {"id": bid, "inertia": inertia, "damping": damping}
+    return bus if grounding is None else {**bus, "grounding": grounding}
+
+
+def _line(a, b, susceptance):
+    """A line object of a problem file's bus list."""
+    return {"from": a, "to": b, "susceptance": susceptance}
+
+
+def _grid(buses, lines=()):
+    return grid_model({"buses": list(buses), "lines": list(lines)})
+
+
 def _single_bus(g):
-    return GridModel(buses=(Bus("b1", inertia=1.0, damping=1.0, grounding=g),),
-                     lines=())
+    return _grid([_bus("b1", inertia=1.0, damping=1.0, grounding=g)])
 
 
 class TestGridModel:
     def test_duplicate_bus(self):
         with pytest.raises(TopologyError):
-            GridModel(buses=(Bus("x", 1, 1), Bus("x", 1, 1)), lines=())
+            _grid([_bus("x", 1, 1), _bus("x", 1, 1)])
 
     def test_nonpositive_inertia(self):
         with pytest.raises(DomainError):
-            GridModel(buses=(Bus("x", 0.0, 1.0),), lines=())
+            _grid([_bus("x", 0.0, 1.0)])
 
     def test_nonpositive_damping(self):
         with pytest.raises(DomainError):
-            GridModel(buses=(Bus("x", 1.0, -1.0),), lines=())
+            _grid([_bus("x", 1.0, -1.0)])
 
     def test_negative_grounding(self):
         with pytest.raises(DomainError):
-            GridModel(buses=(Bus("x", 1.0, 1.0, -0.1),), lines=())
+            _grid([_bus("x", 1.0, 1.0, -0.1)])
 
     def test_self_loop(self):
         with pytest.raises(TopologyError):
-            GridModel(buses=(Bus("x", 1, 1),), lines=(Line("x", "x", 1.0),))
+            _grid([_bus("x", 1, 1)], [_line("x", "x", 1.0)])
 
     def test_unknown_endpoint(self):
         with pytest.raises(TopologyError):
-            GridModel(buses=(Bus("x", 1, 1),), lines=(Line("x", "y", 1.0),))
+            _grid([_bus("x", 1, 1)], [_line("x", "y", 1.0)])
 
     def test_duplicate_line_either_direction(self):
-        buses = (Bus("x", 1, 1), Bus("y", 1, 1))
+        buses = [_bus("x", 1, 1), _bus("y", 1, 1)]
         with pytest.raises(TopologyError):
-            GridModel(buses=buses, lines=(Line("x", "y", 1.0), Line("y", "x", 2.0)))
+            _grid(buses, [_line("x", "y", 1.0), _line("y", "x", 2.0)])
 
     def test_disconnected(self):
-        buses = (Bus("a", 1, 1), Bus("b", 1, 1), Bus("c", 1, 1))
+        buses = [_bus("a", 1, 1), _bus("b", 1, 1), _bus("c", 1, 1)]
         with pytest.raises(TopologyError):
-            GridModel(buses=buses, lines=(Line("a", "b", 1.0),))
+            _grid(buses, [_line("a", "b", 1.0)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10))
+    def test_connected_exactly_when_a_graph_search_reaches_every_bus(self, data, n):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        reached, todo = {0}, [0]
+        while todo:
+            k = todo.pop()
+            for nxt in {j for i, j in edges if i == k} | {i for i, j in edges if j == k}:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+        order = data.draw(st.permutations(range(n)))  # bus k sits at position order[k]
+        buses = [_bus(f"b{k}", 1.0, 1.0, 0.1) for k in sorted(range(n), key=order.__getitem__)]
+        lines = [_line(f"b{i}", f"b{j}", 1.0) for i, j in edges]
+        if len(reached) == n:
+            assert len(_grid(buses, lines).ids) == n
+        else:
+            with pytest.raises(TopologyError, match="not connected"):
+                _grid(buses, lines)
+
+    @pytest.mark.parametrize("lines, message", [
+        # each list breaks two rules; the first one named is the one a line-by-line check meets
+        ([("a", "z", 0.0), ("a", "a", 1.0)], "line 'a'-'z' references an unknown bus"),
+        ([("a", "a", -1.0)], "self-loop on bus 'a'"),
+        ([("a", "b", 1.0), ("b", "a", -1.0)], "duplicate line between 'b' and 'a'"),
+        ([("a", "b", 0.0), ("b", "c", 1.0)], "line 'a'-'b' susceptance must be > 0.0"),
+    ])
+    def test_lines_are_checked_in_order(self, lines, message):
+        buses = [_bus("a", 1, 1), _bus("b", 1, 1), _bus("c", 1, 1)]
+        with pytest.raises((TopologyError, DomainError), match=re.escape(message)):
+            _grid(buses, [_line(*line) for line in lines])
 
 
 class TestSwingMatrix:
@@ -99,9 +144,9 @@ class TestSwingMatrix:
 
     def test_grounding_one_bus_stabilizes(self):
         grid = ring_grid(5, grounding=0.0)
-        buses = list(grid.buses)
-        buses[2] = Bus(buses[2].id, buses[2].inertia, buses[2].damping, 0.1)
-        grounded = GridModel(buses=tuple(buses), lines=grid.lines)
+        buses = [_bus(bid, 1.0, 0.5, 0.1 if k == 2 else 0.0) for k, bid in enumerate(grid.ids)]
+        lines = [_line(grid.ids[i], grid.ids[j], 1.0) for i, j in grid.lines.tolist()]
+        grounded = _grid(buses, lines)
         assert grounded.grounded
         assert is_hurwitz(build_swing_matrix(grounded))
 
@@ -110,8 +155,8 @@ class TestSwingMatrix:
         a = build_swing_matrix(grid)
         labels = state_labels(grid)
         assert len(labels) == a.shape[0]
-        for i, bus in enumerate(grid.buses):
-            ang, frq = labels.index(f"{bus.id}:angle"), labels.index(f"{bus.id}:freq")
+        for i, bid in enumerate(grid.ids):
+            ang, frq = labels.index(f"{bid}:angle"), labels.index(f"{bid}:freq")
             assert (ang, frq) == (2 * i, 2 * i + 1)
             assert a[ang, frq] == 1.0
             assert np.count_nonzero(a[ang]) == 1
@@ -119,7 +164,7 @@ class TestSwingMatrix:
     def test_coupling_rows_sum_to_zero_without_grounding(self):
         # each frequency row restricted to angle columns is a Laplacian row
         grid = ring_grid(7, grounding=0.0)
-        n = grid.n_buses
+        n = len(grid.ids)
         coupling = build_swing_matrix(grid)[1::2, 0::2]
         assert np.allclose(coupling @ np.ones(n), 0.0, atol=1e-12)
         # grounding shifts only the diagonal
@@ -127,8 +172,8 @@ class TestSwingMatrix:
         assert np.allclose(coupling_g @ np.ones(n), -0.25, atol=1e-12)
 
     def test_heterogeneous_inertia_scaling(self):
-        buses = (Bus("p", 2.0, 1.0, 0.4), Bus("q", 4.0, 1.0, 0.4))
-        grid = GridModel(buses=buses, lines=(Line("p", "q", 3.0),))
+        grid = _grid([_bus("p", 2.0, 1.0, 0.4), _bus("q", 4.0, 1.0, 0.4)],
+                     [_line("p", "q", 3.0)])
         a = build_swing_matrix(grid)
         # row p: -(g + b)/M_p on own angle, +b/M_p on neighbour
         assert a[1, 0] == pytest.approx(-(0.4 + 3.0) / 2.0)
@@ -144,14 +189,13 @@ class TestSwingMatrix:
         # the flag is "some bus is grounded"; the eigen-solve it replaces is the oracle
         positive = st.floats(0.1, 10.0)
         grounding = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
-        buses = tuple(Bus(f"b{i}", data.draw(positive), data.draw(positive),
-                          data.draw(grounding)) for i in range(n))
+        buses = [_bus(f"b{i}", data.draw(positive), data.draw(positive),
+                      data.draw(grounding)) for i in range(n)]
         tree = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
         pairs = [(i, j) for j in range(n) for i in range(j)]
         extra = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-        lines = tuple(Line(f"b{i}", f"b{j}", data.draw(positive))
-                      for i, j in sorted(tree | extra))
-        grid = GridModel(buses=buses, lines=lines)
+        lines = [_line(f"b{i}", f"b{j}", data.draw(positive)) for i, j in sorted(tree | extra)]
+        grid = _grid(buses, lines)
         assert grid.grounded == is_hurwitz(build_swing_matrix(grid))
 
     @settings(max_examples=15, deadline=None)
@@ -162,10 +206,47 @@ class TestSwingMatrix:
         assert grid.grounded
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_matches_the_per_line_loop_bit_for_bit(self, data, n):
+        # buses out of position order, several lines per bus, each line either way round
+        positive = st.floats(0.01, 100.0) | st.sampled_from([0.5, 1.0, 2.0, 3.0])
+        grounding = st.sampled_from([None, 0.0]) | st.floats(0.0, 10.0)
+        order = data.draw(st.permutations(range(n)))
+        buses = [_bus(f"b{k}", data.draw(positive), data.draw(positive), data.draw(grounding))
+                 for k in order]
+        tree = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        extra = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        edges = data.draw(st.permutations(sorted(tree | extra)))
+        lines = [_line(*(f"b{i}", f"b{j}")[::data.draw(st.sampled_from([1, -1]))],
+                       data.draw(positive)) for i, j in edges]
+        a = build_swing_matrix(_grid(buses, lines))
+        assert a.tobytes() == _swing_by_loop(buses, lines).tobytes()
+
+
+def _swing_by_loop(buses, lines):
+    """The swing matrix of a bus list built one bus and one line at a time."""
+    pos = {bus["id"]: k for k, bus in enumerate(buses)}
+    a = np.zeros((2 * len(buses), 2 * len(buses)))
+    for k, bus in enumerate(buses):
+        a[2 * k, 2 * k + 1] = 1.0
+        a[2 * k + 1, 2 * k + 1] = -bus["damping"] / bus["inertia"]
+        a[2 * k + 1, 2 * k] = -bus.get("grounding", 0.0) / bus["inertia"]
+    for line in lines:
+        i, j = pos[line["from"]], pos[line["to"]]
+        mi, mj, b = buses[i]["inertia"], buses[j]["inertia"], line["susceptance"]
+        a[2 * i + 1, 2 * i] -= b / mi
+        a[2 * i + 1, 2 * j] += b / mi
+        a[2 * j + 1, 2 * j] -= b / mj
+        a[2 * j + 1, 2 * i] += b / mj
+    return a
+
+
 class TestHvdcCandidates:
     def test_two_buses_single_link(self):
-        buses = (Bus("p", 2.0, 1.0, 0.1), Bus("q", 4.0, 1.0, 0.1))
-        ids, b = hvdc_candidates(GridModel(buses=buses, lines=(Line("p", "q", 1.0),)))
+        buses = [_bus("p", 2.0, 1.0, 0.1), _bus("q", 4.0, 1.0, 0.1)]
+        ids, b = hvdc_candidates(_grid(buses, [_line("p", "q", 1.0)]))
         assert ids == ["p-q"]
         expected = np.zeros((4, 1))
         expected[1] = 1.0 / 2.0
@@ -196,17 +277,18 @@ class TestHvdcCandidates:
                                       unique=True))
         order = data.draw(st.permutations(range(n)))
         assume(list(order) != sorted(order))
-        buses = tuple(Bus(f"n{k}", m, 1.0, 0.1) for k, m in zip(order, inertias))
-        lines = tuple(Line(p.id, q.id, 1.0) for p, q in zip(buses, buses[1:]))
-        grid = GridModel(buses=buses, lines=lines)
+        buses = [_bus(f"n{k}", m, 1.0, 0.1) for k, m in zip(order, inertias)]
+        lines = [_line(p["id"], q["id"], 1.0) for p, q in zip(buses, buses[1:])]
+        grid = _grid(buses, lines)
         labels = state_labels(grid)
         oracle_ids, oracle_cols = [], []
         for i in range(n):
             for j in range(i + 1, n):
+                p, q = buses[i], buses[j]
                 col = np.zeros(len(labels))
-                col[labels.index(f"{buses[i].id}:freq")] = 1.0 / buses[i].inertia
-                col[labels.index(f"{buses[j].id}:freq")] = -1.0 / buses[j].inertia
-                oracle_ids.append(f"{buses[i].id}-{buses[j].id}")
+                col[labels.index(f"{p['id']}:freq")] = 1.0 / p["inertia"]
+                col[labels.index(f"{q['id']}:freq")] = -1.0 / q["inertia"]
+                oracle_ids.append(f"{p['id']}-{q['id']}")
                 oracle_cols.append(col)
         ids, b = hvdc_candidates(grid)
         assert ids == oracle_ids
@@ -223,7 +305,7 @@ class TestRingGrid:
     def test_line_count_no_chords(self):
         grid = ring_grid(8)
         assert len(grid.lines) == 8
-        assert grid.n_buses == 8
+        assert len(grid.ids) == 8
 
     def test_two_bus_ring_is_single_line(self):
         assert len(ring_grid(2).lines) == 1
@@ -231,15 +313,11 @@ class TestRingGrid:
     def test_chords_are_seeded_and_new(self):
         g1 = ring_grid(10, chords=5, seed=3)
         g2 = ring_grid(10, chords=5, seed=3)
-        assert [(l.from_bus, l.to_bus) for l in g1.lines] == [
-            (l.from_bus, l.to_bus) for l in g2.lines
-        ]
+        assert g1.lines.tolist() == g2.lines.tolist()
         assert len(g1.lines) == 15
         # different seed, different chords
         g3 = ring_grid(10, chords=5, seed=4)
-        assert [(l.from_bus, l.to_bus) for l in g1.lines] != [
-            (l.from_bus, l.to_bus) for l in g3.lines
-        ]
+        assert g1.lines.tolist() != g3.lines.tolist()
 
     def test_too_many_chords(self):
         with pytest.raises(DomainError):
@@ -248,6 +326,49 @@ class TestRingGrid:
     def test_too_small(self):
         with pytest.raises(DomainError):
             ring_grid(1)
+
+    @pytest.mark.parametrize("n, chords, seed", [
+        (2, 0, 0), (3, 0, 5), (4, 1, 0), (5, 5, 3), (9, 5, 2), (10, 35, 1), (74, 40, 2),
+        (150, 500, 9), (150, 10875, 4),
+    ])
+    def test_lines_match_the_pair_list_draw(self, n, chords, seed):
+        # oracle: the ring as a set of pairs and the chords drawn from a Python list
+        ring = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+        free = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in ring]
+        picks = np.random.default_rng(seed).choice(len(free), size=chords, replace=False)
+        expected = sorted(ring) + [free[k] for k in sorted(picks)]
+        grid = ring_grid(n, chords=chords, seed=seed)
+        assert grid.lines.tolist() == [list(pair) for pair in expected]
+        assert grid.susceptance.tolist() == [1.0] * len(expected)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_buses": 1, "seed": -1}, "buses"),
+        ({"n_buses": 10**20, "seed": -1}, "buses"),
+        ({"n_buses": 4, "seed": -1, "chords": 99}, "seed"),
+        ({"n_buses": 4, "chords": 99, "inertia": 0}, "chords"),
+        ({"n_buses": 4, "inertia": 0, "damping": 0}, "inertia"),
+        ({"n_buses": 4, "damping": 0, "grounding": -1}, "damping"),
+        ({"n_buses": 4, "grounding": -1, "susceptance": 0}, "grounding"),
+        ({"n_buses": 4, "susceptance": 0}, "susceptance"),
+    ])
+    def test_parameters_are_checked_in_order(self, kwargs, field):
+        with pytest.raises(DomainError, match=f"^{field} must"):
+            ring_grid(**kwargs)
+
+    def test_bus_count_bound_keeps_the_hvdc_matrix_addressable(self):
+        # the dense (2N, N(N-1)/2) HVDC matrix takes 8 N^2 (N - 1) bytes
+        n, top = models._MAX_RING_BUSES, np.iinfo(np.intp).max
+        assert 8 * n * n * (n - 1) <= top < 8 * (n + 1) ** 2 * n
+        with pytest.raises(DomainError, match=f"buses <= {n}, got {n + 1}"):
+            ring_grid(n + 1)
+
+    def test_arrays_are_read_only(self):
+        bus_list = _grid([_bus("p", 1.0, 1.0, 0.1), _bus("q", 2.0, 1.0)], [_line("q", "p", 1.0)])
+        for grid in (ring_grid(4, chords=1), bus_list):
+            for array in (grid.inertia, grid.damping, grid.grounding, grid.lines,
+                          grid.susceptance):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
 
 class TestRandomSystem:
@@ -382,7 +503,7 @@ class TestProblemIO:
         write_problem(path, doc)
         problem = load_problem(path)
         assert problem.candidate_set.size == 1
-        assert problem.grid.buses[1].grounding == 0.0
+        assert problem.grid.grounding[1] == 0.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
