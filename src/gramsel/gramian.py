@@ -76,9 +76,14 @@ class LyapunovSolver:
         # T is orthogonally similar to a; its spectrum is read off the diagonal blocks.
         alpha = spectral_abscissa(t)
         if not within_margin(alpha):
+            # T holds the spectrum only to eps ||A||_1, so a stiff A can hide a stable one
+            rounding = np.finfo(float).eps * np.linalg.norm(a, 1)
+            stiff = (f"; that is within the Schur factor's rounding level eps*||A||_1 = "
+                     f"{rounding:.1e}, so A may be too stiff to tell"
+                     if alpha < rounding - STABILITY_MARGIN else "")
             raise StabilityError(
                 f"dynamics matrix is not Hurwitz within margin {STABILITY_MARGIN:g}: "
-                f"max Re(eigenvalue) = {alpha:.6e}",
+                f"max Re(eigenvalue) = {alpha:.6e}{stiff}",
                 max_real_part=alpha,
             )
         self.a = a
@@ -154,7 +159,7 @@ class LyapunovSolver:
 
     def gramian(self, b):
         """Infinite-horizon Gramian of (a, b); a NumericalError if b b^T overflows."""
-        b = _input_matrix(b, self.n)
+        b = as_array(b, (self.n, None), "b")
         bbt = b @ b.T
         if not np.isfinite(bbt).all():
             raise NumericalError("b b^T overflows: the input columns are too large to score")
@@ -165,19 +170,6 @@ def _split(t):
     """Middle split point of quasi-triangular t that never cuts a 2x2 block."""
     k = t.shape[0] // 2
     return k + 1 if t[k, k - 1] != 0.0 else k
-
-
-def _ndim(x):
-    try:  # ragged nesting has no ndim; as_array rejects it as not numeric
-        return np.ndim(x)
-    except ValueError:
-        return -1
-
-
-def _input_matrix(b, n):
-    """``b`` as an (n, m) array; a single column may be passed as a vector."""
-    b = as_array(b, (n,) if _ndim(b) == 1 else (n, None), "b")
-    return b[:, None] if b.ndim == 1 else b
 
 
 def solve_lyapunov(a, q):
@@ -199,8 +191,8 @@ def controllability_gramian(a, b):
     ----------
     a : (n, n) array_like
         Hurwitz dynamics matrix.
-    b : (n, m) or (n,) array_like
-        Input matrix (a single column may be passed as a vector).
+    b : (n, m) array_like
+        Input matrix, one column per input.
 
     Returns
     -------
@@ -214,7 +206,7 @@ def observability_gramian(a, c):
     """Observability Gramian of (a, c): the controllability Gramian of
     the dual pair (a^T, c^T), computed through the identical code path."""
     a = as_square(a, "a")
-    c = as_array(c, (a.shape[0],) if _ndim(c) == 1 else (None, a.shape[0]), "c")
+    c = as_array(c, (None, a.shape[0]), "c")
     return controllability_gramian(a.T, c.T)
 
 
@@ -234,7 +226,7 @@ def finite_horizon_gramian(a, b, t):
     a = as_square(a, "a")
     t = as_number(t, "horizon t", 0.0, strict=True)
     n = a.shape[0]
-    b = _input_matrix(b, n)
+    b = as_array(b, (n, None), "b")
 
     norm_a = float(np.linalg.norm(a, 1))
     if not math.isfinite(t * norm_a):

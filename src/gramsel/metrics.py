@@ -14,12 +14,11 @@ import numpy as np
 
 from .exceptions import (
     DegenerateGramianWarning,
-    DimensionError,
     DomainError,
     NumericalError,
     UnreachableStateError,
 )
-from .gramian import _input_matrix, finite_horizon_gramian
+from .gramian import finite_horizon_gramian
 from .numerics import as_array, as_number, as_square, matrix_exponential, symmetrize
 
 __all__ = [
@@ -91,14 +90,13 @@ class MetricSpec:
         return cls("h2", output_matrix)
 
     def state_weighting(self, n):
-        """The symmetric (n, n) C_bar with metric(W) = trace(C_bar @ W) on n states;
-        a NumericalError if the finite weight makes it overflow."""
+        """The symmetric (n, n) C_bar with metric(W) = trace(C_bar @ W) on n states; a
+        DimensionError if the weight does not fit them, a NumericalError if C_bar overflows."""
         if self.kind == "trace":
             return np.eye(n)
-        w = self.weight
-        cbar = symmetrize(w if self.kind == "weighted_trace" else w.T @ w)
-        if cbar.shape != (n, n):
-            raise DimensionError(f"{self.kind} weight of shape {w.shape} does not fit {n} states")
+        square = self.kind == "weighted_trace"
+        w = as_array(self.weight, (n if square else None, n), f"{self.kind} weight matrix")
+        cbar = symmetrize(w if square else w.T @ w)
         if not np.isfinite(cbar).all():
             raise NumericalError(f"{self.kind} weight overflows: its state weighting C_bar "
                                  "has non-finite entries")
@@ -181,7 +179,7 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     """
     a = as_square(a, "a")
     n = a.shape[0]
-    b = _input_matrix(b, n)
+    b = as_array(b, (n, None), "b")
     samples = as_number(samples, "samples", 2, integer=True)
     x = as_array(x_f, (n,), "x_f")
     t = as_number(t, "horizon t", 0.0, strict=True)
@@ -225,7 +223,7 @@ def simulate_transfer(a, b, x_f, trajectory):
 
     a = as_square(a, "a")
     n = a.shape[0]
-    b = _input_matrix(b, n)
+    b = as_array(b, (n, None), "b")
     x = as_array(x_f, (n,), "x_f")
     eta, t = trajectory.costate, float(trajectory.times[-1])
     z0 = matrix_exponential(a.T * t) @ eta

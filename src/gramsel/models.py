@@ -361,15 +361,15 @@ def load_problem(path):
 
 def system_problem_dict(a, ids, b, metric=None):
     """Problem-file dict for an explicit system: A plus candidate ``ids``
-    whose columns are those of the (n, M) matrix ``b``."""
-    a = np.asarray(a, dtype=float)
+    whose columns are those of the (n, M) matrix ``b``, checked first (with
+    ``metric``'s weight) so that nothing a loader rejects is written."""
+    cs = CandidateSet(a, ids, b)
+    if metric is not None:
+        metric.state_weighting(cs.n)
     doc = {
-        "n": int(a.shape[0]),
-        "A": a.tolist(),
-        "candidates": [
-            {"id": str(cid), "b": col}
-            for cid, col in zip(ids, np.asarray(b, dtype=float).T.tolist())
-        ],
+        "n": cs.n,
+        "A": cs.a.tolist(),
+        "candidates": [{"id": cid, "b": col} for cid, col in zip(cs.ids, cs.B.T.tolist())],
     }
     if metric is not None and metric.kind != "trace":
         doc["weight"] = {"kind": metric.kind, "matrix": metric.weight.tolist()}

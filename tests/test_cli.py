@@ -187,6 +187,20 @@ class TestRank:
         assert code == 0
         assert json.loads(out)["results"] == json.loads(explicit)["results"]
 
+    @pytest.mark.parametrize("metric, weight, kind", [
+        ("h2", np.ones((2, 3)), "h2"),  # 3 columns for 4 states
+        ("weighted", np.eye(3), "weighted_trace"),  # order 3 for 4 states
+    ])
+    def test_weight_that_does_not_fit_the_states_is_2(self, tmp_path, capsys, metric, weight,
+                                                      kind):
+        path = make_problem(tmp_path, capsys)
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(weight.tolist()))
+        code, out, err = run(capsys, ["rank", path, "--metric", metric,
+                                      "--weight-file", str(wfile)])
+        assert code == 2 and out == ""
+        assert f"{kind} weight matrix has shape {weight.shape}, expected" in err
+
     def test_trace_metric_takes_no_weight_file(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
         wfile = tmp_path / "w.json"
@@ -392,6 +406,20 @@ class TestExitCodes:
             assert code == 3
             assert out == ""
             assert "Hurwitz" in err
+
+    def test_stiff_grid_names_the_rounding_level(self, tmp_path, capsys):
+        # grounded, so Hurwitz, but the -5e299 eigenvalue of the 1e-300 inertia bus
+        # leaves the others to rounding noise in the Schur factor
+        grid = {"grid": {
+            "buses": [{"id": "b0", "inertia": 1e-300, "damping": 0.5, "grounding": 0.1},
+                      {"id": "b1", "inertia": 2.0, "damping": 0.4}],
+            "lines": [{"from": "b0", "to": "b1", "susceptance": 1.0}],
+        }}
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(grid))
+        code, out, err = run(capsys, ["rank", str(path)])
+        assert code == 3 and out == ""
+        assert "within the Schur factor's rounding level eps*||A||_1 = 2.4e+284" in err
 
     def test_wrong_adjoint_is_3(self, tmp_path, capsys, skewed_adjoint):
         path = make_problem(tmp_path, capsys)

@@ -124,6 +124,14 @@ class TestSolveLyapunov:
             gap = abs(err.value.max_real_part - spectral_abscissa(a))
             assert gap <= 1e-12 * np.linalg.norm(a)
 
+    @pytest.mark.parametrize("a", [[[0.0]], [[-1e-12]], [[1e10, 0.0], [0.0, 1.0]]])
+    def test_rounding_level_named_only_when_it_covers_the_abscissa(self, a):
+        # each abscissa is at least eps ||A||_1 - margin, so the message names no rounding level
+        with pytest.raises(StabilityError) as err:
+            LyapunovSolver(a)
+        assert str(err.value) == ("dynamics matrix is not Hurwitz within margin 1e-09: "
+                                  f"max Re(eigenvalue) = {err.value.max_real_part:.6e}")
+
     def test_marginal_system_rejected(self):
         with pytest.raises(StabilityError):
             solve_lyapunov([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
@@ -298,11 +306,6 @@ class TestControllabilityGramian:
     def test_unreachable_mode_gives_psd_singular(self):
         g = controllability_gramian(np.diag([-1.0, -2.0]), [[1.0], [0.0]])
         assert np.allclose(g, [[0.5, 0.0], [0.0, 0.0]], atol=1e-14)
-
-    def test_vector_column_accepted(self):
-        g1 = controllability_gramian(np.diag([-1.0, -2.0]), np.array([1.0, 1.0]))
-        g2 = controllability_gramian(np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]))
-        assert np.array_equal(g1, g2)
 
     def test_against_quadrature_oracle(self):
         a, b = _system(77, n=4, m=2)

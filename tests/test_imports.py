@@ -7,8 +7,9 @@ be listed in its ``__all__``.  Since a listed name counts as used, each
 ``__all__`` entry must also resolve on the imported module, or
 ``from gramsel import *`` would fail.  Every gramsel name that the
 benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
-Placement builds its Lyapunov solver in one place, and shape errors come
-from the one array validator in ``numerics``.
+Placement builds its Lyapunov solver in one place, shape errors come
+from the one array validator in ``numerics``, and no module imports
+another's private name.
 """
 
 import ast
@@ -104,8 +105,27 @@ def test_scan_finds_dimension_errors():
 
 
 def test_shape_errors_come_from_the_array_validator():
-    # numerics.as_array checks every array against the shape it must have; the one
-    # other shape rule is that a metric's weight fits the states it scores
+    # numerics.as_array checks every array against the shape it must have
     raised = [(path.name, name, line) for path in PACKAGE if path.name != "numerics.py"
               for line, name in dimension_errors(ast.parse(path.read_text("utf-8"))).items()]
-    assert [r for r in raised if r[:2] != ("metrics.py", "state_weighting")] == []
+    assert raised == []
+
+
+def private_imports(tree):
+    """``from <gramsel module> import _name`` lines; dunders such as __version__ are public."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "gramsel")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+def test_scan_finds_private_imports():
+    tree = ast.parse("from .gramian import _split, solve\nfrom . import __version__, _x\n"
+                     "from gramsel.models import _fields\nfrom os import _exit\n")
+    assert private_imports(tree) == ["line 1: _split", "line 2: _x", "line 3: _fields"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

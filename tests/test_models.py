@@ -489,6 +489,23 @@ class TestProblemIO:
         with pytest.raises(DomainError, match=field):
             ring_problem_dict(**kwargs)
 
+    @pytest.mark.parametrize("a, ids, b, error", [
+        ([[-1.0, 0.0]], ["x"], [[1.0]], DimensionError),  # A 1x2 with n = 1
+        ([[math.nan]], ["x"], [[1.0]], NonFiniteError),
+        ([[-1.0]], ["x", "x"], [[1.0, 2.0]], DomainError),
+        ([[-1.0]], [], np.zeros((1, 0)), DomainError),
+    ])
+    def test_system_problem_dict_validates_before_it_converts(self, tmp_path, a, ids, b,
+                                                               error):
+        path = tmp_path / "p.json"
+        with pytest.raises(error):
+            write_problem(path, system_problem_dict(a, ids, b))
+        assert not path.exists()
+
+    def test_system_problem_dict_checks_the_weight_fits(self):
+        with pytest.raises(DimensionError, match="h2 weight matrix has shape"):
+            system_problem_dict([[-1.0]], ["x"], [[1.0]], metric=MetricSpec.h2([[1.0, 2.0]]))
+
     def test_explicit_grid_block(self, tmp_path):
         doc = {
             "grid": {

@@ -9,13 +9,19 @@ from gramsel.exceptions import (
     NumericalError,
 )
 from gramsel.gramian import (
+    LyapunovSolver,
     controllability_gramian,
     finite_horizon_gramian,
     lyapunov_residual,
     observability_gramian,
     solve_lyapunov,
 )
-from gramsel.metrics import MetricSpec, evaluate_metric, synthesize_min_energy_input
+from gramsel.metrics import (
+    MetricSpec,
+    evaluate_metric,
+    simulate_transfer,
+    synthesize_min_energy_input,
+)
 from gramsel.numerics import (
     as_number,
     eigenvalues,
@@ -209,18 +215,24 @@ class TestRealSchur:
 # Every public function that takes an array checks it with numerics.as_array
 # (or as_square): a string entry and a wrong shape raise DimensionError, a NaN
 # NonFiniteError.  Rows: (function, valid arguments, the array argument
-# mutated, a wrong shape for it, the name its messages use).
+# mutated, a wrong shape for it, the name its messages use).  An input matrix
+# has one shape, (n, m): a vector is not taken as one column.
 
 A = [[-1.0, 0.0], [0.0, -2.0]]
 I2 = [[1.0, 0.0], [0.0, 1.0]]
 B = [[1.0], [1.0]]
 WIDE = np.ones((2, 3)).tolist()
 TALL = np.ones((3, 1)).tolist()
+COLUMN = [1.0, 1.0]
+TRAJECTORY = synthesize_min_energy_input(A, B, 1.0, [1.0, 0.0])
 ARRAY_ARGUMENTS = [
+    (LyapunovSolver(A).gramian, {"b": B}, "b", COLUMN, "b"),
     (controllability_gramian, {"a": A, "b": B}, "a", WIDE, "a"),
     (controllability_gramian, {"a": A, "b": B}, "b", TALL, "b"),
+    (controllability_gramian, {"a": A, "b": B}, "b", COLUMN, "b"),
     (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "a", WIDE, "a"),
     (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "c", [[1.0, 0.0, 0.0]], "c"),
+    (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "c", [1.0, 0.0], "c"),
     (solve_lyapunov, {"a": A, "q": I2}, "a", WIDE, "a"),
     (solve_lyapunov, {"a": A, "q": I2}, "q", np.eye(3).tolist(), "q"),
     (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "a", WIDE, "a"),
@@ -228,6 +240,7 @@ ARRAY_ARGUMENTS = [
     (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "q", np.eye(3).tolist(), "q"),
     (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "a", WIDE, "a"),
     (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "b", TALL, "b"),
+    (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "b", COLUMN, "b"),
     (CandidateSet, {"a": A, "ids": ["x"], "b": B}, "a", WIDE, "a"),
     (CandidateSet, {"a": A, "ids": ["x"], "b": B}, "b", TALL, "b"),
     (MetricSpec.h2, {"output_matrix": [[1.0, 0.0]]}, "output_matrix", [1.0, 0.0],
@@ -238,8 +251,12 @@ ARRAY_ARGUMENTS = [
      "a"),
     (synthesize_min_energy_input, {"a": A, "b": B, "t": 1.0, "x_f": [1.0, 0.0]}, "b", TALL,
      "b"),
+    (synthesize_min_energy_input, {"a": A, "b": B, "t": 1.0, "x_f": [1.0, 0.0]}, "b", COLUMN,
+     "b"),
     (synthesize_min_energy_input, {"a": A, "b": B, "t": 1.0, "x_f": [1.0, 0.0]}, "x_f",
      [1.0, 0.0, 0.0], "x_f"),
+    (simulate_transfer, {"a": A, "b": B, "x_f": [1.0, 0.0], "trajectory": TRAJECTORY}, "b",
+     COLUMN, "b"),
     (controllability_centrality, {"a": A}, "a", WIDE, "a"),
     (is_hurwitz, {"m": A}, "m", WIDE, "m"),
     (real_schur, {"m": A}, "m", WIDE, "m"),
@@ -253,8 +270,17 @@ def _first_entry_set(value, entry):
     return cells.tolist()
 
 
+def _row_ids(rows):
+    """function-argument, with the wrong shape's rank added on a second row for one argument."""
+    ids = []
+    for fn, _, arg, wrong_shape, _ in rows:
+        row_id = f"{fn.__qualname__}-{arg}"
+        ids.append(f"{row_id}-{np.ndim(wrong_shape)}d" if row_id in ids else row_id)
+    return ids
+
+
 @pytest.mark.parametrize("fn, kwargs, arg, wrong_shape, name", ARRAY_ARGUMENTS,
-                         ids=[f"{row[0].__qualname__}-{row[2]}" for row in ARRAY_ARGUMENTS])
+                         ids=_row_ids(ARRAY_ARGUMENTS))
 def test_array_arguments_are_validated(fn, kwargs, arg, wrong_shape, name):
     fn(**kwargs)  # the valid arguments pass
     with pytest.raises(DimensionError, match="not numeric"):

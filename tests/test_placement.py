@@ -136,7 +136,7 @@ class TestCandidateWeights:
             cs = _candidate_set(seed, n=n, m=int(rng.integers(1, 7)))
             w = candidate_weights(cs, metric)
             for cid, col in cs.candidates:
-                direct = evaluate_metric(metric, controllability_gramian(cs.a, col))
+                direct = evaluate_metric(metric, controllability_gramian(cs.a, col[:, None]))
                 assert w[cid] == pytest.approx(direct, rel=1e-12)
 
     def test_wrong_adjoint_is_caught(self, skewed_adjoint):
