@@ -14,12 +14,11 @@ Exit codes: 0 success, 1 failed verification, 2 input/usage error,
 
 import argparse
 import csv
-import io
 import math
 import sys
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from . import __version__
 from .exceptions import DomainError, GramselError, NumericalError, StabilityError
@@ -63,40 +62,37 @@ _NON_ANALYSIS_FLAGS = {"out", "csv", "func", "cmd", "problem"}
 
 
 def _emit(args, problem, results, header=None, rows=None):
-    """Write the report of ``results`` on ``problem``, or with --csv the ``header``
-    columns of ``rows`` (dicts or lists)."""
-    if getattr(args, "csv", False):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([r[c] for c in header] if isinstance(r, dict) else r for r in rows)
-        payload = buf.getvalue()
-    else:
-        options = {key: value for key, value in sorted(vars(args).items())
-                   if key not in _NON_ANALYSIS_FLAGS and value is not None}
-        chunks = []
-        write_json({
-            "command": {"name": args.cmd, "problem": args.problem, "options": options},
-            "input_digest": problem.digest,
-            "version": __version__,
-            "results": results,
-        }, chunks.append)
-        payload = "".join(chunks) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    """Stream the report of ``results`` on ``problem``, or with --csv the ``header``
+    columns of ``rows`` (dicts or lists), to --out or else stdout."""
+    path = getattr(args, "out", None)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        if getattr(args, "csv", False):
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([r[c] for c in header] if isinstance(r, dict) else r for r in rows)
+        else:
+            options = {key: value for key, value in sorted(vars(args).items())
+                       if key not in _NON_ANALYSIS_FLAGS and value is not None}
+            write_json({
+                "command": {"name": args.cmd, "problem": args.problem, "options": options},
+                "input_digest": problem.digest,
+                "version": __version__,
+                "results": results,
+            }, out.write)
+            out.write("\n")
 
 
-def _load(args, ranking=True):
+def _load(args, ranking=True, candidates=True):
+    """``(problem, candidate set)`` of ``args.problem``; the set is None unless
+    ``candidates`` is true, since centrality reads only A."""
     with _phase("load"):
         problem = load_problem(args.problem)
+        cs = problem.candidate_set if candidates else None
     # ranking needs a Hurwitz A; a grid builds without one only if no bus is grounded
     if ranking and problem.grid is not None and not problem.grid.grounded:
         raise StabilityError("no bus is grounded, so A has a zero eigenvalue (a uniform angle "
                              "shift) and no infinite-horizon Gramian; ground at least one bus")
-    return problem
+    return problem, cs
 
 
 def _resolve_metric(args, problem):
@@ -163,9 +159,8 @@ def cmd_gen(args):
 
 
 def cmd_rank(args):
-    problem = _load(args)
+    problem, cs = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set
     with _phase(f"rank {cs.size} candidates"):
         weights = candidate_weights(cs, metric)
     header, rows = _ranked_table(metric, ranked(weights), None)
@@ -180,9 +175,8 @@ def cmd_rank(args):
 
 
 def cmd_select(args):
-    problem = _load(args)
+    problem, cs = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set
     with _phase(f"select {args.k} of {cs.size}"):
         result = select_top_k(cs, args.k, metric)
     header, rows = _ranked_table(metric, result.ranked, set(result.selected))
@@ -199,17 +193,17 @@ def cmd_select(args):
 
 
 def cmd_centrality(args):
-    problem = _load(args)
-    cs = problem.candidate_set
-    with _phase(f"centrality over {cs.n} nodes"):
-        scores = controllability_centrality(cs.a)
-    labels = [""] * cs.n if problem.grid is None else state_labels(problem.grid)
+    problem, _ = _load(args, candidates=False)
+    n = len(problem.a)
+    with _phase(f"centrality over {n} nodes"):
+        scores = controllability_centrality(problem.a)
+    labels = [""] * n if problem.grid is None else state_labels(problem.grid)
     rows = [
         {"node": i, "label": labels[i], "score": float(scores[i])}
-        for i in range(cs.n)
+        for i in range(n)
     ]
     results = {
-        "n": cs.n,
+        "n": n,
         "nodes": rows,
         "total": math.fsum(scores.tolist()),
     }
@@ -218,9 +212,8 @@ def cmd_centrality(args):
 
 
 def cmd_verify(args):
-    problem = _load(args)
+    problem, cs = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set
     with _phase(f"verify {args.trials} trials"):
         report = verify_modularity(cs, metric, trials=args.trials, seed=args.seed)
     results = {
@@ -243,9 +236,8 @@ def cmd_verify(args):
 
 
 def cmd_bruteforce(args):
-    problem = _load(args)
+    problem, cs = _load(args)
     metric = _resolve_metric(args, problem)
-    cs = problem.candidate_set
     with _phase(f"bruteforce k={args.k} over {cs.size}"):
         ids, value = brute_force_best(cs, args.k, metric, args.functional, args.cap)
     results = {
@@ -268,8 +260,7 @@ def _parse_target(text):
 
 
 def cmd_synthesize(args):
-    problem = _load(args, ranking=False)
-    cs = problem.candidate_set
+    problem, cs = _load(args, ranking=False)
     ids = [s for s in args.ids.split(",") if s]
     if not ids:
         raise DomainError("--ids must name at least one candidate")

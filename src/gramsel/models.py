@@ -201,21 +201,30 @@ def random_hurwitz_system(n, m, density=0.3, seed=0):
 # Problem files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A ready-to-rank instance loaded from disk.
 
-    ``grid`` is the :class:`GridModel` when the file described a grid (so
-    grid-aware weightings such as the frequency selector remain
-    constructible); explicit-matrix problems leave it None.  ``metric`` is
-    the weight the file declares (trace when it declares none); ``digest``
+    ``a`` is the dynamics matrix and ``b`` the (n, M) matrix of the candidate
+    columns named by ``ids``.  ``grid`` is the :class:`GridModel` when the file
+    described a grid (so grid-aware weightings such as the frequency selector
+    remain constructible); explicit-matrix problems leave it None.  ``metric``
+    is the weight the file declares (trace when it declares none); ``digest``
     is ``"sha256:<hex>"`` of the bytes the file was parsed from.
     """
 
-    candidate_set: CandidateSet
+    a: np.ndarray
+    ids: list
+    b: np.ndarray
     digest: str
     grid: GridModel | None = None
     metric: MetricSpec = MetricSpec()
+
+    @functools.cached_property
+    def candidate_set(self):
+        """``CandidateSet(a, ids, b)``, built and checked on first use: a command that
+        reads only ``a`` never needs candidates."""
+        return CandidateSet(self.a, self.ids, self.b)
 
 
 _IDS = (str, int)  # the JSON types of a bus id, line endpoint or candidate id (bool is not one)
@@ -249,6 +258,17 @@ def _entries(doc, key, what, required, optional=(), ids=()):
     return entries
 
 
+def _id(value, what):
+    """A bus or candidate id as a new str, made while the parsed document is alive:
+    keeping none of the parser's strings lets the document's memory go back to the
+    OS once it is freed.  An id UTF-8 cannot encode (a lone surrogate such as
+    ``"\\ud800"``) is a ProblemFormatError naming ``what``."""
+    try:
+        return str(value).encode("utf-8").decode("utf-8")
+    except UnicodeEncodeError:
+        raise ProblemFormatError(f"{what} has a lone surrogate: {value!r}") from None
+
+
 def _parse_metric(doc):
     if doc is None:
         return MetricSpec.trace()
@@ -256,7 +276,8 @@ def _parse_metric(doc):
     _fields(doc, "weight", ("kind",), () if kind == "trace" else ("matrix",))
     if kind not in METRIC_KINDS:
         raise ProblemFormatError(f"unknown weight kind {kind!r}; expected one of {METRIC_KINDS}")
-    return MetricSpec(kind, doc.get("matrix"))  # MetricSpec validates the matrix
+    kind = METRIC_KINDS[METRIC_KINDS.index(kind)]  # the package's string, not the parser's
+    return MetricSpec(kind, doc.get("matrix"))  # MetricSpec validates and copies the matrix
 
 
 def grid_model(doc):
@@ -275,8 +296,8 @@ def grid_model(doc):
     if not buses:
         raise TopologyError("grid has no buses")
     pos, per_bus = {}, []
-    for bus in buses:
-        bid = str(bus["id"])
+    for i, bus in enumerate(buses):
+        bid = _id(bus["id"], f"bus {i} id")
         if bid in pos:
             raise TopologyError(f"duplicate bus id {bid!r}")
         pos[bid] = len(pos)
@@ -332,7 +353,8 @@ def load_problem(path):
 
     Bus ids, line ends and candidate ids are JSON strings or integers (not
     booleans), read as strings.  A grid's candidates are all its HVDC links.
-    ``Problem.digest`` is the sha256 of the bytes parsed.
+    ``Problem.digest`` is the sha256 of the bytes parsed.  The problem keeps no
+    object the JSON parser made, and its candidate set is checked on first use.
     """
     doc, digest = read_json(path, "problem file")
     is_grid = isinstance(doc, dict) and "grid" in doc
@@ -341,13 +363,14 @@ def load_problem(path):
 
     if is_grid:
         grid = grid_model(doc["grid"])
-        cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid))
-        return Problem(candidate_set=cs, grid=grid, metric=metric, digest=digest)
+        # The HVDC columns are built here, not with the candidate set, because the
+        # benchmark's span contract expects hvdc_candidates on every grid command.
+        return Problem(build_swing_matrix(grid), *hvdc_candidates(grid), digest, grid, metric)
 
     n = as_number(doc["n"], '"n"', 1, integer=True)
     a = as_array(doc["A"], (n, n), "A")
     entries = _entries(doc, "candidates", "candidate", ("id", "b"), ids=("id",))
-    ids = [str(e["id"]) for e in entries]
+    ids = [_id(e["id"], f"candidate {i} id") for i, e in enumerate(entries)]
     try:
         b = as_array([e["b"] for e in entries] or np.zeros((0, n)), (len(ids), n),
                      "candidate columns")
@@ -355,8 +378,7 @@ def load_problem(path):
         for cid, e in zip(ids, entries):
             as_array(e["b"], (n,), f"candidate {cid!r} column")
         raise
-    cs = CandidateSet(a, ids, np.ascontiguousarray(b.T))
-    return Problem(candidate_set=cs, metric=metric, digest=digest)
+    return Problem(a, ids, np.ascontiguousarray(b.T), digest, metric=metric)
 
 
 def system_problem_dict(a, ids, b, metric=None):

@@ -254,6 +254,17 @@ class TestCentrality:
         assert max(angle) - min(angle) <= 1e-9 * max(angle)
         assert max(freq) - min(freq) <= 1e-9 * max(freq)
 
+    def test_reads_no_candidates(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"n": 2, "A": [[-1, 0], [0, -2]], "candidates": []}')
+        code, out, _ = run(capsys, ["centrality", str(path)])
+        assert code == 0
+        assert json.loads(out)["results"]["n"] == 2
+        for command in (["rank"], ["select", "--k", "1"], ["verify"]):
+            code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+            assert code == 2 and out == ""
+            assert "candidate set is empty" in err
+
 
 class TestVerify:
     def test_passes_on_valid_problem(self, tmp_path, capsys):
@@ -547,6 +558,39 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestDestinations:
+    """stdout and --out receive one payload, streamed as it is written."""
+
+    COMMANDS = [
+        ["rank"], ["select", "--k", "2"], ["centrality"],
+        ["synthesize", "--ids", "b0,b\u00fc", "--horizon", "1.0", "--target", "0.1,0,0.2,0",
+         "--samples", "5"],
+    ]
+
+    @pytest.mark.parametrize("csv", [False, True])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stdout_and_out_get_the_same_bytes(self, tmp_path, capsysbinary, command, csv):
+        path = tmp_path / "p.json"
+        doc = models.system_problem_dict(*models.random_hurwitz_system(4, 5, seed=7))
+        doc["candidates"][1]["id"] = "b\u00fc"  # a non-ASCII id
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        argv = [command[0], str(path), *command[1:], *["--csv"] * csv]
+        assert cli.main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        report = tmp_path / "report"
+        assert cli.main([*argv, "--out", str(report)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert stdout and report.read_bytes() == stdout
+
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, csv):
+        path = make_problem(tmp_path, capsys)
+        report = tmp_path / "no" / "such" / "dir" / "report"
+        code, out, err = run(capsys, ["rank", path, *["--csv"] * csv, "--out", str(report)])
+        assert code == 2 and out == ""
+        assert "error:" in err
+
+
 LOADING_COMMANDS = [
     ["rank"], ["select", "--k", "2"], ["centrality"], ["verify", "--trials", "3"],
     ["bruteforce", "--k", "2"],
@@ -725,7 +769,8 @@ BASE_PROBLEMS = {
                                 {"id": "u1", "b": [0.5, 1.0]}],
                  "weight": {"kind": "h2", "matrix": [[1.0, 0.5]]}},
 }
-MUTANT_VALUES = ["x", "nan", None, True, -1, 0, 4.5, [], {}, 5, float("nan"), 10**20]
+MUTANT_VALUES = ["x", "nan", None, True, -1, 0, 4.5, [], {}, 5, float("nan"), 10**20,
+                 "\ud800"]
 
 
 def _paths(node, prefix=()):
@@ -783,6 +828,9 @@ MALFORMED = [
     (("explicit", ("candidates", 1, "id")), {}, "candidate 1 id"),
     (("bus list", ("grid", "buses", 0, "id")), None, "bus 0 id"),
     (("bus list", ("grid", "lines", 0, "from")), None, "line 0 from"),
+    # a lone surrogate is valid JSON, but no UTF-8 report can print it
+    (("explicit", ("candidates", 1, "id")), "\ud800x", "candidate 1 id"),
+    (("bus list", ("grid", "buses", 0, "id")), "\ud800", "bus 0 id"),
     # array shapes are checked by numerics.as_array, which names the array
     (("explicit", ("A",)), [[-1.0, 0.3]], "A has shape (1, 2), expected (2, 2)"),
     (("explicit", ("candidates", 1, "b")), [1.0], "candidate 'u1' column has shape (1,)"),
@@ -838,7 +886,8 @@ class TestMalformedInput:
                 json.dump(_mutated(*site, value), fh)
             out = os.path.join(tmp, "out.json")
             for command in ("centrality", "rank"):
-                assert cli.main([command, path, "--out", out]) in (0, 2, 3)
+                for csv in ((), ("--csv",)):  # --csv reaches the CSV writer's encoding
+                    assert cli.main([command, path, *csv, "--out", out]) in (0, 2, 3)
 
 
 class TestUngroundedGrid:

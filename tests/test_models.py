@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +527,30 @@ class TestProblemIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
             load_problem(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("kind", ["explicit", "bus list"])
+    def test_nothing_the_parser_made_outlives_the_load(self, tmp_path, kind):
+        # a kept parsed string pins the allocator arenas of the whole freed document
+        if kind == "explicit":
+            doc = system_problem_dict(*random_hurwitz_system(4, 500, seed=1),
+                                      metric=MetricSpec.h2(np.eye(2, 4)))
+        else:
+            buses = [_bus(f"b{i}", 1.0 + i, 0.5, 0.1) for i in range(40)]
+            lines = [{"from": f"b{i}", "to": f"b{i + 1}", "susceptance": 1.0}
+                     for i in range(39)]
+            doc = {"grid": {"buses": buses, "lines": lines}}
+        path = tmp_path / "p.json"
+        write_problem(path, doc)
+        tracemalloc.start()
+        try:
+            problem = load_problem(path)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        alive = snapshot.filter_traces([tracemalloc.Filter(True, json.decoder.__file__)])
+        assert sum(stat.size for stat in alive.statistics("filename")) == 0
+        assert problem.candidate_set.size == (500 if kind == "explicit" else 780)
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
