@@ -828,15 +828,15 @@ MALFORMED = [
     (("explicit", ("candidates", 1, "id")), {}, "candidate 1 id"),
     (("bus list", ("grid", "buses", 0, "id")), None, "bus 0 id"),
     (("bus list", ("grid", "lines", 0, "from")), None, "line 0 from"),
-    # a lone surrogate is valid JSON, but no UTF-8 report can print it
-    (("explicit", ("candidates", 1, "id")), "\ud800x", "candidate 1 id"),
-    (("bus list", ("grid", "buses", 0, "id")), "\ud800", "bus 0 id"),
     # array shapes are checked by numerics.as_array, which names the array
     (("explicit", ("A",)), [[-1.0, 0.3]], "A has shape (1, 2), expected (2, 2)"),
     (("explicit", ("candidates", 1, "b")), [1.0], "candidate 'u1' column has shape (1,)"),
     (("bus list", ("grid", "buses")), [], "grid has no buses"),
     # a ring whose dense HVDC matrix numpy cannot address once built Bus objects until killed
     (("ring", ("grid", "buses")), 10**20, "buses"),
+    # a lone surrogate is valid JSON, but no UTF-8 report can print it
+    (("explicit", ("candidates", 1, "id")), "\ud800x", "candidate 1 id"),
+    (("bus list", ("grid", "buses", 0, "id")), "\ud800", "bus 0 id"),
 ]
 # Every JSON object of every base problem, by its path.
 OBJECT_SITES = [(name, path) for name, path in MUTATION_SITES
