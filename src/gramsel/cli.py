@@ -13,17 +13,19 @@ Exit codes: 0 success, 1 failed verification, 2 input/usage error,
 """
 
 import argparse
-import csv
 import math
 import sys
 import time
 import warnings
 from contextlib import contextmanager, nullcontext
 
+import numpy as np
+
 from . import __version__
 from .exceptions import DomainError, GramselError, NumericalError, StabilityError
 from .metrics import MetricSpec, simulate_transfer, synthesize_min_energy_input
 from .models import (
+    Table,
     frequency_selector,
     load_problem,
     random_hurwitz_system,
@@ -38,7 +40,6 @@ from .numerics import as_array
 from .placement import (
     GRAMIAN_FUNCTIONALS,
     brute_force_best,
-    candidate_weights,
     controllability_centrality,
     ranked,
     select_top_k,
@@ -61,15 +62,13 @@ def _phase(label):
 _NON_ANALYSIS_FLAGS = {"out", "csv", "func", "cmd", "problem"}
 
 
-def _emit(args, problem, results, header=None, rows=None):
-    """Stream the report of ``results`` on ``problem``, or with --csv the ``header``
-    columns of ``rows`` (dicts or lists), to --out or else stdout."""
+def _emit(args, problem, results, table=None):
+    """Stream the report of ``results`` on ``problem``, or with --csv the
+    :class:`Table` ``table``, to --out or else stdout."""
     path = getattr(args, "out", None)
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
         if getattr(args, "csv", False):
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([r[c] for c in header] if isinstance(r, dict) else r for r in rows)
+            table.write_csv(out)
         else:
             options = {key: value for key, value in sorted(vars(args).items())
                        if key not in _NON_ANALYSIS_FLAGS and value is not None}
@@ -119,20 +118,17 @@ def _resolve_metric(args, problem):
     return spec(read_json(weight_file, "weight file")[0])
 
 
-def _ranked_table(metric, pairs, chosen):
-    """CSV header and report rows for (id, weight) pairs already in ranked order: an
-    h2 metric adds "h2_norm", and a set ``chosen`` (None for none) a "selected" flag."""
-    header = ["rank", "id", "score"] + ["h2_norm"] * (metric.kind == "h2")
-    header += ["selected"] * (chosen is not None)
-    rows = []
-    for rank, (cid, weight) in enumerate(pairs, start=1):
-        row = {"rank": rank, "id": cid, "score": weight}
-        if metric.kind == "h2":
-            row["h2_norm"] = math.sqrt(max(weight, 0.0))
-        if chosen is not None:
-            row["selected"] = int(cid in chosen)
-        rows.append(row)
-    return header, rows
+def _ranked_table(metric, ids, weights, order, k=None):
+    """The report table of candidates ``ids`` with ``weights``, in ranked ``order``:
+    an h2 metric adds "h2_norm", and a selection size ``k`` a "selected" flag."""
+    score = weights[order]
+    columns = {"rank": np.arange(1, len(order) + 1), "id": np.array(ids, dtype=object)[order],
+               "score": score}
+    if metric.kind == "h2":  # math.sqrt(max(score, 0.0)), which keeps -0.0
+        columns["h2_norm"] = np.sqrt(np.where(score < 0.0, 0.0, score))
+    if k is not None:
+        columns["selected"] = np.repeat([1, 0], [k, len(order) - k])
+    return Table(columns)
 
 
 # gen flags that only one problem kind takes; their defaults live in models
@@ -162,15 +158,15 @@ def cmd_rank(args):
     problem, cs = _load(args)
     metric = _resolve_metric(args, problem)
     with _phase(f"rank {cs.size} candidates"):
-        weights = candidate_weights(cs, metric)
-    header, rows = _ranked_table(metric, ranked(weights), None)
+        weights, order = ranked(cs, metric)
+    table = _ranked_table(metric, cs.ids, weights, order)
     results = {
         "metric": metric.describe(),
         "n": cs.n,
         "count": cs.size,
-        "ranked": rows,
+        "ranked": table,
     }
-    _emit(args, problem, results, header, rows)
+    _emit(args, problem, results, table)
     return 0
 
 
@@ -179,16 +175,16 @@ def cmd_select(args):
     metric = _resolve_metric(args, problem)
     with _phase(f"select {args.k} of {cs.size}"):
         result = select_top_k(cs, args.k, metric)
-    header, rows = _ranked_table(metric, result.ranked, set(result.selected))
+    table = _ranked_table(metric, result.ids, result.weights, result.order, result.k)
     results = {
         "metric": metric.describe(),
         "k": result.k,
         "selected": list(result.selected),
         "total_score": result.total_score,
         "ties": [list(group) for group in result.ties],
-        "ranked": rows,
+        "ranked": table,
     }
-    _emit(args, problem, results, header, rows)
+    _emit(args, problem, results, table)
     return 0
 
 
@@ -198,16 +194,14 @@ def cmd_centrality(args):
     with _phase(f"centrality over {n} nodes"):
         scores = controllability_centrality(problem.a)
     labels = [""] * n if problem.grid is None else state_labels(problem.grid)
-    rows = [
-        {"node": i, "label": labels[i], "score": float(scores[i])}
-        for i in range(n)
-    ]
+    table = Table({"node": np.arange(n), "label": np.array(labels, dtype=object),
+                   "score": scores})
     results = {
         "n": n,
-        "nodes": rows,
+        "nodes": table,
         "total": math.fsum(scores.tolist()),
     }
-    _emit(args, problem, results, ["node", "label", "score"], rows)
+    _emit(args, problem, results, table)
     return 0
 
 
@@ -284,8 +278,8 @@ def cmd_synthesize(args):
             sim = simulate_transfer(cs.a, b, x_f, traj)
         results["terminal_error"] = sim.terminal_error
         results["input_energy"] = sim.input_energy
-    header = ["time"] + [f"u_{cid}" for cid in ids]
-    _emit(args, problem, results, header, ([t, *u] for t, u in zip(traj.times, traj.inputs)))
+    table = Table({"time": traj.times, **{f"u_{cid}": u for cid, u in zip(ids, traj.inputs.T)}})
+    _emit(args, problem, results, table)
     return 0
 
 

@@ -13,6 +13,7 @@ links: one link between buses i and j injects +P/M_i and -P/M_j into the
 two frequency states, giving N(N-1)/2 candidate columns for N buses.
 """
 
+import csv
 import functools
 import hashlib
 import itertools
@@ -40,6 +41,7 @@ __all__ = [
     "load_problem",
     "write_problem",
     "write_json",
+    "Table",
     "system_problem_dict",
     "ring_problem_dict",
 ]
@@ -426,9 +428,12 @@ def _flat_encoder(indent):
 def write_json(obj, write, indent=""):
     """Send ``obj`` to ``write`` in chunks, printed exactly as
     ``json.dumps(obj, indent=2, sort_keys=True)`` prints it with its
-    pure-Python encoder.  Each container of scalars is one C-encoder call
-    whose item separator carries the line break; only containers of
-    containers recurse, and a dict that holds containers needs str keys."""
+    pure-Python encoder, a :class:`Table` as its list of row dicts.  Each
+    container of scalars is one C-encoder call whose item separator carries
+    the line break; only containers of containers recurse, and a dict that
+    holds containers needs str keys."""
+    if isinstance(obj, Table):
+        return obj.write_json(write, indent)
     inner = indent + "  "
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
@@ -444,6 +449,39 @@ def write_json(obj, write, indent=""):
             write_json(obj[key], write, inner)
             sep = ",\n" + inner
         write("\n" + indent + ("}" if is_dict else "]"))
+
+
+class Table:
+    """Report rows held as columns: ``columns`` maps each name, in CSV header order,
+    to a numpy array of one JSON scalar per row.  The rows are written 256 at a time
+    and exist only as text."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def _blocks(self):
+        for i in range(0, len(next(iter(self.columns.values()))), 256):
+            yield {name: col[i:i + 256].tolist() for name, col in self.columns.items()}
+
+    def write_csv(self, out):
+        """The header and rows as ``csv.writer(out, lineterminator="\\n")`` writes them."""
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
+        for block in self._blocks():
+            writer.writerows(zip(*block.values()))
+
+    def write_json(self, write, indent):
+        """The rows as ``write_json`` prints their list of dicts at ``indent``.  Each
+        column is one C-encoder call, split at its item separator: no JSON text has a NUL."""
+        inner, keys, encode = indent + "  ", sorted(self.columns), _flat_encoder("\0").encode
+        fields = (f"\n{inner}  {encode(k).replace('%', '%%')}: %s" for k in keys)
+        row = "{%s\n%s}" % (",".join(fields), inner)
+        sep = "[\n" + inner
+        for block in self._blocks():
+            texts = (encode(block[k])[1:-1].split(",\n\0") for k in keys)
+            write(sep + f",\n{inner}".join(map(row.__mod__, zip(*texts))))
+            sep = ",\n" + inner
+        write("[]" if sep[0] == "[" else f"\n{indent}]")
 
 
 def write_problem(path, doc):

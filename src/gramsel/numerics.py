@@ -54,7 +54,7 @@ def as_array(x, shape, name="array"):
     if x.ndim != len(shape) or any(d is not None and d != s for d, s in zip(shape, x.shape)):
         expected = str(tuple(shape)).replace("None", "any")
         raise DimensionError(f"{name} has shape {x.shape}, expected {expected}")
-    if not np.isfinite(x).all():
+    if x.size and not np.isfinite([x.min(), x.max()]).all():  # NaN propagates to both
         raise NonFiniteError(f"{name} contains non-finite entries")
     return x
 

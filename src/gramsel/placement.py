@@ -104,17 +104,19 @@ class CandidateSet:
         return np.array(cols).T if cols else np.zeros((self.n, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementResult:
     """Outcome of an exact top-k selection.
 
-    ``ranked`` lists every candidate as (id, weight), best first, ties
-    broken by ascending id.  ``ties`` holds the id groups whose equal
-    weights straddle the selection boundary (empty when the cut is
+    ``weights`` are the weights of the candidates ``ids``, and ``order`` their
+    indices best first (see :func:`ranked`).  ``ties`` holds the id groups whose
+    equal weights straddle the selection boundary (empty when the cut is
     unambiguous).
     """
 
-    ranked: tuple
+    ids: tuple
+    weights: np.ndarray
+    order: np.ndarray
     selected: tuple
     total_score: float
     ties: tuple = ()
@@ -122,6 +124,12 @@ class PlacementResult:
     @property
     def k(self):
         return len(self.selected)
+
+    @property
+    def ranked(self):
+        """Every candidate as (id, weight), best first."""
+        return tuple(zip(map(self.ids.__getitem__, self.order.tolist()),
+                         self.weights[self.order].tolist()))
 
 
 def candidate_weights(cs, metric=MetricSpec()):
@@ -131,21 +139,36 @@ def candidate_weights(cs, metric=MetricSpec()):
     metric is trace(C_bar W), so w(s) = b_s^T P b_s with P from one adjoint
     Lyapunov solve; each weight depends on its own column only.
     """
-    return _weights_with_solver(cs, metric)
+    return dict(zip(cs.ids, _weights_with_solver(cs, metric).tolist()))
+
+
+def _blocks(n, m):
+    """Slices over m columns, 256 * ceil(2**20 / (256 n^2)) wide but the last, which takes
+    the remainder.  P @ block then costs >= 2**20 multiply-adds and runs on the BLAS kernel
+    of one product over all of B, so blocked scores equal unblocked ones bitwise (OpenBLAS
+    has other kernels for single columns and for products under about 10**6)."""
+    width = 256 * -(-2**20 // (n * n * 256))
+    starts = range(0, max(m - width + 1, 1), width)
+    return map(slice, starts, [*starts[1:], m])
 
 
 def _weights_with_solver(cs, metric):
-    pb = cs.solver.solve(metric.state_weighting(cs.n), adjoint=True) @ cs.B
-    scores = np.einsum("ij,ij->j", cs.B, pb).tolist()
-    _check_additivity(cs, metric, cs.B, scores, out=pb)
-    return dict(zip(cs.ids, scores))
+    """The candidate weights b_j^T P b_j as one float64 array in candidate order."""
+    p = cs.solver.solve(metric.state_weighting(cs.n), adjoint=True)
+    weights = np.empty(cs.size)
+    for cols in _blocks(cs.n, cs.size):
+        weights[cols] = np.einsum("ij,ij->j", cs.B[:, cols], p @ cs.B[:, cols])
+    _check_additivity(cs, metric, cs.B, weights)
+    return weights
 
 
-def _subset_score(cs, metric, b):
-    """``(metric(W), vdot(|C_bar|, |W|))`` for the forward Gramian W of ``b``.  The
-    magnitude bounds |metric(W)|, so a NumericalError when it is not finite guards both.
-    It scales as the score does but stays above rounding noise when the terms cancel."""
-    g = cs.solver.gramian(b)
+def _subset_score(cs, metric, bbt):
+    """``(metric(W), vdot(|C_bar|, |W|))`` for the forward Gramian W of b, ``bbt`` = b b^T.
+    The magnitude bounds |metric(W)|, so a NumericalError when it is not finite guards
+    both.  It scales as the score does but stays above rounding noise when terms cancel."""
+    if not np.isfinite(bbt).all():
+        raise NumericalError("b b^T overflows: the input columns are too large to score")
+    g = cs.solver.solve(bbt)
     magnitude = float(np.vdot(np.abs(metric.state_weighting(cs.n)), np.abs(g)))
     if not math.isfinite(magnitude):
         raise NumericalError(f"{metric.describe()} score overflows: its magnitude "
@@ -153,18 +176,22 @@ def _subset_score(cs, metric, b):
     return evaluate_metric(metric, g), magnitude
 
 
-def _check_additivity(cs, metric, b, weights, out=None):
+def _check_additivity(cs, metric, b, weights):
     """Check ``b``'s column weights by one forward solve; return fsum(weights).
 
     fsum(d_j w_j), d_j = j + 1, must match the metric of the forward Gramian of
-    b diag(sqrt(d)) (built in ``out`` if given) to _ADDITIVITY_RTOL relative to
-    max(fsum(d_j |w_j|), that score's magnitude).  Unlike a plain sum, this catches
-    weights paired with the wrong columns, and a transposed solve when b = C_bar = I.
-    A NaN or infinite weight fails: the magnitude is finite, so the scale is too.
+    b diag(sqrt(d)) to _ADDITIVITY_RTOL relative to max(fsum(d_j |w_j|), that
+    score's magnitude).  Unlike a plain sum, this catches weights paired with the
+    wrong columns, and a transposed solve when b = C_bar = I.  A NaN or infinite
+    weight fails: the magnitude is finite, so the scale is too.
     """
     d = np.arange(1.0, len(weights) + 1.0)
-    combined, magnitude = _subset_score(cs, metric, np.multiply(b, np.sqrt(d), out=out))
-    dw = d * weights
+    bbt = np.zeros((cs.n, cs.n))
+    for cols in _blocks(*b.shape):
+        s = b[:, cols] * np.sqrt(d[cols])
+        bbt += s @ s.T
+    combined, magnitude = _subset_score(cs, metric, bbt)
+    dw = np.multiply(d, weights, out=d)
     try:  # fsum raises on a sum past the float range and on inf - inf
         expected, scale = math.fsum(dw), max(math.fsum(np.abs(dw)), magnitude)
     except (OverflowError, ValueError):
@@ -179,9 +206,12 @@ def _subset_size(cs, k):
     return as_number(k, "k", 1, cs.size, integer=True)
 
 
-def ranked(weights):
-    """The (id, weight) pairs of a mapping, best first, ties by ascending id."""
-    return tuple(sorted(weights.items(), key=lambda item: (-item[1], item[0])))
+def ranked(cs, metric=MetricSpec()):
+    """``(weights, order)``: the candidate weights as one array, and the candidate
+    indices best first, ties broken by ascending id in Python's str order (numpy's
+    'U' strings would ignore a trailing "\\0")."""
+    weights = _weights_with_solver(cs, metric)
+    return weights, np.lexsort((np.array(cs.ids, dtype=object), -weights))
 
 
 def select_top_k(cs, k, metric=MetricSpec()):
@@ -193,15 +223,16 @@ def select_top_k(cs, k, metric=MetricSpec()):
     against the metric of the combined-input Gramian before returning.
     """
     k = _subset_size(cs, k)
-    order = ranked(_weights_with_solver(cs, metric))
-    selected = tuple(c for c, _ in order[:k])
-    total = _check_additivity(cs, metric, cs.input_matrix(selected), [w for _, w in order[:k]])
+    weights, order = ranked(cs, metric)
+    top = order[:k]
+    selected = tuple(map(cs.ids.__getitem__, top.tolist()))
+    total = _check_additivity(cs, metric, cs.input_matrix(selected), weights[top])
 
     ties = ()
-    boundary = order[k - 1][1]
-    if k < len(order) and order[k][1] == boundary:
-        ties = (tuple(c for c, w in order if w == boundary),)
-    return PlacementResult(ranked=order, selected=selected, total_score=total, ties=ties)
+    boundary = weights[top[-1]]
+    if k < cs.size and weights[order[k]] == boundary:
+        ties = (tuple(map(cs.ids.__getitem__, order[weights[order] == boundary].tolist())),)
+    return PlacementResult(cs.ids, weights, order, selected, total, ties)
 
 
 def _min_eigenvalue(w):
@@ -278,7 +309,8 @@ def verify_modularity(cs, metric=MetricSpec(), trials=100, seed=0):
     ids = np.array(cs.ids, dtype=object)
 
     def score(mask):
-        return _subset_score(cs, metric, cs.input_matrix(ids[mask]))
+        b = cs.input_matrix(ids[mask])
+        return _subset_score(cs, metric, b @ b.T)
 
     worst, worst_pair = 0.0, ((), ())
     for _ in range(trials):
@@ -307,5 +339,4 @@ def controllability_centrality(a):
     from one adjoint solve, returned as an array indexed by node.
     """
     n = as_square(a, "a").shape[0]
-    weights = candidate_weights(CandidateSet(a, range(n), np.eye(n)))
-    return np.fromiter(weights.values(), float, n)
+    return _weights_with_solver(CandidateSet(a, range(n), np.eye(n)), MetricSpec())

@@ -7,8 +7,10 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import gramsel
 from gramsel import cli, gramian, models, numerics
-from gramsel.placement import ModularityReport, controllability_centrality
+from gramsel.metrics import MetricSpec
+from gramsel.placement import CandidateSet, ModularityReport, controllability_centrality
 
 
 def run(capsys, argv):
@@ -215,6 +218,28 @@ class TestRank:
         code, _, err = run(capsys, ["rank", path, "--metric", "h2"])
         assert code == 2
         assert "--weight-file" in err
+
+
+class TestReportMemory:
+    @pytest.mark.parametrize("command", [["rank"], ["select", "--k", "10", "--csv"]])
+    def test_scoring_and_report_hold_no_copy_of_b(self, monkeypatch, command):
+        # Besides B, a run holds O(n^2 + M) memory: a few length-M arrays, 8 bytes an
+        # entry each, which at n = 8 stay under B's 64.  An (n, M) temporary or one
+        # object per candidate would not.
+        n, m = 8, 200_000
+        rng = np.random.default_rng(0)
+        cs = CandidateSet(models.random_hurwitz_system(n, 1, seed=0)[0],
+                          [f"c{j}" for j in range(m)], rng.normal(size=(n, m)))
+        cs.solver  # scipy's import and the Schur factors are not the report's
+        problem = SimpleNamespace(digest="sha256:0", metric=MetricSpec(), grid=None)
+        monkeypatch.setattr(cli, "_load", lambda args: (problem, cs))
+        tracemalloc.start()
+        try:
+            assert cli.main([command[0], "p.json", *command[1:], "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cs.B.nbytes
 
 
 class TestSelect:
@@ -503,8 +528,12 @@ class TestExitCodes:
         on_four = (["rank"], ["select", "--k", "1"], ["verify", "--trials", "2"],
                    ["bruteforce", "--k", "2"])
         on_forty = (["rank"], ["select", "--k", "5"], ["verify", "--trials", "3"])
+        # the additivity check's b diag(sqrt(d)) overflows too, not only b b^T
+        scaled = {**explicit, "candidates": [{"id": "a", "b": [1, 0]},
+                                             {"id": "b", "b": [1.5e308, 0]}]}
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
+            (path, scaled, path, [], on_four[:2]),
             (path, grid, path, [], on_four[:2]),
             # finite h2 weights whose C_bar, or the scores it weights, overflow
             (wfile, [[5e153] * 3], forty, h2, on_forty),

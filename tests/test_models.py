@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 import math
 import re
@@ -30,6 +32,7 @@ from gramsel.models import (
     ring_problem_dict,
     state_labels,
     system_problem_dict,
+    Table,
     write_json,
     write_problem,
 )
@@ -437,6 +440,42 @@ class TestWriteJson:
     def test_non_str_key_beside_a_container_raises(self, obj):
         with pytest.raises(TypeError):
             _write_json_text(obj)
+
+
+_ROW_IDS = st.text(max_size=4) | st.sampled_from(
+    ['"', "\\", "a,b", "x\ny", "\r", "\t\x1f", "\u0000", "a\u0000", "😀", "é\u2028", ""])
+_ROW_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+class TestTable:
+    """The row writer prints what write_json prints for the list of row dicts and
+    what csv.writer prints for the header and rows, across its 256-row blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 2 * 256 + 3), ids=st.lists(_ROW_IDS, min_size=1),
+           floats=st.lists(_ROW_FLOATS, min_size=1), h2=st.booleans(), k=st.integers(0, 5))
+    def test_matches_the_row_dicts(self, rows, ids, floats, h2, k):
+        score = np.resize(np.array(floats), rows)
+        columns = {"rank": np.arange(1, rows + 1),
+                   "id": np.resize(np.array(ids, dtype=object), rows),
+                   "score": score}
+        if h2:
+            columns["h2_norm"] = np.abs(score[::-1])
+        if k:
+            columns["selected"] = np.repeat([1, 0], [min(k, rows), rows - min(k, rows)])
+        table = Table(columns)
+        dicts = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+        report = {"results": {"count": rows, "ranked": table}}
+        want = json.dumps({"results": {"count": rows, "ranked": dicts}}, indent=2, sort_keys=True)
+        assert _write_json_text(report) == want
+
+        got, want = io.StringIO(), io.StringIO()
+        table.write_csv(got)
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[key] for key in columns] for row in dicts)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestProblemIO:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from gramsel.metrics import (
     synthesize_min_energy_input,
 )
 from gramsel.numerics import (
+    as_array,
     as_number,
     eigenvalues,
     is_hurwitz,
@@ -290,3 +293,25 @@ def test_array_arguments_are_validated(fn, kwargs, arg, wrong_shape, name):
     with pytest.raises(DimensionError) as err:
         fn(**{**kwargs, arg: wrong_shape})
     assert str(err.value).startswith(f"{name} has shape {np.shape(wrong_shape)}, expected")
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=st.sampled_from([(1,), (7,), (3, 5), (2, 2, 2)]), data=st.data())
+def test_a_non_finite_entry_anywhere_is_named(shape, data):
+    x = np.arange(float(np.prod(shape))).reshape(shape)
+    bad = data.draw(st.lists(st.integers(0, x.size - 1), min_size=1, max_size=3))
+    x.flat[bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(NonFiniteError, match="^x contains non-finite entries$"):
+        as_array(x, (None,) * len(shape), "x")
+
+
+def test_finiteness_check_allocates_no_array_of_the_input_size():
+    x = np.ones((600, 4000))
+    assert as_array(np.zeros((0, 3)), (None, 3)).shape == (0, 3)  # empty arrays pass
+    tracemalloc.start()
+    try:
+        assert as_array(x, (600, None)) is x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size // 8  # a boolean mask of x alone would take x.size bytes

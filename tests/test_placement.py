@@ -206,6 +206,19 @@ class TestCandidateWeights:
         scaled = candidate_weights(CandidateSet(a, ids, scale * b))[ids[0]]
         assert abs(scaled - scale**2 * base) <= 1e-10 * max(1.0, abs(scaled))
 
+    @pytest.mark.parametrize("n", [8, 40, 148])
+    def test_blocks_score_bitwise_as_one_product(self, n):
+        # a last block of one column would go through gemv, and a narrow block through
+        # OpenBLAS's small-matrix kernel: both round differently from one product over B
+        width = next(placement._blocks(n, 10**9)).stop
+        for m in (width + 1, 2 * width + 1, 4 * 2**20 // n**2 + 1):
+            cs = CandidateSet(random_hurwitz_system(n, 1, seed=n)[0], range(m),
+                              np.random.default_rng(m).normal(size=(n, m)))
+            p = cs.solver.solve(np.eye(n), adjoint=True)
+            assert [c.stop - c.start for c in placement._blocks(n, m)][-1] > 1
+            assert np.array_equal(np.fromiter(candidate_weights(cs).values(), float, m),
+                                  np.einsum("ij,ij->j", cs.B, p @ cs.B))
+
     def test_order_invariance_bitwise(self):
         cs = _candidate_set(9, n=5, m=6)
         reversed_cs = CandidateSet(cs.a, cs.ids[::-1], cs.B[:, ::-1])
@@ -214,6 +227,22 @@ class TestCandidateWeights:
         assert {c: w_fwd[c] for c in sorted(w_fwd)} == {
             c: w_rev[c] for c in sorted(w_rev)
         }
+
+
+def _zero_padded_ids(m):
+    return [("a", "b")[j % 2] + "\0" * (j // 2) for j in range(m)]
+
+
+def _assert_tuple_sort_order(result, weights, k):
+    """``result`` ranks the id -> weight mapping ``weights`` as a sort on (-weight, id)
+    does, selects its first k and reports as ties the ids with the k-th weight when the
+    (k+1)-th equals it."""
+    order = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
+    assert result.ranked == tuple(order)
+    assert result.selected == tuple(cid for cid, _ in order[:k])
+    boundary = order[k - 1][1]
+    tied = k < len(order) and order[k][1] == boundary
+    assert result.ties == ((tuple(c for c, w in order if w == boundary),) if tied else ())
 
 
 class TestSelectTopK:
@@ -256,6 +285,32 @@ class TestSelectTopK:
         res = select_top_k(cs, 2)
         scores = [s for _, s in res.ranked]
         assert scores == sorted(scores, reverse=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.integers(0, 3), min_size=2, max_size=40), data=st.data())
+    def test_order_and_ties_match_a_tuple_sort(self, picks, data):
+        # few distinct columns, one of them zero: many exact ties, some at 0.0, between
+        # ids that differ only by trailing "\0"s (numpy's 'U' strings ignore those)
+        ids = data.draw(st.permutations(_zero_padded_ids(len(picks))))
+        rng = np.random.default_rng(len(picks))
+        columns = np.column_stack([np.zeros(4), *rng.normal(size=(3, 4))])
+        cs = CandidateSet(random_hurwitz_system(4, 1, seed=1)[0], ids, columns[:, picks])
+        k = data.draw(st.integers(1, cs.size))
+        _assert_tuple_sort_order(select_top_k(cs, k), candidate_weights(cs), k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324]), min_size=1,
+                            max_size=30),
+           data=st.data())
+    def test_signed_zeros_rank_as_ties(self, weights, data):
+        ids = data.draw(st.permutations(_zero_padded_ids(len(weights))))
+        cs = CandidateSet(-np.eye(1), ids, np.ones((1, len(weights))))
+        k = data.draw(st.integers(1, cs.size))
+        with pytest.MonkeyPatch.context() as mp:  # the weights as given, unchecked
+            mp.setattr(placement, "_weights_with_solver", lambda cs, metric: np.array(weights))
+            mp.setattr(placement, "_check_additivity", lambda cs, metric, b, w: math.fsum(w))
+            result = select_top_k(cs, k)
+        _assert_tuple_sort_order(result, dict(zip(ids, weights)), k)
 
     def test_matches_exhaustive_oracle(self):
         for seed in range(8):
