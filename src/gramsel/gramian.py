@@ -25,6 +25,7 @@ from .numerics import (
     as_array,
     as_number,
     as_square,
+    lapack,
     matrix_exponential,
     real_schur,
     spectral_abscissa,
@@ -69,8 +70,6 @@ class LyapunovSolver:
     """
 
     def __init__(self, a):
-        from scipy.linalg import get_lapack_funcs  # scipy loads only when A is factored
-
         a = as_square(a, "a")
         u, t = real_schur(a)
         # T is orthogonally similar to a; its spectrum is read off the diagonal blocks.
@@ -91,7 +90,7 @@ class LyapunovSolver:
         # is again upper quasi-triangular in Schur canonical form, so the
         # adjoint is the forward equation on these factors.
         self._factors = {False: (u, t), True: (u[:, ::-1].copy(), t[::-1, ::-1].T.copy())}
-        self._trsyl = get_lapack_funcs("trsyl", (t, t))
+        self._trsyl = lapack().dtrsyl
 
     @property
     def n(self):

@@ -6,12 +6,18 @@ that gates every infinite-horizon computation.  :func:`as_array` checks
 every array from outside the program against the shape it must have,
 :func:`as_square` a matrix whose order is not known in advance, and
 :func:`as_number` every number.
-scipy.linalg is imported inside the functions that call it, so commands
-that never factor a matrix (``gen``, ``--version``) load numpy only.
+Commands that never factor a matrix (``gen``, ``--version``) load numpy
+only.  Factoring loads scipy's f2py LAPACK module through :func:`lapack`,
+which skips ``scipy.linalg``'s package import (most of scipy's start-up
+cost); only :func:`matrix_exponential` imports ``scipy.linalg``.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 
 import numpy as np
 
@@ -25,6 +31,7 @@ __all__ = [
     "eigenvalues",
     "spectral_abscissa",
     "is_hurwitz",
+    "lapack",
     "within_margin",
     "matrix_exponential",
     "real_schur",
@@ -60,9 +67,12 @@ def as_array(x, shape, name="array"):
 
 
 def as_square(a, name="matrix"):
-    """``as_array(a, (n, n), name)`` for the order n that ``a`` has."""
+    """``as_array(a, (n, n), name)`` for the order n >= 1 that ``a`` has."""
     a = as_array(a, (None, None), name)
-    return as_array(a, (a.shape[0],) * 2, name)
+    a = as_array(a, (a.shape[0],) * 2, name)
+    if not a.size:
+        raise DimensionError(f"{name} has order 0, expected at least 1")
+    return a
 
 
 def as_number(x, name, low, high=math.inf, *, integer=False, strict=False):
@@ -135,18 +145,49 @@ def matrix_exponential(m):
     return e
 
 
+def lapack():
+    """scipy's f2py LAPACK module, ``scipy.linalg._flapack``.
+
+    The module that ``scipy.linalg.get_lapack_funcs`` draws its double
+    routines from, loaded without running ``scipy/linalg/__init__.py``:
+    ``import scipy`` first does the platform's library set-up, then the
+    extension is found in scipy's ``linalg`` directory and registered under
+    its own name, so a later ``import scipy.linalg`` reuses it.  An entry
+    already in ``sys.modules`` is returned as it is.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        path = os.path.join(scipy.__path__[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [path])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
+def _unsorted(*_):
+    """gees' eigenvalue selector, never called when sort_t=0."""
+
+
 def real_schur(m):
     """Real Schur decomposition m = Q T Q^T.
 
     Returns ``(q, t)`` with orthogonal ``q`` and quasi-upper-triangular
     ``t`` (1x1 / 2x2 diagonal blocks). Already-triangular input passes
-    through unchanged with ``q = I``.
+    through unchanged with ``q = I``.  Makes the workspace query and the
+    ``dgees`` call that ``scipy.linalg.schur(m, output="real")`` makes, so
+    the factors are bitwise the same.
     """
-    import scipy.linalg
-
     m = as_square(m, "m")
-    try:
-        t, q = scipy.linalg.schur(m, output="real")
-    except np.linalg.LinAlgError as exc:  # scipy.linalg raises the same class
-        raise NumericalError(f"Schur QR iteration failed to converge: {exc}") from None
+    gees = lapack().dgees
+    lwork = gees(_unsorted, m, lwork=-1)[-2][0].real.astype(np.int_)
+    t, _, _, _, q, _, info = gees(_unsorted, m, lwork=lwork, overwrite_a=False, sort_t=0)
+    if info < 0:
+        raise NumericalError(f"gees: illegal argument {-info}")
+    if info > 0:
+        raise NumericalError("Schur QR iteration failed to converge: "
+                             "Schur form not found. Possibly ill-conditioned.")
     return q, t

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gramsel
 from gramsel import cli, gramian, models, numerics
+from gramsel.exceptions import NumericalError
 from gramsel.metrics import MetricSpec
 from gramsel.placement import CandidateSet, ModularityReport, controllability_centrality
 
@@ -464,6 +465,24 @@ class TestExitCodes:
         assert out == ""
         assert "additivity" in err
 
+    def test_schur_non_convergence_is_3(self, tmp_path, capsys, monkeypatch):
+        # a dgees that reports info > 0, substituted through the loader
+        real = numerics.lapack()
+
+        def gees(*args, **kwargs):
+            *out, _ = real.dgees(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(numerics, "lapack", lambda: SimpleNamespace(dgees=gees))
+        message = ("Schur QR iteration failed to converge: "
+                   "Schur form not found. Possibly ill-conditioned.")
+        with pytest.raises(NumericalError) as err:
+            numerics.real_schur([[-1.0, 2.0], [0.0, -3.0]])
+        assert str(err.value) == message
+        code, out, err = run(capsys, ["centrality", make_problem(tmp_path, capsys)])
+        assert code == 3 and out == ""
+        assert message in err
+
     def test_misaligned_weights_are_3(self, tmp_path, capsys, reversed_scores):
         path = make_problem(tmp_path, capsys)
         code, out, err = run(capsys, ["rank", path])
@@ -683,17 +702,22 @@ class TestJsonLayout:
         self._assert_stdlib_layout(out)
 
 
-def _scipy_modules_loaded_by(code):
+def _python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this gramsel."""
     env = dict(os.environ, PYTHONPATH=str(Path(gramsel.__file__).parents[1]))
-    code = f"import sys\n{code}\nprint('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+                          capture_output=True, text=True).stdout
+
+
+def _scipy_modules_loaded_by(code):
+    return _python(f"import sys\n{code}\nprint('scipy.integrate' in sys.modules, "
+                   "'scipy.linalg' in sys.modules)").strip()
 
 
 class TestStartup:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        # only `synthesize --simulate` integrates, and only commands that
-        # factor A load scipy.linalg
+        # only `synthesize --simulate` integrates, and only `synthesize`
+        # (finite horizon) loads scipy.linalg
         assert _scipy_modules_loaded_by("import gramsel.cli") == "False False"
 
     def test_gen_runs_on_numpy_alone(self, tmp_path):
@@ -701,6 +725,50 @@ class TestStartup:
             argv = ["gen", *kind.split(), "--out", str(tmp_path / "p.json")]
             code = f"from gramsel import cli\nassert cli.main({argv!r}) == 0"
             assert _scipy_modules_loaded_by(code) == "False False"
+
+    @pytest.mark.parametrize("args", [("--ring", "6"), ("--random", "4", "5")])
+    def test_factoring_commands_leave_scipy_linalg_unloaded(self, tmp_path, capsys, args):
+        # they factor A through scipy's LAPACK module, not through scipy.linalg
+        path = make_problem(tmp_path, capsys, args=args)
+        commands = [["select", "--k", "2"], ["rank"], ["centrality"],
+                    ["verify", "--trials", "1"], ["bruteforce", "--k", "1"]]
+        code = (f"import sys\nfrom gramsel import cli\nfor argv in {commands!r}:\n"
+                f"    assert cli.main([argv[0], {path!r}, *argv[1:], '--out', {os.devnull!r}]) == 0\n"
+                "    print(argv[0], 'scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)")
+        assert _python(code).splitlines() == [f"{argv[0]} False False" for argv in commands]
+
+
+class TestSameLapack:
+    # the loader's module is the one scipy.linalg uses, whichever is imported first
+    CHECK = """
+import numpy as np
+from gramsel import gramian, numerics
+from gramsel.models import build_swing_matrix, random_hurwitz_system, ring_grid
+
+def check(factors):
+    import scipy.linalg
+    for a, (q, t) in factors:
+        funcs = scipy.linalg.get_lapack_funcs(("gees", "trsyl"), (a,))
+        assert funcs[0] is numerics.lapack().dgees and funcs[1] is numerics.lapack().dtrsyl
+        assert gramian.LyapunovSolver(a)._trsyl is funcs[1]
+        t_ref, q_ref = scipy.linalg.schur(a, output="real")
+        assert t.tobytes() == t_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+    assert np.allclose(scipy.linalg.expm(np.diag([0.0, np.log(2.0)])), np.diag([1.0, 2.0]))
+    print("ok")
+
+matrices = [build_swing_matrix(ring_grid(6)), random_hurwitz_system(30, 1, seed=3)[0]]
+"""
+
+    def test_scipy_linalg_imported_after_the_first_factorization(self):
+        code = self.CHECK + ("factors = [(a, numerics.real_schur(a)) for a in matrices]\n"
+                             "import sys\nassert 'scipy.linalg' not in sys.modules\n"
+                             "check(factors)")
+        assert _python(code) == "ok\n"
+
+    def test_scipy_linalg_imported_before_gramsel(self):
+        code = "import scipy.linalg\n" + self.CHECK + (
+            "check([(a, numerics.real_schur(a)) for a in matrices])")
+        assert _python(code) == "ok\n"
 
 
 class TestReadme:

@@ -27,6 +27,7 @@ from gramsel.metrics import (
 from gramsel.numerics import (
     as_array,
     as_number,
+    as_square,
     eigenvalues,
     is_hurwitz,
     matrix_exponential,
@@ -212,6 +213,24 @@ class TestRealSchur:
         m = np.random.default_rng(5).normal(size=(8, 8))
         _, t = real_schur(m)
         assert np.allclose(np.tril(t, -2), 0.0, atol=1e-14)
+
+
+class TestOrderZero:
+    # as_square rejects order 0, so no LAPACK routine sees an empty matrix
+    @pytest.mark.parametrize("fn, name", [
+        (as_square, "matrix"),
+        (LyapunovSolver, "a"),
+        (lambda a: solve_lyapunov(a, a), "a"),
+        (spectral_abscissa, "m"),
+        (is_hurwitz, "m"),
+        (real_schur, "m"),
+        (controllability_centrality, "a"),
+    ], ids=["as_square", "LyapunovSolver", "solve_lyapunov", "spectral_abscissa",
+            "is_hurwitz", "real_schur", "controllability_centrality"])
+    def test_is_a_dimension_error_naming_the_argument(self, capfd, fn, name):
+        with pytest.raises(DimensionError, match=f"^{name} has order 0, expected at least 1$"):
+            fn(np.zeros((0, 0)))
+        assert capfd.readouterr() == ("", "")
 
 
 # --- the array validator ------------------------------------------------------
