@@ -100,6 +100,7 @@ class LyapunovSolver:
         """Solve a W + W a^T + q = 0 for symmetric q; returns symmetric W.
 
         ``adjoint`` solves a^T W + W a + q = 0 on the same factors instead.
+        A NumericalError if W is not finite: finite q can overflow in the solve.
         """
         q = as_array(q, self.a.shape, "q")
         if np.linalg.norm(q - q.T) > _RHS_SYMMETRY_RTOL * np.linalg.norm(q):
@@ -113,7 +114,10 @@ class LyapunovSolver:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return symmetrize(u @ y @ u.T)
+        w = symmetrize(u @ y @ u.T)
+        if not np.isfinite(w).all():
+            raise NumericalError("the Lyapunov solution overflows: the Gramian is not finite")
+        return w
 
     # The recursion overwrites the right-hand side with the solution and
     # returns True if any leaf solve perturbed its eigenvalues.

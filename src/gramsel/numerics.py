@@ -58,6 +58,8 @@ def as_array(x, shape, name="array"):
         x = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} is not numeric: {exc}") from None
+    except OverflowError:  # an int beyond the float range
+        raise NonFiniteError(f"{name} contains non-finite entries") from None
     if x.ndim != len(shape) or any(d is not None and d != s for d, s in zip(shape, x.shape)):
         expected = str(tuple(shape)).replace("None", "any")
         raise DimensionError(f"{name} has shape {x.shape}, expected {expected}")

@@ -125,12 +125,6 @@ class PlacementResult:
     def k(self):
         return len(self.selected)
 
-    @property
-    def ranked(self):
-        """Every candidate as (id, weight), best first."""
-        return tuple(zip(map(self.ids.__getitem__, self.order.tolist()),
-                         self.weights[self.order].tolist()))
-
 
 def candidate_weights(cs, metric=MetricSpec()):
     """Per-candidate weights w(s) = metric(W_s), W_s from a single column.

@@ -26,6 +26,8 @@ from gramsel.gramian import (
 from gramsel.metrics import MetricSpec, simulate_transfer, synthesize_min_energy_input
 from gramsel.models import (
     build_swing_matrix,
+    frequency_selector,
+    grid_model,
     hvdc_candidates,
     random_hurwitz_system,
     ring_grid,
@@ -36,6 +38,7 @@ from gramsel.placement import (
     brute_force_best,
     candidate_weights,
     controllability_centrality,
+    ranked,
     select_top_k,
     verify_modularity,
 )
@@ -271,3 +274,59 @@ def test_10_rank_payloads_byte_identical(tmp_path):
     assert b0 == b1  # repeat run
     # sanity: the payload really carries the full ranking
     assert len(json.loads(b0)["results"]["ranked"]) == 2701
+
+
+def _ring_link_weights(n, m, d, b, g):
+    """Trace weight of an HVDC link on a uniform chord-free ring of n buses, by the ring
+    distance 0..n-1 of its ends, from the closed form in long double (no eigensolver).
+
+    The stiffness L + G is circulant, with eigenvalues lam_k = 2b(1 - cos 2 pi k/n) + g.
+    Mode k released from unit frequency holds int (theta^2 + omega^2) dt
+    = p_k = (1 + m/lam_k) m/(2d), so the adjoint solution's frequency block is
+    circulant with entries c_delta = (1/n) sum_k p_k cos(2 pi k delta/n).  A link puts
+    +1/m and -1/m on two frequencies: w(delta) = 2 (c_0 - c_delta) / m^2."""
+    m, d, b, g = map(np.longdouble, (m, d, b, g))
+    cos = np.cos(2 * np.arccos(np.longdouble(-1)) * np.arange(n, dtype=np.longdouble) / n)
+    p = (1 + m / (2 * b * (1 - cos) + g)) * m / (2 * d)
+    k = np.arange(n)
+    c = cos[np.outer(k, k) % n] @ p / n
+    return 2 * (c[0] - c) / m**2
+
+
+@pytest.mark.parametrize("n", [74, 150])
+@pytest.mark.parametrize("params", [{}, {"inertia": 0.7, "damping": 1.1, "susceptance": 0.4,
+                                         "grounding": 0.05}], ids=["default", "custom"])
+@criterion("11 ring-trace-weights-closed-form")
+def test_11_ring_trace_weights_match_the_closed_form(n, params):
+    grid = ring_grid(n, **params)
+    cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid))
+    uniform = (grid.inertia[0], grid.damping[0], grid.susceptance[0], grid.grounding[0])
+    i, j = np.triu_indices(n, 1)
+    want = _ring_link_weights(n, *uniform)[j - i].astype(float)
+    np.testing.assert_allclose(ranked(cs)[0], want, rtol=1e-13, atol=0)
+
+
+def _meshed_grid(m, d):
+    """12 buses with inertia m and damping d, a ring plus six chords, uneven
+    susceptances and grounding on some buses only."""
+    pairs = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (2, 9), (3, 7), (1, 5),
+                                                      (4, 10), (8, 11)]
+    return grid_model({
+        "buses": [{"id": f"b{i}", "inertia": m, "damping": d,
+                   "grounding": (0.0, 0.3, 0.0, 0.05)[i % 4]} for i in range(12)],
+        "lines": [{"from": f"b{i}", "to": f"b{j}", "susceptance": 0.5 + 0.25 * k}
+                  for k, (i, j) in enumerate(pairs)],
+    })
+
+
+@pytest.mark.parametrize("grid", [ring_grid(74), ring_grid(74, chords=30),
+                                  _meshed_grid(1.3, 0.6)],
+                         ids=["ring74", "ring74-chords30", "meshed12"])
+@criterion("12 frequency-weights-closed-form")
+def test_12_frequency_weights_are_one_over_m_d(grid):
+    # a link's unit impulse leaves kinetic energy (M/2)(2/M^2) = 1/M, and on a grounded
+    # grid damping dissipates all of it as D int |omega|^2 dt: every link scores 1/(M D)
+    cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid))
+    weights = ranked(cs, MetricSpec.h2(frequency_selector(grid)))[0]
+    np.testing.assert_allclose(weights, 1 / (grid.inertia[0] * grid.damping[0]),
+                               rtol=1e-13, atol=0)

@@ -550,6 +550,13 @@ class TestExitCodes:
         # the additivity check's b diag(sqrt(d)) overflows too, not only b b^T
         scaled = {**explicit, "candidates": [{"id": "a", "b": [1, 0]},
                                              {"id": "b", "b": [1.5e308, 0]}]}
+        # a finite b b^T whose Gramian overflows in the solve, under every functional
+        lone = {"n": 1, "A": [[-0.1]], "candidates": [{"id": "p", "b": [5.5e153]},
+                                                     {"id": "q", "b": [1.0]}]}
+        pair = {"n": 2, "A": [[-0.1, 0], [0, -0.2]],
+                "candidates": [{"id": "p", "b": [5.5e153, 0]}, {"id": "q", "b": [0, 1.0]}]}
+        functionals = [["bruteforce", "--k", "1", *flag] for flag in
+                       ([], ["--functional", "min_eig"], ["--functional", "log_det"])]
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
             (path, scaled, path, [], on_four[:2]),
@@ -559,6 +566,8 @@ class TestExitCodes:
             (wfile, [[2e153] * 3], forty, h2, on_forty),
             (wfile, [[1e154, 0, 0]], four, h2, on_four),
             (wfile, [[9e153] * 3], four, h2, on_four),
+            (path, lone, path, [], functionals),
+            (path, pair, path, [], functionals),
         ]
         for target, doc, problem, flags, commands in cases:
             target.write_text(json.dumps(doc))
@@ -867,7 +876,7 @@ BASE_PROBLEMS = {
                  "weight": {"kind": "h2", "matrix": [[1.0, 0.5]]}},
 }
 MUTANT_VALUES = ["x", "nan", None, True, -1, 0, 4.5, [], {}, 5, float("nan"), 10**20,
-                 "\ud800"]
+                 "\ud800", 10**400]
 
 
 def _paths(node, prefix=()):
@@ -934,6 +943,10 @@ MALFORMED = [
     # a lone surrogate is valid JSON, but no UTF-8 report can print it
     (("explicit", ("candidates", 1, "id")), "\ud800x", "candidate 1 id"),
     (("bus list", ("grid", "buses", 0, "id")), "\ud800", "bus 0 id"),
+    # an int past the float range once escaped the array validator as an OverflowError
+    (("explicit", ("A", 0, 0)), 10**400, "A contains non-finite entries"),
+    (("explicit", ("candidates", 1, "b", 0)), 10**400, "candidate 'u1' column contains"),
+    (("explicit", ("weight", "matrix", 0, 1)), 10**400, "weight matrix contains non-finite"),
 ]
 # Every JSON object of every base problem, by its path.
 OBJECT_SITES = [(name, path) for name, path in MUTATION_SITES

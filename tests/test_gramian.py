@@ -160,6 +160,16 @@ class TestSolveLyapunov:
                 solve_lyapunov(np.diag([-1.0, -1.0]), q)
         assert not solve_lyapunov(np.diag([-1.0, -1.0]), np.zeros((2, 2))).any()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_solution_past_the_float_range_is_a_numerical_error(self):
+        # W = q / 0.2 is finite, but its symmetric part (W + W^T) / 2 overflows in the sum
+        solver = LyapunovSolver([[-0.1]])
+        for adjoint in (False, True):
+            with pytest.raises(NumericalError, match="^the Lyapunov solution overflows"):
+                solver.solve([[3e307]], adjoint=adjoint)
+        with pytest.raises(NumericalError, match="^the Lyapunov solution overflows"):
+            solve_lyapunov([[-0.1]], [[3e307]])
+
     def test_solver_reuse_matches_oneshot(self):
         a, _ = _system(9, n=5)
         solver = LyapunovSolver(a)

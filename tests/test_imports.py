@@ -1,4 +1,4 @@
-"""Every imported name in the package, its tests, its scripts and the
+"""Every imported name in the package, its tests and the
 README's Python quickstart is used, and every exported name exists.
 
 No linter is configured for the project, so this scans each module's
@@ -21,7 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "gramsel").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(tree):

@@ -309,6 +309,9 @@ def test_array_arguments_are_validated(fn, kwargs, arg, wrong_shape, name):
         fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], "x")})
     with pytest.raises(NonFiniteError):
         fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], np.nan)})
+    with pytest.raises(NonFiniteError) as err:  # an int past the float range
+        fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], 10**400)})
+    assert str(err.value) == f"{name} contains non-finite entries"
     with pytest.raises(DimensionError) as err:
         fn(**{**kwargs, arg: wrong_shape})
     assert str(err.value).startswith(f"{name} has shape {np.shape(wrong_shape)}, expected")
