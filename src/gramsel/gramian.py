@@ -27,6 +27,7 @@ from .numerics import (
     as_square,
     lapack,
     matrix_exponential,
+    outer_sum,
     real_schur,
     spectral_abscissa,
     symmetrize,
@@ -103,18 +104,20 @@ class LyapunovSolver:
         A NumericalError if W is not finite: finite q can overflow in the solve.
         """
         q = as_array(q, self.a.shape, "q")
-        if np.linalg.norm(q - q.T) > _RHS_SYMMETRY_RTOL * np.linalg.norm(q):
-            raise DomainError("right-hand side q must be symmetric")
-        u, t = self._factors[bool(adjoint)]
-        y = u.T @ (-symmetrize(q)) @ u
-        if self._lyapunov(t, y):
-            warnings.warn(
-                "trsyl perturbed nearly-common eigenvalues to solve; "
-                "result may be inaccurate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        w = symmetrize(u @ y @ u.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            qs = np.ldexp(q, -np.frexp(np.abs(q).max())[1])  # exact; the norms stay in range
+            if np.linalg.norm(qs - qs.T) > _RHS_SYMMETRY_RTOL * np.linalg.norm(qs):
+                raise DomainError("right-hand side q must be symmetric")
+            u, t = self._factors[bool(adjoint)]
+            y = u.T @ (-symmetrize(q)) @ u
+            if self._lyapunov(t, y):
+                warnings.warn(
+                    "trsyl perturbed nearly-common eigenvalues to solve; "
+                    "result may be inaccurate",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            w = symmetrize(u @ y @ u.T)
         if not np.isfinite(w).all():
             raise NumericalError("the Lyapunov solution overflows: the Gramian is not finite")
         return w
@@ -161,12 +164,8 @@ class LyapunovSolver:
         return info == 1
 
     def gramian(self, b):
-        """Infinite-horizon Gramian of (a, b); a NumericalError if b b^T overflows."""
-        b = as_array(b, (self.n, None), "b")
-        bbt = b @ b.T
-        if not np.isfinite(bbt).all():
-            raise NumericalError("b b^T overflows: the input columns are too large to score")
-        return self.solve(bbt)
+        """Infinite-horizon Gramian of (a, b): the solve of ``outer_sum([b])``."""
+        return self.solve(outer_sum([as_array(b, (self.n, None), "b")]))
 
 
 def _split(t):
@@ -231,7 +230,8 @@ def finite_horizon_gramian(a, b, t):
     n = a.shape[0]
     b = as_array(b, (n, None), "b")
 
-    norm_a = float(np.linalg.norm(a, 1))
+    with np.errstate(over="ignore"):  # an infinite norm is raised by value below
+        norm_a = float(np.linalg.norm(a, 1))
     if not math.isfinite(t * norm_a):
         raise NumericalError(f"horizon t = {t:g} times ||A||_1 = {norm_a:g} overflows")
     doublings = 0
@@ -239,7 +239,7 @@ def finite_horizon_gramian(a, b, t):
         doublings = int(math.ceil(math.log2(t * norm_a / _BLOCK_NORM_BOUND)))
     h = t / 2.0**doublings
 
-    block = np.block([[-a, b @ b.T], [np.zeros((n, n)), a.T]])
+    block = np.block([[-a, outer_sum([b])], [np.zeros((n, n)), a.T]])
     f = matrix_exponential(block * h)
     f12 = f[:n, n:]
     f22 = f[n:, n:]

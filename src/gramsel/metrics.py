@@ -19,7 +19,7 @@ from .exceptions import (
     UnreachableStateError,
 )
 from .gramian import finite_horizon_gramian
-from .numerics import as_array, as_number, as_square, matrix_exponential, symmetrize
+from .numerics import as_array, as_number, as_square, matrix_exponential, outer_sum, symmetrize
 
 __all__ = [
     "METRIC_KINDS",
@@ -96,7 +96,8 @@ class MetricSpec:
             return np.eye(n)
         square = self.kind == "weighted_trace"
         w = as_array(self.weight, (n if square else None, n), f"{self.kind} weight matrix")
-        cbar = symmetrize(w if square else w.T @ w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cbar = symmetrize(w if square else w.T @ w)
         if not np.isfinite(cbar).all():
             raise NumericalError(f"{self.kind} weight overflows: its state weighting C_bar "
                                  "has non-finite entries")
@@ -227,7 +228,7 @@ def simulate_transfer(a, b, x_f, trajectory):
     x = as_array(x_f, (n,), "x_f")
     eta, t = trajectory.costate, float(trajectory.times[-1])
     z0 = matrix_exponential(a.T * t) @ eta
-    bbt = b @ b.T
+    bbt = outer_sum([b])
 
     def rhs(_tau, y):
         xs, zs = y[:n], y[n : 2 * n]

@@ -34,6 +34,7 @@ __all__ = [
     "lapack",
     "within_margin",
     "matrix_exponential",
+    "outer_sum",
     "real_schur",
     "symmetrize",
 ]
@@ -105,6 +106,15 @@ def as_number(x, name, low, high=math.inf, *, integer=False, strict=False):
 def symmetrize(a):
     """Exact symmetric part (a + a.T) / 2 (bitwise symmetric)."""
     return (a + a.T) / 2.0
+
+
+def outer_sum(blocks):
+    """``sum b b^T`` over column blocks b of one height; a NumericalError if it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = sum(b @ b.T for b in blocks)
+    if not np.isfinite(q).all():
+        raise NumericalError("b b^T overflows: the input columns are too large to score")
+    return q
 
 
 def eigenvalues(m):

@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import DomainError, EnumerationCapError, NumericalError
 from .gramian import LyapunovSolver
 from .metrics import MetricSpec, evaluate_metric
-from .numerics import as_array, as_number, as_square
+from .numerics import as_array, as_number, as_square, outer_sum
 
 __all__ = [
     "CandidateSet",
@@ -156,13 +156,10 @@ def _weights_with_solver(cs, metric):
     return weights
 
 
-def _subset_score(cs, metric, bbt):
-    """``(metric(W), vdot(|C_bar|, |W|))`` for the forward Gramian W of b, ``bbt`` = b b^T.
-    The magnitude bounds |metric(W)|, so a NumericalError when it is not finite guards
-    both.  It scales as the score does but stays above rounding noise when terms cancel."""
-    if not np.isfinite(bbt).all():
-        raise NumericalError("b b^T overflows: the input columns are too large to score")
-    g = cs.solver.solve(bbt)
+def _subset_score(cs, metric, g):
+    """``(metric(g), vdot(|C_bar|, |g|))`` for a forward Gramian ``g``.  The magnitude
+    bounds |metric(g)|, so a NumericalError when it is not finite guards both.  It
+    scales as the score does but stays above rounding noise when terms cancel."""
     magnitude = float(np.vdot(np.abs(metric.state_weighting(cs.n)), np.abs(g)))
     if not math.isfinite(magnitude):
         raise NumericalError(f"{metric.describe()} score overflows: its magnitude "
@@ -180,11 +177,8 @@ def _check_additivity(cs, metric, b, weights):
     weight fails: the magnitude is finite, so the scale is too.
     """
     d = np.arange(1.0, len(weights) + 1.0)
-    bbt = np.zeros((cs.n, cs.n))
-    for cols in _blocks(*b.shape):
-        s = b[:, cols] * np.sqrt(d[cols])
-        bbt += s @ s.T
-    combined, magnitude = _subset_score(cs, metric, bbt)
+    g = cs.solver.solve(outer_sum(b[:, c] * np.sqrt(d[c]) for c in _blocks(*b.shape)))
+    combined, magnitude = _subset_score(cs, metric, g)
     dw = np.multiply(d, weights, out=d)
     try:  # fsum raises on a sum past the float range and on inf - inf
         expected, scale = math.fsum(dw), max(math.fsum(np.abs(dw)), magnitude)
@@ -303,8 +297,7 @@ def verify_modularity(cs, metric=MetricSpec(), trials=100, seed=0):
     ids = np.array(cs.ids, dtype=object)
 
     def score(mask):
-        b = cs.input_matrix(ids[mask])
-        return _subset_score(cs, metric, b @ b.T)
+        return _subset_score(cs, metric, cs.solver.gramian(cs.input_matrix(ids[mask])))
 
     worst, worst_pair = 0.0, ((), ())
     for _ in range(trials):

@@ -557,6 +557,8 @@ class TestExitCodes:
                 "candidates": [{"id": "p", "b": [5.5e153, 0]}, {"id": "q", "b": [0, 1.0]}]}
         functionals = [["bruteforce", "--k", "1", *flag] for flag in
                        ([], ["--functional", "min_eig"], ["--functional", "log_det"])]
+        # the finite-horizon Gramian forms b b^T through the same checked helper
+        synth = {"n": 1, "A": [[-1.0]], "candidates": [{"id": "p0", "b": [1e200]}]}
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
             (path, scaled, path, [], on_four[:2]),
@@ -568,6 +570,8 @@ class TestExitCodes:
             (wfile, [[9e153] * 3], four, h2, on_four),
             (path, lone, path, [], functionals),
             (path, pair, path, [], functionals),
+            (path, synth, path, [], [["synthesize", "--ids", "p0", "--horizon", "1",
+                                      "--target", "1"]]),
         ]
         for target, doc, problem, flags, commands in cases:
             target.write_text(json.dumps(doc))
@@ -576,6 +580,10 @@ class TestExitCodes:
                 errors = [line for line in err.splitlines() if line.startswith("error:")]
                 assert code == 3 and out == "" and len(errors) == 1
                 assert "overflows" in errors[0] and not re.search(r"\bq\b", errors[0])
+                # no numpy floating-point warning; the stiff grid's solve may warn of its accuracy
+                warned = [line for line in err.splitlines() if "warning:" in line]
+                assert all("trsyl perturbed" in line for line in warned) and "Traceback" not in err
+        assert "b b^T overflows" in errors[0]  # the synthesize case
 
     def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):
         path = make_problem(tmp_path, capsys, args=("--ring", "4"))

@@ -154,13 +154,15 @@ class TestSolveLyapunov:
                 call()
 
     def test_asymmetric_rhs_rejected(self):
-        # the second q is asymmetric relative to its own size, though not to 1
-        for q in ([[1.0, 1.0], [0.0, 1.0]], [[1e-10, 5e-9], [0.0, 1e-10]]):
-            with pytest.raises(DomainError):
+        # the second q is asymmetric relative to its own size, though not to 1; the last
+        # three at scales where the Frobenius norm overflows, or its squares underflow to 0
+        for q in ([[1.0, 1.0], [0.0, 1.0]], [[1e-10, 5e-9], [0.0, 1e-10]],
+                  [[1e200, 1e200], [0.0, 1e200]], [[1e-200, 1e-200], [0.0, 1e-200]],
+                  [[5e-324, 5e-324], [0.0, 5e-324]]):
+            with pytest.raises(DomainError, match="must be symmetric"):
                 solve_lyapunov(np.diag([-1.0, -1.0]), q)
         assert not solve_lyapunov(np.diag([-1.0, -1.0]), np.zeros((2, 2))).any()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_solution_past_the_float_range_is_a_numerical_error(self):
         # W = q / 0.2 is finite, but its symmetric part (W + W^T) / 2 overflows in the sum
         solver = LyapunovSolver([[-0.1]])
@@ -415,10 +417,13 @@ class TestFiniteHorizon:
         ([[-1.0, 0.2], [0.0, -2.2]], 1e308),  # t ||A||_1 = 2.2e308
         ([[-1e308, 0.0], [-1e308, -1.0]], 1.0),  # ||A||_1 itself overflows
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
     def test_horizon_whose_split_overflows_is_a_numerical_error(self, a, t):
         with pytest.raises(NumericalError, match="overflows"):
             finite_horizon_gramian(a, [[1.0], [0.0]], t)
+
+    def test_columns_whose_outer_product_overflows_are_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="^b b\\^T overflows"):
+            finite_horizon_gramian([[-1.0]], [[1e200]], 1.0)
 
 
 class TestObservability:

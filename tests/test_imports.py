@@ -7,9 +7,9 @@ be listed in its ``__all__``.  Since a listed name counts as used, each
 ``__all__`` entry must also resolve on the imported module, or
 ``from gramsel import *`` would fail.  Every gramsel name that the
 benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
-Placement builds its Lyapunov solver in one place, shape errors come
-from the one array validator in ``numerics``, and no module imports
-another's private name.
+Placement builds its Lyapunov solver in one place, one helper forms and
+checks every ``b b^T``, shape errors come from the one array validator
+in ``numerics``, and no module imports another's private name.
 """
 
 import ast
@@ -83,6 +83,12 @@ def test_placement_builds_its_solver_in_one_place():
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "LyapunovSolver"]
     assert len(calls) == 1, calls
+
+
+def test_the_outer_product_rule_is_stated_once():
+    # numerics.outer_sum forms and checks every b b^T; a second copy of its rule would drift
+    count = sum(path.read_text(encoding="utf-8").count("b b^T overflows") for path in PACKAGE)
+    assert count == 1
 
 
 def dimension_errors(tree):

@@ -11,6 +11,7 @@ from gramsel.exceptions import (
     DegenerateGramianWarning,
     DimensionError,
     DomainError,
+    NumericalError,
     UnreachableStateError,
 )
 from gramsel.gramian import controllability_gramian, finite_horizon_gramian
@@ -212,6 +213,12 @@ class TestSynthesis:
         traj = synthesize_min_energy_input(a, b, 1.0, np.ones(2), samples=5)
         with pytest.raises(DimensionError):
             simulate_transfer(a, b, np.ones(3), traj)
+
+    def test_simulate_transfer_rejects_columns_whose_outer_product_overflows(self):
+        # a valid trajectory driven through b = 1e200, whose b b^T is past the float range
+        traj = synthesize_min_energy_input([[-1.0]], [[1.0]], 1.0, [1.0], samples=5)
+        with pytest.raises(NumericalError, match="^b b\\^T overflows"):
+            simulate_transfer([[-1.0]], [[1e200]], [1.0], traj)
 
     def test_simulate_transfer_reuses_the_trajectory_costate(self, monkeypatch):
         a, b = _system(10, n=5, m=2)
