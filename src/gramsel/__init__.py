@@ -53,8 +53,8 @@ from .placement import (
     ModularityReport,
     PlacementResult,
     brute_force_best,
-    candidate_weights,
     controllability_centrality,
+    ranked,
     select_top_k,
     verify_modularity,
 )
@@ -91,7 +91,7 @@ __all__ = [
     "MetricSpec", "evaluate_metric", "InputTrajectory",
     "synthesize_min_energy_input", "TransferResult", "simulate_transfer",
     # placement
-    "CandidateSet", "PlacementResult", "ModularityReport", "candidate_weights",
+    "CandidateSet", "PlacementResult", "ModularityReport", "ranked",
     "select_top_k", "brute_force_best", "verify_modularity",
     "controllability_centrality",
     # models

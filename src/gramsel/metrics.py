@@ -205,8 +205,7 @@ class TransferResult:
     states: np.ndarray  # (samples, n)
     inputs: np.ndarray  # (samples, m)
     terminal_error: float  # ||x(t) - x_f||
-    input_energy: float  # int_0^t ||u||^2 d tau from the integrator
-    min_energy: float  # analytic x_f^T W(t)^{-1} x_f
+    input_energy: float  # int_0^t ||u||^2 d tau, to compare with the trajectory's energy
 
 
 def simulate_transfer(a, b, x_f, trajectory):
@@ -251,5 +250,4 @@ def simulate_transfer(a, b, x_f, trajectory):
         inputs=inputs,
         terminal_error=float(np.linalg.norm(states[-1] - x)),
         input_energy=float(sol.y[2 * n, -1]),
-        min_energy=float(x @ eta),
     )

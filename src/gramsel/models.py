@@ -16,6 +16,7 @@ two frequency states, giving N(N-1)/2 candidate columns for N buses.
 import csv
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 from dataclasses import dataclass
@@ -230,7 +231,9 @@ class Problem:
 
 
 _IDS = (str, int)  # the JSON types of a bus id, line endpoint or candidate id (bool is not one)
-_RING_FIELDS = ("chords", "seed", "inertia", "damping", "susceptance", "grounding")
+# The optional fields of a ring block, with ring_grid's defaults
+_RING_DEFAULTS = {name: p.default for name, p in inspect.signature(ring_grid).parameters.items()
+                  if p.default is not p.empty}
 
 
 def _fields(doc, what, required, optional=(), ids=()):
@@ -288,10 +291,10 @@ def grid_model(doc):
     by line: unique ids, numbers in range, lines between two different known buses
     and no pair twice; then the lines must connect every bus."""
     if isinstance(doc, dict) and "topology" in doc:
-        _fields(doc, "grid", ("topology", "buses"), _RING_FIELDS)
+        _fields(doc, "grid", ("topology", "buses"), _RING_DEFAULTS)
         if doc["topology"] != "ring":
             raise ProblemFormatError(f'unknown topology {doc["topology"]!r}')
-        return ring_grid(doc["buses"], **{k: doc[k] for k in _RING_FIELDS if k in doc})
+        return ring_grid(doc["buses"], **{k: doc[k] for k in _RING_DEFAULTS if k in doc})
     _fields(doc, "grid", ("buses",), ("lines",))
     buses = _entries(doc, "buses", "bus", ("id", "inertia", "damping"), ("grounding",), ("id",))
     lines = _entries(doc, "lines", "line", ("from", "to", "susceptance"), (), ("from", "to"))
@@ -383,36 +386,29 @@ def load_problem(path):
     return Problem(a, ids, np.ascontiguousarray(b.T), digest, metric=metric)
 
 
-def system_problem_dict(a, ids, b, metric=None):
+def system_problem_dict(a, ids, b):
     """Problem-file dict for an explicit system: A plus candidate ``ids``
-    whose columns are those of the (n, M) matrix ``b``, checked first (with
-    ``metric``'s weight) so that nothing a loader rejects is written."""
+    whose columns are those of the (n, M) matrix ``b``, checked first so
+    that nothing a loader rejects is written."""
     cs = CandidateSet(a, ids, b)
-    if metric is not None:
-        metric.state_weighting(cs.n)
-    doc = {
+    return {
         "n": cs.n,
         "A": cs.a.tolist(),
         "candidates": [{"id": cid, "b": col} for cid, col in zip(cs.ids, cs.B.T.tolist())],
     }
-    if metric is not None and metric.kind != "trace":
-        doc["weight"] = {"kind": metric.kind, "matrix": metric.weight.tolist()}
-    return doc
 
 
-def ring_problem_dict(n_buses, chords=0, seed=0, inertia=1.0, damping=0.5,
-                      susceptance=1.0, grounding=0.1):
-    """Problem-file dict describing a ring grid by its parameters.
+def ring_problem_dict(n_buses, **params):
+    """Problem-file dict describing a ring grid by its parameters, every field
+    written: those not given take :func:`ring_grid`'s defaults.
 
     The grid is built once from the parameters as given, so parameters that
     a loader would reject raise here instead of producing an unloadable file;
     the integer ones are then written as JSON integers.
     """
-    grid = {"topology": "ring", "buses": n_buses, "chords": chords, "seed": seed,
-            "inertia": inertia, "damping": damping, "susceptance": susceptance,
-            "grounding": grounding}
+    grid = {"topology": "ring", "buses": n_buses, **_RING_DEFAULTS, **params}
     grid_model(grid)
-    grid.update(buses=int(n_buses), chords=int(chords), seed=int(seed))
+    grid.update({key: int(grid[key]) for key in ("buses", "chords", "seed")})
     return {"grid": grid}
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "CandidateSet",
     "PlacementResult",
     "ModularityReport",
-    "candidate_weights",
     "ranked",
     "select_top_k",
     "brute_force_best",
@@ -126,16 +125,6 @@ class PlacementResult:
         return len(self.selected)
 
 
-def candidate_weights(cs, metric=MetricSpec()):
-    """Per-candidate weights w(s) = metric(W_s), W_s from a single column.
-
-    Returns an ordered mapping id -> weight in candidate order.  Every
-    metric is trace(C_bar W), so w(s) = b_s^T P b_s with P from one adjoint
-    Lyapunov solve; each weight depends on its own column only.
-    """
-    return dict(zip(cs.ids, _weights_with_solver(cs, metric).tolist()))
-
-
 def _blocks(n, m):
     """Slices over m columns, 256 * ceil(2**20 / (256 n^2)) wide but the last, which takes
     the remainder.  P @ block then costs >= 2**20 multiply-adds and runs on the BLAS kernel
@@ -147,12 +136,15 @@ def _blocks(n, m):
 
 
 def _weights_with_solver(cs, metric):
-    """The candidate weights b_j^T P b_j as one float64 array in candidate order."""
+    """The candidate weights b_j^T P b_j as one float64 array in candidate order.
+    The check's right side is formed first, so columns too large to score fail before
+    A is factored."""
+    q = _additivity_rhs(cs.B)
     p = cs.solver.solve(metric.state_weighting(cs.n), adjoint=True)
     weights = np.empty(cs.size)
     for cols in _blocks(cs.n, cs.size):
         weights[cols] = np.einsum("ij,ij->j", cs.B[:, cols], p @ cs.B[:, cols])
-    _check_additivity(cs, metric, cs.B, weights)
+    _check_additivity(cs, metric, q, weights)
     return weights
 
 
@@ -167,8 +159,15 @@ def _subset_score(cs, metric, g):
     return evaluate_metric(metric, g), magnitude
 
 
-def _check_additivity(cs, metric, b, weights):
-    """Check ``b``'s column weights by one forward solve; return fsum(weights).
+def _additivity_rhs(b):
+    """``b diag(d) b^T``, d_j = j + 1: the right side that checks ``b``'s column weights."""
+    d = np.arange(1.0, b.shape[1] + 1.0)
+    return outer_sum(b[:, c] * np.sqrt(d[c]) for c in _blocks(*b.shape))
+
+
+def _check_additivity(cs, metric, q, weights):
+    """Check the weights of the columns b with ``q = _additivity_rhs(b)`` by one forward
+    solve; return fsum(weights).
 
     fsum(d_j w_j), d_j = j + 1, must match the metric of the forward Gramian of
     b diag(sqrt(d)) to _ADDITIVITY_RTOL relative to max(fsum(d_j |w_j|), that
@@ -176,10 +175,8 @@ def _check_additivity(cs, metric, b, weights):
     wrong columns, and a transposed solve when b = C_bar = I.  A NaN or infinite
     weight fails: the magnitude is finite, so the scale is too.
     """
-    d = np.arange(1.0, len(weights) + 1.0)
-    g = cs.solver.solve(outer_sum(b[:, c] * np.sqrt(d[c]) for c in _blocks(*b.shape)))
-    combined, magnitude = _subset_score(cs, metric, g)
-    dw = np.multiply(d, weights, out=d)
+    combined, magnitude = _subset_score(cs, metric, cs.solver.solve(q))
+    dw = np.arange(1.0, len(weights) + 1.0) * weights
     try:  # fsum raises on a sum past the float range and on inf - inf
         expected, scale = math.fsum(dw), max(math.fsum(np.abs(dw)), magnitude)
     except (OverflowError, ValueError):
@@ -214,7 +211,8 @@ def select_top_k(cs, k, metric=MetricSpec()):
     weights, order = ranked(cs, metric)
     top = order[:k]
     selected = tuple(map(cs.ids.__getitem__, top.tolist()))
-    total = _check_additivity(cs, metric, cs.input_matrix(selected), weights[top])
+    total = _check_additivity(cs, metric, _additivity_rhs(cs.input_matrix(selected)),
+                              weights[top])
 
     ties = ()
     boundary = weights[top[-1]]
@@ -252,6 +250,7 @@ def brute_force_best(cs, k, metric=MetricSpec(), functional="metric", cap=1_000_
     Returns ``(ids, value)`` with ``ids`` sorted ascending.
     """
     k = _subset_size(cs, k)
+    cap = as_number(cap, "cap", 0, integer=True)
     count = math.comb(cs.size, k)
     if count > cap:
         raise EnumerationCapError(cs.size, k, count, cap)
@@ -322,7 +321,7 @@ def controllability_centrality(a):
     Node i scores trace(W_i) where W_i solves A W + W A^T + e_i e_i^T = 0:
     the total state variance excited by white noise injected at node i
     alone.  The unit inputs e_i are a candidate set like any other: the
-    scores are their :func:`candidate_weights` under the trace metric, P_ii
+    scores are their :func:`ranked` weights under the trace metric, P_ii
     from one adjoint solve, returned as an array indexed by node.
     """
     n = as_square(a, "a").shape[0]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gramsel
-from gramsel import cli, gramian, models, numerics
+from gramsel import cli, gramian, models, numerics, placement
 from gramsel.exceptions import NumericalError
 from gramsel.metrics import MetricSpec
 from gramsel.placement import CandidateSet, ModularityReport, controllability_centrality
@@ -324,6 +324,13 @@ class TestBruteforce:
         assert code == 2
         assert "C(12, 5)" in err and "792" in err
 
+    def test_negative_cap_is_2(self, tmp_path, capsys):
+        # a cap is a count like --k: below 0 it is malformed input, not a limit
+        path = make_problem(tmp_path, capsys)
+        code, out, err = run(capsys, ["bruteforce", path, "--k", "1", "--cap", "-1"])
+        assert code == 2 and out == ""
+        assert "error: cap must be >= 0, got -1" in err.splitlines()
+
     def test_min_eig_functional(self, tmp_path, capsys):
         path = make_problem(tmp_path, capsys)
         code, out, _ = run(capsys, ["bruteforce", path, "--k", "2",
@@ -427,6 +434,14 @@ class TestSynthesize:
         assert len(lines) == 10
 
 
+# a bus of inertia 1e-300: its HVDC column holds 1e300, whose square overflows
+STIFF_GRID = {"grid": {
+    "buses": [{"id": "b0", "inertia": 1e-300, "damping": 1e-300, "grounding": 0.1},
+              {"id": "b1", "inertia": 2.0, "damping": 0.4}],
+    "lines": [{"from": "b0", "to": "b1", "susceptance": 1.0}],
+}}
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["rank", "/no/such/file.json"])
@@ -446,7 +461,8 @@ class TestExitCodes:
 
     def test_stiff_grid_names_the_rounding_level(self, tmp_path, capsys):
         # grounded, so Hurwitz, but the -5e299 eigenvalue of the 1e-300 inertia bus
-        # leaves the others to rounding noise in the Schur factor
+        # leaves the others to rounding noise in the Schur factor.  centrality scores unit
+        # inputs; rank would stop first, at the 1e300 HVDC column's overflowing b b^T
         grid = {"grid": {
             "buses": [{"id": "b0", "inertia": 1e-300, "damping": 0.5, "grounding": 0.1},
                       {"id": "b1", "inertia": 2.0, "damping": 0.4}],
@@ -454,7 +470,7 @@ class TestExitCodes:
         }}
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(grid))
-        code, out, err = run(capsys, ["rank", str(path)])
+        code, out, err = run(capsys, ["centrality", str(path)])
         assert code == 3 and out == ""
         assert "within the Schur factor's rounding level eps*||A||_1 = 2.4e+284" in err
 
@@ -535,11 +551,6 @@ class TestExitCodes:
     def test_overflow_inside_scoring_is_3(self, tmp_path, capsys):
         # finite inputs whose b b^T overflows: a numerical failure, not an input error
         explicit = {"n": 2, "A": [[-1, 0], [0, -2]], "candidates": [{"id": "a", "b": [1e200, 0]}]}
-        grid = {"grid": {
-            "buses": [{"id": "b0", "inertia": 1e-300, "damping": 1e-300, "grounding": 0.1},
-                      {"id": "b1", "inertia": 2.0, "damping": 0.4}],
-            "lines": [{"from": "b0", "to": "b1", "susceptance": 1.0}],
-        }}
         path, wfile = tmp_path / "big.json", tmp_path / "w.json"
         four = make_problem(tmp_path, capsys, "r4.json", ("--random", "3", "4", "--seed", "1"))
         forty = make_problem(tmp_path, capsys, "r40.json", ("--random", "3", "40", "--seed", "1"))
@@ -562,7 +573,7 @@ class TestExitCodes:
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
             (path, scaled, path, [], on_four[:2]),
-            (path, grid, path, [], on_four[:2]),
+            (path, STIFF_GRID, path, [], on_four[:2]),
             # finite h2 weights whose C_bar, or the scores it weights, overflow
             (wfile, [[5e153] * 3], forty, h2, on_forty),
             (wfile, [[2e153] * 3], forty, h2, on_forty),
@@ -580,10 +591,26 @@ class TestExitCodes:
                 errors = [line for line in err.splitlines() if line.startswith("error:")]
                 assert code == 3 and out == "" and len(errors) == 1
                 assert "overflows" in errors[0] and not re.search(r"\bq\b", errors[0])
-                # no numpy floating-point warning; the stiff grid's solve may warn of its accuracy
-                warned = [line for line in err.splitlines() if "warning:" in line]
-                assert all("trsyl perturbed" in line for line in warned) and "Traceback" not in err
+                # no numpy floating-point warning, and the stiff grid is never solved
+                assert "warning:" not in err and "Traceback" not in err
         assert "b b^T overflows" in errors[0]  # the synthesize case
+
+    def test_overflowing_columns_fail_before_factoring(self, tmp_path, capsys, monkeypatch):
+        # the additivity check's b diag(d) b^T is formed before A is factored
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(STIFF_GRID))
+        built = []
+        monkeypatch.setattr(placement, "LyapunovSolver", built.append)
+        for command in (["rank"], ["select", "--k", "1"]):
+            code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+            assert code == 3 and out == ""
+            assert [line for line in err.splitlines() if "load:" not in line] == [
+                "error: b b^T overflows: the input columns are too large to score"]
+        assert built == []
+        # so a failing rank never loads scipy, which only factoring needs
+        code = (f"import sys\nfrom gramsel import cli\n"
+                f"assert cli.main(['rank', {str(path)!r}]) == 3\nprint('scipy' in sys.modules)")
+        assert _python(code) == "False\n"
 
     def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):
         path = make_problem(tmp_path, capsys, args=("--ring", "4"))

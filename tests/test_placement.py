@@ -18,8 +18,8 @@ from gramsel.metrics import MetricSpec, evaluate_metric
 from gramsel.placement import (
     CandidateSet,
     brute_force_best,
-    candidate_weights,
     controllability_centrality,
+    ranked,
     select_top_k,
     verify_modularity,
 )
@@ -93,7 +93,7 @@ class TestCandidateSet:
         metrics = (MetricSpec.trace(), MetricSpec.weighted(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])),
                    MetricSpec.h2(np.ones((2, 5))))
         for metric in metrics:
-            candidate_weights(cs, metric)
+            ranked(cs, metric)
             select_top_k(cs, 2, metric)
             verify_modularity(cs, metric, trials=3)
             brute_force_best(cs, 2, metric)
@@ -120,10 +120,9 @@ class TestCandidateWeights:
     def test_diagonal_example(self):
         a = np.diag([-1.0, -2.0])
         cs = CandidateSet(a, ["x", "y"], np.eye(2))
-        w = candidate_weights(cs)
-        assert w["x"] == pytest.approx(0.5, abs=1e-12)
-        assert w["y"] == pytest.approx(0.25, abs=1e-12)
-        assert list(w) == ["x", "y"]  # candidate order preserved
+        weights, order = ranked(cs)
+        assert weights.tolist() == pytest.approx([0.5, 0.25], abs=1e-12)  # candidate order
+        assert order.tolist() == [0, 1]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -134,17 +133,17 @@ class TestCandidateWeights:
         c = rng.normal(size=(int(rng.integers(1, 4)), n))
         for metric in (MetricSpec.trace(), MetricSpec.weighted(r @ r.T), MetricSpec.h2(c)):
             cs = _candidate_set(seed, n=n, m=int(rng.integers(1, 7)))
-            w = candidate_weights(cs, metric)
-            for cid, col in cs.candidates:
+            weights = ranked(cs, metric)[0]
+            for weight, col in zip(weights, cs.B.T):
                 direct = evaluate_metric(metric, controllability_gramian(cs.a, col[:, None]))
-                assert w[cid] == pytest.approx(direct, rel=1e-12)
+                assert weight == pytest.approx(direct, rel=1e-12)
 
     def test_wrong_adjoint_is_caught(self, skewed_adjoint):
         # the 1e-6 relative fault must be caught however small the columns are
         for scale in (1.0, 1e-3, 1e-5):
             cs = _scaled(_candidate_set(3, n=5, m=4), scale)
             with pytest.raises(NumericalError, match="additivity"):
-                candidate_weights(cs)
+                ranked(cs)
             with pytest.raises(NumericalError, match="additivity"):
                 select_top_k(cs, 2)
 
@@ -152,7 +151,7 @@ class TestCandidateWeights:
         # the reversed vector has the same plain sum; the d_j = j + 1 rule sees the swap
         cs = _candidate_set(3, n=5, m=4)
         with pytest.raises(NumericalError, match="additivity"):
-            candidate_weights(cs)
+            ranked(cs)
         with pytest.raises(NumericalError, match="additivity"):
             select_top_k(cs, 2)
 
@@ -171,7 +170,7 @@ class TestCandidateWeights:
         monkeypatch.setattr(placement.np, "einsum", spoiled)
         cs = _candidate_set(3, n=5, m=4)
         with pytest.raises(NumericalError, match="additivity"):
-            candidate_weights(cs)
+            ranked(cs)
         with pytest.raises(NumericalError, match="additivity"):
             select_top_k(cs, 2)
 
@@ -179,7 +178,7 @@ class TestCandidateWeights:
         # P = C_bar / 0.2 overflows to inf, while the forward scores stay near 1e289
         cs = CandidateSet([[-0.1]], ["a", "c"], [[1e-10, 2e-10]])
         with pytest.raises(NumericalError, match="the Lyapunov solution overflows"):
-            candidate_weights(cs, MetricSpec.weighted([[4e307]]))
+            ranked(cs, MetricSpec.weighted([[4e307]]))
 
     def test_scores_that_cancel_to_rounding_noise_pass(self):
         # h2 output on a state no column reaches, in a rotated basis: every
@@ -188,22 +187,21 @@ class TestCandidateWeights:
         a = q @ np.diag([-1.0, -2.0, -3.0]) @ q.T
         cs = CandidateSet(a, ["u", "v", "w"], q[:, :1] * [1.0, 2.0, -1.0])
         h2 = MetricSpec.h2(q[:, 1:2].T)
-        weights = candidate_weights(cs, h2)
-        assert max(map(abs, weights.values())) < 1e-15
+        assert np.abs(ranked(cs, h2)[0]).max() < 1e-15
         assert select_top_k(cs, 2, h2).k == 2
         assert verify_modularity(cs, h2, trials=20).passed
 
     def test_unstable_dynamics_rejected(self):
         cs = CandidateSet(np.diag([0.1, -1.0]), ["x"], [[1.0], [0.0]])
         with pytest.raises(StabilityError):
-            candidate_weights(cs)
+            ranked(cs)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), scale=st.floats(0.1, 10.0))
     def test_column_scaling_is_quadratic(self, seed, scale):
         a, ids, b = random_hurwitz_system(4, 1, seed=seed)
-        base = candidate_weights(CandidateSet(a, ids, b))[ids[0]]
-        scaled = candidate_weights(CandidateSet(a, ids, scale * b))[ids[0]]
+        base = ranked(CandidateSet(a, ids, b))[0][0]
+        scaled = ranked(CandidateSet(a, ids, scale * b))[0][0]
         assert abs(scaled - scale**2 * base) <= 1e-10 * max(1.0, abs(scaled))
 
     @pytest.mark.parametrize("n", [8, 40, 148])
@@ -216,17 +214,12 @@ class TestCandidateWeights:
                               np.random.default_rng(m).normal(size=(n, m)))
             p = cs.solver.solve(np.eye(n), adjoint=True)
             assert [c.stop - c.start for c in placement._blocks(n, m)][-1] > 1
-            assert np.array_equal(np.fromiter(candidate_weights(cs).values(), float, m),
-                                  np.einsum("ij,ij->j", cs.B, p @ cs.B))
+            assert np.array_equal(ranked(cs)[0], np.einsum("ij,ij->j", cs.B, p @ cs.B))
 
     def test_order_invariance_bitwise(self):
         cs = _candidate_set(9, n=5, m=6)
         reversed_cs = CandidateSet(cs.a, cs.ids[::-1], cs.B[:, ::-1])
-        w_fwd = candidate_weights(cs)
-        w_rev = candidate_weights(reversed_cs)
-        assert {c: w_fwd[c] for c in sorted(w_fwd)} == {
-            c: w_rev[c] for c in sorted(w_rev)
-        }
+        assert np.array_equal(ranked(cs)[0], ranked(reversed_cs)[0][::-1])
 
 
 def _zero_padded_ids(m):
@@ -296,7 +289,8 @@ class TestSelectTopK:
         columns = np.column_stack([np.zeros(4), *rng.normal(size=(3, 4))])
         cs = CandidateSet(random_hurwitz_system(4, 1, seed=1)[0], ids, columns[:, picks])
         k = data.draw(st.integers(1, cs.size))
-        _assert_tuple_sort_order(select_top_k(cs, k), candidate_weights(cs), k)
+        _assert_tuple_sort_order(select_top_k(cs, k), dict(zip(cs.ids, ranked(cs)[0].tolist())),
+                                 k)
 
     @settings(max_examples=60, deadline=None)
     @given(weights=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324]), min_size=1,
@@ -308,7 +302,7 @@ class TestSelectTopK:
         k = data.draw(st.integers(1, cs.size))
         with pytest.MonkeyPatch.context() as mp:  # the weights as given, unchecked
             mp.setattr(placement, "_weights_with_solver", lambda cs, metric: np.array(weights))
-            mp.setattr(placement, "_check_additivity", lambda cs, metric, b, w: math.fsum(w))
+            mp.setattr(placement, "_check_additivity", lambda cs, metric, q, w: math.fsum(w))
             result = select_top_k(cs, k)
         _assert_tuple_sort_order(result, dict(zip(ids, weights)), k)
 
@@ -350,6 +344,17 @@ class TestBruteForce:
             brute_force_best(cs, 3, cap=10)
         assert err.value.count == math.comb(6, 3)
         assert str(math.comb(6, 3)) in str(err.value)
+
+    @pytest.mark.parametrize("cap, message", [
+        (-1, "cap must be >= 0, got -1"),
+        (True, "cap must be a number, got True"),
+        (2.5, "cap must be a finite integer, got 2.5"),
+    ])
+    def test_cap_is_validated_like_every_count(self, cap, message):
+        cs = _candidate_set(1, n=4, m=6)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            brute_force_best(cs, 1, cap=cap)
+        assert brute_force_best(cs, 1, cap=6.0) == brute_force_best(cs, 1)
 
     def test_min_eig_functional_differs_from_modular(self):
         # one orthogonal weak column beats a duplicate of the strongest:
