@@ -27,7 +27,6 @@ from .exceptions import (
 from .numerics import (
     STABILITY_MARGIN,
     eigenvalues,
-    is_hurwitz,
     matrix_exponential,
     real_schur,
     spectral_abscissa,
@@ -38,7 +37,6 @@ from .gramian import (
     finite_horizon_gramian,
     lyapunov_residual,
     observability_gramian,
-    solve_lyapunov,
 )
 from .metrics import (
     InputTrajectory,
@@ -83,9 +81,9 @@ __all__ = [
     "DegenerateGramianWarning",
     # numerics
     "STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
-    "is_hurwitz", "matrix_exponential", "real_schur",
+    "matrix_exponential", "real_schur",
     # gramian
-    "LyapunovSolver", "solve_lyapunov", "lyapunov_residual",
+    "LyapunovSolver", "lyapunov_residual",
     "controllability_gramian", "finite_horizon_gramian", "observability_gramian",
     # metrics
     "MetricSpec", "evaluate_metric", "InputTrajectory",

@@ -31,12 +31,10 @@ from .numerics import (
     real_schur,
     spectral_abscissa,
     symmetrize,
-    within_margin,
 )
 
 __all__ = [
     "LyapunovSolver",
-    "solve_lyapunov",
     "lyapunov_residual",
     "controllability_gramian",
     "finite_horizon_gramian",
@@ -75,7 +73,7 @@ class LyapunovSolver:
         u, t = real_schur(a)
         # T is orthogonally similar to a; its spectrum is read off the diagonal blocks.
         alpha = spectral_abscissa(t)
-        if not within_margin(alpha):
+        if not alpha < -STABILITY_MARGIN:  # the Hurwitz margin rule
             # T holds the spectrum only to eps ||A||_1, so a stiff A can hide a stable one
             rounding = np.finfo(float).eps * np.linalg.norm(a, 1)
             stiff = (f"; that is within the Schur factor's rounding level eps*||A||_1 = "
@@ -172,11 +170,6 @@ def _split(t):
     """Middle split point of quasi-triangular t that never cuts a 2x2 block."""
     k = t.shape[0] // 2
     return k + 1 if t[k, k - 1] != 0.0 else k
-
-
-def solve_lyapunov(a, q):
-    """One-shot solve of a W + W a^T + q = 0 (a Hurwitz, q symmetric)."""
-    return LyapunovSolver(a).solve(q)
 
 
 def lyapunov_residual(a, w, q):

@@ -1,8 +1,10 @@
 """Dense linear-algebra primitives shared across the package.
 
 Thin, validated wrappers over LAPACK-backed numpy/scipy routines:
-eigenvalues, real Schur form, matrix exponential, and the Hurwitz test
-that gates every infinite-horizon computation.  :func:`as_array` checks
+eigenvalues, the spectral abscissa, real Schur form and the matrix
+exponential.  The Hurwitz margin rule, max Re(lambda) < -STABILITY_MARGIN,
+is applied in one place: ``gramian.LyapunovSolver``, which every
+infinite-horizon computation builds.  :func:`as_array` checks
 every array from outside the program against the shape it must have,
 :func:`as_square` a matrix whose order is not known in advance, and
 :func:`as_number` every number.
@@ -30,9 +32,7 @@ __all__ = [
     "as_square",
     "eigenvalues",
     "spectral_abscissa",
-    "is_hurwitz",
     "lapack",
-    "within_margin",
     "matrix_exponential",
     "outer_sum",
     "real_schur",
@@ -130,16 +130,6 @@ def eigenvalues(m):
 def spectral_abscissa(m):
     """max Re(lambda) over the spectrum of m."""
     return float(np.max(eigenvalues(m).real))
-
-
-def within_margin(alpha):
-    """The Hurwitz rule: abscissa ``alpha`` < -STABILITY_MARGIN."""
-    return bool(alpha < -STABILITY_MARGIN)
-
-
-def is_hurwitz(m):
-    """True iff every eigenvalue satisfies Re(lambda) < -STABILITY_MARGIN."""
-    return within_margin(spectral_abscissa(m))
 
 
 def matrix_exponential(m):

@@ -75,7 +75,14 @@ class CandidateSet:
 
     @functools.cached_property
     def solver(self):
-        """``LyapunovSolver(a)``, built on first use and shared by every metric scored."""
+        """``LyapunovSolver(a)``, built on first use and shared by every metric scored.
+
+        Every column's ``b b^T`` is checked first, so columns too large to score fail
+        before A is factored: with r the row norms of B, |sum_{j in S} b_ij b_kj| <=
+        r_i r_k for every subset S, so one ``outer_sum`` of r covers all of them."""
+        with np.errstate(over="ignore"):  # an overflowing square makes r r^T infinite
+            r = np.sqrt([row @ row for row in self.B])
+        outer_sum([r[:, None]])
         return LyapunovSolver(self.a)
 
     @property

@@ -17,11 +17,11 @@ from scipy.linalg import expm
 from gramsel import cli
 from gramsel.exceptions import EnumerationCapError
 from gramsel.gramian import (
+    LyapunovSolver,
     controllability_gramian,
     finite_horizon_gramian,
     lyapunov_residual,
     observability_gramian,
-    solve_lyapunov,
 )
 from gramsel.metrics import MetricSpec, simulate_transfer, synthesize_min_energy_input
 from gramsel.models import (
@@ -119,9 +119,9 @@ def test_02_select_matches_brute_force():
 
 @criterion("03 lyapunov-accuracy")
 def test_03_lyapunov_residuals_and_analytic_cases():
-    w = solve_lyapunov([[-1.0]], [[1.0]])
+    w = LyapunovSolver([[-1.0]]).solve([[1.0]])
     assert abs(w[0, 0] - 0.5) <= 1e-12
-    w = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+    w = LyapunovSolver(np.diag([-1.0, -2.0])).solve(np.eye(2))
     assert np.abs(w - np.diag([0.5, 0.25])).max() <= 1e-12
 
     sizes = np.linspace(2, 150, 100).round().astype(int)

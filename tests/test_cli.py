@@ -556,7 +556,7 @@ class TestExitCodes:
         forty = make_problem(tmp_path, capsys, "r40.json", ("--random", "3", "40", "--seed", "1"))
         h2 = ["--metric", "h2", "--weight-file", str(wfile)]
         on_four = (["rank"], ["select", "--k", "1"], ["verify", "--trials", "2"],
-                   ["bruteforce", "--k", "2"])
+                   ["bruteforce", "--k", "1"])
         on_forty = (["rank"], ["select", "--k", "5"], ["verify", "--trials", "3"])
         # the additivity check's b diag(sqrt(d)) overflows too, not only b b^T
         scaled = {**explicit, "candidates": [{"id": "a", "b": [1, 0]},
@@ -573,7 +573,7 @@ class TestExitCodes:
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
             (path, scaled, path, [], on_four[:2]),
-            (path, STIFF_GRID, path, [], on_four[:2]),
+            (path, STIFF_GRID, path, [], on_four),
             # finite h2 weights whose C_bar, or the scores it weights, overflow
             (wfile, [[5e153] * 3], forty, h2, on_forty),
             (wfile, [[2e153] * 3], forty, h2, on_forty),
@@ -596,20 +596,25 @@ class TestExitCodes:
         assert "b b^T overflows" in errors[0]  # the synthesize case
 
     def test_overflowing_columns_fail_before_factoring(self, tmp_path, capsys, monkeypatch):
-        # the additivity check's b diag(d) b^T is formed before A is factored
+        # the additivity check's b diag(d) b^T, and CandidateSet.solver's bound r r^T on
+        # every subset's b b^T, are formed before A is factored
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(STIFF_GRID))
         built = []
         monkeypatch.setattr(placement, "LyapunovSolver", built.append)
-        for command in (["rank"], ["select", "--k", "1"]):
+        commands = (["rank"], ["select", "--k", "1"], ["verify", "--trials", "2"],
+                    ["bruteforce", "--k", "1"])
+        for command in commands:
             code, out, err = run(capsys, [command[0], str(path), *command[1:]])
             assert code == 3 and out == ""
             assert [line for line in err.splitlines() if "load:" not in line] == [
                 "error: b b^T overflows: the input columns are too large to score"]
         assert built == []
-        # so a failing rank never loads scipy, which only factoring needs
+        # so a failing command never loads scipy, which only factoring needs
         code = (f"import sys\nfrom gramsel import cli\n"
-                f"assert cli.main(['rank', {str(path)!r}]) == 3\nprint('scipy' in sys.modules)")
+                f"for command in {commands!r}:\n"
+                f"    assert cli.main([command[0], {str(path)!r}, *command[1:]]) == 3\n"
+                f"print('scipy' in sys.modules)")
         assert _python(code) == "False\n"
 
     def test_out_of_memory_is_3(self, tmp_path, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from gramsel.gramian import (
     finite_horizon_gramian,
     lyapunov_residual,
     observability_gramian,
-    solve_lyapunov,
 )
 from gramsel.models import random_hurwitz_system
 from gramsel.numerics import spectral_abscissa
@@ -58,22 +57,22 @@ def _system(seed, n=None, m=None):
 
 class TestSolveLyapunov:
     def test_scalar(self):
-        w = solve_lyapunov([[-1.0]], [[1.0]])
+        w = LyapunovSolver([[-1.0]]).solve([[1.0]])
         assert abs(w[0, 0] - 0.5) <= 1e-12
 
     def test_diagonal(self):
-        w = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+        w = LyapunovSolver(np.diag([-1.0, -2.0])).solve(np.eye(2))
         assert np.allclose(w, np.diag([0.5, 0.25]), atol=1e-12)
 
     def test_jordan_block(self):
         # a = [[-1, 1], [0, -1]], q = I has the closed form below
-        w = solve_lyapunov([[-1.0, 1.0], [0.0, -1.0]], np.eye(2))
+        w = LyapunovSolver([[-1.0, 1.0], [0.0, -1.0]]).solve(np.eye(2))
         assert np.allclose(w, [[0.75, 0.25], [0.25, 0.5]], atol=1e-12)
 
     def test_against_kron_oracle(self):
         a, b = _system(123, n=6, m=2)
         q = b @ b.T
-        w = solve_lyapunov(a, q)
+        w = LyapunovSolver(a).solve(q)
         w_oracle = lyap_kron(a, q)
         assert np.allclose(w, w_oracle, rtol=1e-10, atol=1e-12)
 
@@ -84,12 +83,12 @@ class TestSolveLyapunov:
         assert np.allclose(p, lyap_kron(a.T, q), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("gramian", [
-        lambda a, b: solve_lyapunov(a, b @ b.T),
+        lambda a, b: LyapunovSolver(a).solve(b @ b.T),
         lambda a, b: LyapunovSolver(a).gramian(b),
         controllability_gramian,
         lambda a, b: observability_gramian(a.T, b.T),
         lambda a, b: finite_horizon_gramian(a, b, 2.5),
-    ], ids=["solve_lyapunov", "LyapunovSolver.gramian", "controllability_gramian",
+    ], ids=["LyapunovSolver.solve", "LyapunovSolver.gramian", "controllability_gramian",
             "observability_gramian", "finite_horizon_gramian"])
     def test_result_is_bitwise_symmetric(self, gramian):
         a, b = _system(5, n=7)
@@ -101,7 +100,7 @@ class TestSolveLyapunov:
         for seed in range(10):
             a, b = _system(seed)
             q = b @ b.T
-            w = solve_lyapunov(a, q)
+            w = LyapunovSolver(a).solve(q)
             bound = 1e-10 * (
                 np.linalg.norm(a) * np.linalg.norm(w) + np.linalg.norm(q)
             )
@@ -109,7 +108,7 @@ class TestSolveLyapunov:
 
     def test_non_hurwitz_rejected_with_max_real_part(self):
         with pytest.raises(StabilityError) as err:
-            solve_lyapunov([[0.5]], [[1.0]])
+            LyapunovSolver([[0.5]])
         assert err.value.max_real_part == pytest.approx(0.5)
         assert "max Re(eigenvalue) = 5.0" in str(err.value)
 
@@ -134,11 +133,11 @@ class TestSolveLyapunov:
 
     def test_marginal_system_rejected(self):
         with pytest.raises(StabilityError):
-            solve_lyapunov([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
+            LyapunovSolver([[0.0, 1.0], [-1.0, 0.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            solve_lyapunov(np.diag([-1.0, -1.0]), np.eye(3))
+            LyapunovSolver(np.diag([-1.0, -1.0])).solve(np.eye(3))
 
     def test_non_numeric_input_is_a_dimension_error(self):
         a = np.diag([-1.0, -2.0])
@@ -156,12 +155,13 @@ class TestSolveLyapunov:
     def test_asymmetric_rhs_rejected(self):
         # the second q is asymmetric relative to its own size, though not to 1; the last
         # three at scales where the Frobenius norm overflows, or its squares underflow to 0
+        solver = LyapunovSolver(np.diag([-1.0, -1.0]))
         for q in ([[1.0, 1.0], [0.0, 1.0]], [[1e-10, 5e-9], [0.0, 1e-10]],
                   [[1e200, 1e200], [0.0, 1e200]], [[1e-200, 1e-200], [0.0, 1e-200]],
                   [[5e-324, 5e-324], [0.0, 5e-324]]):
             with pytest.raises(DomainError, match="must be symmetric"):
-                solve_lyapunov(np.diag([-1.0, -1.0]), q)
-        assert not solve_lyapunov(np.diag([-1.0, -1.0]), np.zeros((2, 2))).any()
+                solver.solve(q)
+        assert not solver.solve(np.zeros((2, 2))).any()
 
     def test_a_solution_past_the_float_range_is_a_numerical_error(self):
         # W = q / 0.2 is finite, but its symmetric part (W + W^T) / 2 overflows in the sum
@@ -169,8 +169,6 @@ class TestSolveLyapunov:
         for adjoint in (False, True):
             with pytest.raises(NumericalError, match="^the Lyapunov solution overflows"):
                 solver.solve([[3e307]], adjoint=adjoint)
-        with pytest.raises(NumericalError, match="^the Lyapunov solution overflows"):
-            solve_lyapunov([[-0.1]], [[3e307]])
 
     def test_solver_reuse_matches_oneshot(self):
         a, _ = _system(9, n=5)
@@ -179,7 +177,7 @@ class TestSolveLyapunov:
         for _ in range(4):
             b = rng.normal(size=(5, 2))
             q = (b @ b.T + (b @ b.T).T) / 2
-            assert np.array_equal(solver.solve(q), solve_lyapunov(a, q))
+            assert np.array_equal(solver.solve(q), LyapunovSolver(a).solve(q))
 
 
 def _quasi_triangular(n, seed, pairs):

@@ -8,8 +8,9 @@ be listed in its ``__all__``.  Since a listed name counts as used, each
 ``from gramsel import *`` would fail.  Every gramsel name that the
 benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
 Placement builds its Lyapunov solver in one place, one helper forms and
-checks every ``b b^T``, shape errors come from the one array validator
-in ``numerics``, and no module imports another's private name.
+checks every ``b b^T``, one comparison states the Hurwitz margin rule,
+shape errors come from the one array validator in ``numerics``, and no
+module imports another's private name.
 """
 
 import ast
@@ -88,6 +89,18 @@ def test_placement_builds_its_solver_in_one_place():
 def test_the_outer_product_rule_is_stated_once():
     # numerics.outer_sum forms and checks every b b^T; a second copy of its rule would drift
     count = sum(path.read_text(encoding="utf-8").count("b b^T overflows") for path in PACKAGE)
+    assert count == 1
+
+
+def test_the_hurwitz_margin_rule_is_stated_once():
+    # LyapunovSolver compares the abscissa with -STABILITY_MARGIN; a second copy would drift
+    def is_margin(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and getattr(node.operand, "id", None) == "STABILITY_MARGIN")
+
+    count = sum(is_margin(side) for path in PACKAGE
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Compare) for side in (node.left, *node.comparators))
     assert count == 1
 
 

@@ -9,6 +9,7 @@ from gramsel.exceptions import (
     DomainError,
     NonFiniteError,
     NumericalError,
+    StabilityError,
 )
 from gramsel.gramian import (
     LyapunovSolver,
@@ -16,7 +17,6 @@ from gramsel.gramian import (
     finite_horizon_gramian,
     lyapunov_residual,
     observability_gramian,
-    solve_lyapunov,
 )
 from gramsel.metrics import (
     MetricSpec,
@@ -29,7 +29,6 @@ from gramsel.numerics import (
     as_number,
     as_square,
     eigenvalues,
-    is_hurwitz,
     matrix_exponential,
     real_schur,
     spectral_abscissa,
@@ -103,15 +102,20 @@ class TestEigenvalues:
 
 
 class TestHurwitz:
+    # LyapunovSolver states the margin rule: max Re(lambda) < -STABILITY_MARGIN
     def test_stable_diagonal(self):
-        assert is_hurwitz(np.diag([-1.0, -2.0]))
+        assert LyapunovSolver(np.diag([-1.0, -2.0])).n == 2
 
     def test_marginal_zero_is_not_stable(self):
-        assert not is_hurwitz([[0.0]])
+        with pytest.raises(StabilityError):
+            LyapunovSolver([[0.0]])
 
     def test_default_margin_rejects_barely_stable(self):
-        # -1e-12 is inside STABILITY_MARGIN = 1e-9
-        assert not is_hurwitz([[-1e-12]])
+        # -1e-12 is inside STABILITY_MARGIN = 1e-9, and the margin itself is refused
+        for a in ([[-1e-12]], [[-1e-9]]):
+            with pytest.raises(StabilityError):
+                LyapunovSolver(a)
+        assert LyapunovSolver([[-2e-9]]).n == 1
 
     def test_abscissa(self):
         assert spectral_abscissa(np.diag([-3.0, -0.25])) == pytest.approx(-0.25)
@@ -220,13 +224,11 @@ class TestOrderZero:
     @pytest.mark.parametrize("fn, name", [
         (as_square, "matrix"),
         (LyapunovSolver, "a"),
-        (lambda a: solve_lyapunov(a, a), "a"),
         (spectral_abscissa, "m"),
-        (is_hurwitz, "m"),
         (real_schur, "m"),
         (controllability_centrality, "a"),
-    ], ids=["as_square", "LyapunovSolver", "solve_lyapunov", "spectral_abscissa",
-            "is_hurwitz", "real_schur", "controllability_centrality"])
+    ], ids=["as_square", "LyapunovSolver", "spectral_abscissa", "real_schur",
+            "controllability_centrality"])
     def test_is_a_dimension_error_naming_the_argument(self, capfd, fn, name):
         with pytest.raises(DimensionError, match=f"^{name} has order 0, expected at least 1$"):
             fn(np.zeros((0, 0)))
@@ -255,8 +257,7 @@ ARRAY_ARGUMENTS = [
     (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "a", WIDE, "a"),
     (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "c", [[1.0, 0.0, 0.0]], "c"),
     (observability_gramian, {"a": A, "c": [[1.0, 0.0]]}, "c", [1.0, 0.0], "c"),
-    (solve_lyapunov, {"a": A, "q": I2}, "a", WIDE, "a"),
-    (solve_lyapunov, {"a": A, "q": I2}, "q", np.eye(3).tolist(), "q"),
+    (LyapunovSolver(A).solve, {"q": I2}, "q", np.eye(3).tolist(), "q"),
     (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "a", WIDE, "a"),
     (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "w", np.zeros((2, 2, 2)).tolist(), "w"),
     (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "q", np.eye(3).tolist(), "q"),
@@ -280,7 +281,7 @@ ARRAY_ARGUMENTS = [
     (simulate_transfer, {"a": A, "b": B, "x_f": [1.0, 0.0], "trajectory": TRAJECTORY}, "b",
      COLUMN, "b"),
     (controllability_centrality, {"a": A}, "a", WIDE, "a"),
-    (is_hurwitz, {"m": A}, "m", WIDE, "m"),
+    (spectral_abscissa, {"m": A}, "m", WIDE, "m"),
     (real_schur, {"m": A}, "m", WIDE, "m"),
     (matrix_exponential, {"m": A}, "m", WIDE, "m"),
 ]
