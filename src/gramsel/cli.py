@@ -3,7 +3,7 @@
 Subcommands: gen, rank, select, centrality, verify, bruteforce,
 synthesize.  Every run emits a single JSON report on stdout (or --out)
 containing the echoed command, the sha256 digest of the problem-file bytes
-it parsed, the package version and the result payload; --csv (rank,
+it read, the package version and the result payload; --csv (rank,
 select, centrality, synthesize) swaps the payload for a flat table.
 Timings and warnings go to stderr as ``[gramsel]`` lines, so payloads are
 byte-identical across repeat runs.
@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 failed verification, 2 input/usage error,
 
 import argparse
 import math
+import os
 import sys
 import time
 import warnings
@@ -51,9 +52,11 @@ __all__ = ["main", "build_parser"]
 
 @contextmanager
 def _phase(label):
-    t0 = time.perf_counter()
-    yield
-    print(f"[gramsel] {label}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    """Time the block; it may append notes to the yielded list for the stderr line."""
+    t0, notes = time.perf_counter(), []
+    yield notes
+    print(f"[gramsel] {label}: {time.perf_counter() - t0:.3f}s"
+          + "".join(f" ({note})" for note in notes), file=sys.stderr)
 
 
 # Flags that route output without changing results; they stay out of the
@@ -84,9 +87,10 @@ def _emit(args, problem, results, table=None):
 def _load(args, ranking=True, candidates=True):
     """``(problem, candidate set)`` of ``args.problem``; the set is None unless
     ``candidates`` is true, since centrality reads only A."""
-    with _phase("load"):
+    with _phase("load") as notes:
         problem = load_problem(args.problem)
         cs = problem.candidate_set if candidates else None
+        notes.append(f"from {os.path.basename(problem.source)}")
     # ranking needs a Hurwitz A; a grid builds without one only if no bus is grounded
     if ranking and problem.grid is not None and not problem.grid.grounded:
         raise StabilityError("no bus is grounded, so A has a zero eigenvalue (a uniform angle "

@@ -13,19 +13,25 @@ links: one link between buses i and j injects +P/M_i and -P/M_j into the
 two frequency states, giving N(N-1)/2 candidate columns for N buses.
 """
 
+import contextlib
 import csv
 import functools
 import hashlib
 import inspect
 import itertools
 import json
+import os
+import stat
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .exceptions import DomainError, GramselError, ProblemFormatError, TopologyError
 from .metrics import METRIC_KINDS, MetricSpec
-from .numerics import as_array, as_number, spectral_abscissa
+from .numerics import as_array, as_number, as_square, spectral_abscissa
 from .placement import CandidateSet
 
 __all__ = [
@@ -213,13 +219,15 @@ class Problem:
     described a grid (so grid-aware weightings such as the frequency selector
     remain constructible); explicit-matrix problems leave it None.  ``metric``
     is the weight the file declares (trace when it declares none); ``digest``
-    is ``"sha256:<hex>"`` of the bytes the file was parsed from.
+    is ``"sha256:<hex>"`` of the file's bytes, and ``source`` the file the
+    arrays were read from: the problem file, or its sidecar.
     """
 
     a: np.ndarray
     ids: list
     b: np.ndarray
     digest: str
+    source: str
     grid: GridModel | None = None
     metric: MetricSpec = MetricSpec()
 
@@ -327,18 +335,78 @@ def grid_model(doc):
     return GridModel(tuple(pos), *np.array(per_bus).T, ends, np.array(susceptance))
 
 
-def read_json(path, what):
+def read_json(path, what, cached=None):
     """``(doc, "sha256:<hex>")`` of the JSON file ``path``, read once and decoded as
-    strict UTF-8; every failure is a ProblemFormatError naming ``what``."""
+    strict UTF-8; every failure is a ProblemFormatError naming ``what``.  When
+    ``cached(digest)`` is not None, it stands for ``doc``: nothing is decoded or parsed."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        digest, data = "sha256:" + hashlib.sha256(data).hexdigest(), data.decode("utf-8")
-        return json.loads(data), digest  # the bytes are freed before the parse
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {what} {path}: {exc}") from None
+    digest = "sha256:" + hashlib.sha256(data).hexdigest()
+    if cached is not None and (doc := cached(digest)) is not None:
+        return doc, digest
+    try:
+        data = data.decode("utf-8")
+        return json.loads(data), digest  # the bytes are freed before the parse
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise ProblemFormatError(f"invalid JSON in {what} {path}: {exc}") from None
+
+
+# The sidecar's format tag: another layout of its arrays, or another package version, misses.
+_SIDECAR_FORMAT = f"gramsel problem sidecar 1, gramsel {__version__}"
+
+
+def _read_sidecar(sidecar, digest):
+    """The explicit Problem cached in ``sidecar`` for the problem bytes ``digest``, or
+    None when it is missing or unreadable, keyed by another format tag or digest, or
+    fails the checks the JSON path makes of the same arrays."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as z:
+            key, kind, ids = json.loads(z["header"].tobytes())
+            if key != [_SIDECAR_FORMAT, digest]:
+                return None
+            a = as_square(z["a"], "A")
+            b = np.ascontiguousarray(as_array(z["b"], (len(a), len(ids)), "candidate columns"))
+            metric = MetricSpec(kind, z.get("weight"))  # MetricSpec checks kind and weight
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile,
+            GramselError):
+        return None
+    return Problem(a, ids, b, digest, sidecar, metric=metric)
+
+
+def _write_sidecar(sidecar, problem, path):
+    """Store the checked arrays of the explicit ``problem`` read from ``path`` in
+    ``sidecar`` if ``path`` is a regular file, through a temp file beside it and
+    ``os.replace``, so that a reader finds a whole sidecar or none.  The sidecar takes
+    the file's permission bits.  An OSError leaves no sidecar and is ignored."""
+    metric = problem.metric
+    # the key, metric kind and ids as JSON text: a numpy str array drops an id's trailing "\0"
+    header = json.dumps([[_SIDECAR_FORMAT, problem.digest], metric.kind, problem.ids])
+    arrays = {"header": np.frombuffer(header.encode(), np.uint8), "a": problem.a, "b": problem.b}
+    if metric.weight is not None:
+        arrays["weight"] = metric.weight
+    head, name = os.path.split(sidecar)
+    try:
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            return
+        fd, tmp = tempfile.mkstemp(".gramsel.npz", name[:-len("gramsel.npz")], head or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            np.savez(fh, **arrays)
+        os.replace(tmp, sidecar)
+        tmp = None
+    except OSError:
+        pass
+    finally:
+        if tmp is not None:  # the temp file of a write that failed or was interrupted
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def load_problem(path):
@@ -358,10 +426,19 @@ def load_problem(path):
 
     Bus ids, line ends and candidate ids are JSON strings or integers (not
     booleans), read as strings.  A grid's candidates are all its HVDC links.
-    ``Problem.digest`` is the sha256 of the bytes parsed.  The problem keeps no
+    ``Problem.digest`` is the sha256 of the file's bytes.  The problem keeps no
     object the JSON parser made, and its candidate set is checked on first use.
+
+    An explicit problem that passes these checks is cached in the sidecar
+    ``.<file name>.gramsel.npz`` beside a regular file, keyed by the sha256 and
+    a format tag; while they match, later loads read its arrays instead of
+    parsing the JSON.  A grid is built from its parameters and never cached.
     """
-    doc, digest = read_json(path, "problem file")
+    head, name = os.path.split(os.fspath(path))
+    sidecar = os.path.join(head, f".{name}.gramsel.npz")
+    doc, digest = read_json(path, "problem file", lambda d: _read_sidecar(sidecar, d))
+    if isinstance(doc, Problem):
+        return doc
     is_grid = isinstance(doc, dict) and "grid" in doc
     _fields(doc, "problem", ("grid",) if is_grid else ("n", "A", "candidates"), ("weight",))
     metric = _parse_metric(doc.get("weight"))
@@ -370,7 +447,8 @@ def load_problem(path):
         grid = grid_model(doc["grid"])
         # The HVDC columns are built here, not with the candidate set, because the
         # benchmark's span contract expects hvdc_candidates on every grid command.
-        return Problem(build_swing_matrix(grid), *hvdc_candidates(grid), digest, grid, metric)
+        return Problem(build_swing_matrix(grid), *hvdc_candidates(grid), digest, str(path),
+                       grid, metric)
 
     n = as_number(doc["n"], '"n"', 1, integer=True)
     a = as_array(doc["A"], (n, n), "A")
@@ -383,7 +461,9 @@ def load_problem(path):
         for cid, e in zip(ids, entries):
             as_array(e["b"], (n,), f"candidate {cid!r} column")
         raise
-    return Problem(a, ids, np.ascontiguousarray(b.T), digest, metric=metric)
+    problem = Problem(a, ids, np.ascontiguousarray(b.T), digest, str(path), metric=metric)
+    _write_sidecar(sidecar, problem, path)
+    return problem
 
 
 def system_problem_dict(a, ids, b):

@@ -291,6 +291,17 @@ class TestCentrality:
             assert code == 2 and out == ""
             assert "candidate set is empty" in err
 
+    def test_stiff_grid_scores_are_nonnegative_to_rounding(self):
+        # b0:angle scores about -4e-285 here: rounding far inside n eps ||P||_F, where
+        # P solves A^T P + P A + I = 0 and the scores are its diagonal
+        a = models.build_swing_matrix(models.grid_model(STIFF_GRID["grid"]))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "trsyl perturbed", RuntimeWarning)
+            scores = controllability_centrality(a)
+            p = gramian.LyapunovSolver(a).solve(np.eye(len(a)), adjoint=True)
+        assert np.isfinite(p).all()
+        assert scores.min() >= -len(a) * np.finfo(float).eps * np.linalg.norm(p)
+
 
 class TestVerify:
     def test_passes_on_valid_problem(self, tmp_path, capsys):
@@ -713,11 +724,122 @@ class TestInputDigest:
 
         monkeypatch.setattr(models, "open", counting_open, raising=False)
         monkeypatch.setattr(cli, "open", counting_open, raising=False)
-        code, out, _ = run(capsys, [command[0], str(path), *command[1:]])
-        assert code == 0
-        digest = json.loads(out)["input_digest"]
-        assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
-        assert opened.count(str(path)) == 1
+        for source in (path.name, f".{path.name}.gramsel.npz"):  # a parse, then the sidecar
+            opened.clear()
+            code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+            assert code == 0 and f"(from {source})" in err
+            digest = json.loads(out)["input_digest"]
+            assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+            assert opened.count(str(path)) == 1
+
+
+def _sidecar(path):
+    return path.with_name(f".{path.name}.gramsel.npz")
+
+
+def _explicit_problem(path, seed=7):
+    """An explicit problem with an h2 weight block, a non-ASCII id, an id ending in NUL
+    and an integer id."""
+    doc = models.system_problem_dict(*models.random_hurwitz_system(4, 5, seed=seed))
+    doc["candidates"][1]["id"] = "bü"
+    doc["candidates"][2]["id"] = "b2\u0000"
+    doc["candidates"][3]["id"] = 3
+    doc["weight"] = {"kind": "h2", "matrix": [[1.0, 0.5, 0.0, -2.0], [0.0, 1.0, 3.0, 0.0]]}
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+
+
+# every loading command, and again under --csv where it has a table
+SIDECAR_COMMANDS = LOADING_COMMANDS + [[*c, "--csv"] for c in LOADING_COMMANDS
+                                       if c[0] not in ("verify", "bruteforce")]
+
+
+class TestProblemSidecar:
+    """An explicit problem's checked arrays are cached beside it, keyed by its sha256."""
+
+    @pytest.mark.parametrize("command", SIDECAR_COMMANDS)
+    def test_a_hit_prints_what_a_parse_prints(self, tmp_path, capsysbinary, command):
+        path = tmp_path / "p.json"
+        _explicit_problem(path)
+        runs = []
+        for _ in range(2):
+            code = cli.main([command[0], str(path), *command[1:]])
+            runs.append((code, *capsysbinary.readouterr()))
+        (cold_code, cold, cold_err), (warm_code, warm, warm_err) = runs
+        assert cold_code == warm_code == 0 and cold and warm == cold
+        assert b"load: " in cold_err and b"(from p.json)" in cold_err
+        assert b"(from .p.json.gramsel.npz)" in warm_err
+        assert sorted(os.listdir(tmp_path)) == [".p.json.gramsel.npz", "p.json"]
+
+    def test_new_bytes_are_parsed_and_cached_again(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        _explicit_problem(path)
+        first = run(capsys, ["rank", str(path)])[1]
+        _explicit_problem(path, seed=8)
+        code, out, err = run(capsys, ["rank", str(path)])
+        assert code == 0 and out != first and "(from p.json)" in err
+        with np.load(_sidecar(path)) as z:
+            key = json.loads(z["header"].tobytes())[0]
+        assert key[1] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        code, again, err = run(capsys, ["rank", str(path)])
+        assert again == out and "(from .p.json.gramsel.npz)" in err
+
+    @pytest.mark.parametrize("spoil", ["truncated", "foreign digest", "wrong shape", "nan",
+                                       "not a zip"])
+    def test_a_bad_sidecar_falls_back_to_the_json(self, tmp_path, capsys, spoil):
+        path = tmp_path / "p.json"
+        _explicit_problem(path)
+        expected = run(capsys, ["rank", str(path)])
+        sidecar = _sidecar(path)
+        with np.load(sidecar) as z:
+            arrays = dict(z)
+        if spoil == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:sidecar.stat().st_size // 2])
+        elif spoil == "not a zip":
+            sidecar.write_bytes(b"\x93NUMPY")
+        else:
+            if spoil == "foreign digest":
+                header = json.loads(arrays["header"].tobytes())
+                header[0][1] = "sha256:" + "0" * 64
+                arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+            elif spoil == "wrong shape":
+                arrays["b"] = arrays["b"][:, 1:]
+            else:
+                arrays["a"][1, 0] = np.nan
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, **arrays)
+        code, out, err = run(capsys, ["rank", str(path)])
+        assert (code, out) == expected[:2] and "(from p.json)" in err
+        code, out, err = run(capsys, ["rank", str(path)])  # the parse cached the file again
+        assert (code, out) == expected[:2] and "(from .p.json.gramsel.npz)" in err
+
+    @pytest.mark.parametrize("module, name", [(tempfile, "mkstemp"), (np, "savez"),
+                                              (os, "replace")])
+    def test_a_failed_write_is_ignored(self, tmp_path, capsys, monkeypatch, module, name):
+        path = tmp_path / "p.json"
+        _explicit_problem(path)
+        expected = run(capsys, ["rank", str(path)])
+        os.remove(_sidecar(path))
+
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(module, name, fail)
+        assert run(capsys, ["rank", str(path)])[:2] == expected[:2]
+        assert os.listdir(tmp_path) == ["p.json"]
+
+    def test_only_regular_explicit_files_are_cached(self, tmp_path, capsys):
+        grid = make_problem(tmp_path, capsys, name="g.json", args=("--ring", "4"))
+        assert run(capsys, ["rank", grid])[0] == 0
+        fifo = tmp_path / "f.json"
+        os.mkfifo(fifo)
+        text = json.dumps({"n": 1, "A": [[-1.0]], "candidates": [{"id": "x", "b": [1.0]}]})
+        writer = subprocess.Popen(["sh", "-c", 'printf %s "$1" > "$2"', "sh", text, str(fifo)])
+        try:
+            assert run(capsys, ["rank", str(fifo)])[0] == 0
+        finally:  # the writer is done once the load has read to the end
+            writer.kill()
+            writer.wait()
+        assert sorted(os.listdir(tmp_path)) == ["f.json", "g.json"]
 
 
 class TestJsonLayout:
@@ -1008,6 +1130,7 @@ class TestMalformedInput:
         code, _, err = run(capsys, ["centrality", str(path)])
         assert code == 2
         assert field in err
+        assert os.listdir(tmp_path) == ["p.json"]  # a file that fails its checks is not cached
 
     @pytest.mark.parametrize("name, path", OBJECT_SITES)
     def test_every_object_rejects_an_unknown_field(self, tmp_path, capsys, name, path):
