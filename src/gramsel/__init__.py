@@ -33,10 +33,8 @@ from .numerics import (
 )
 from .gramian import (
     LyapunovSolver,
-    controllability_gramian,
     finite_horizon_gramian,
     lyapunov_residual,
-    observability_gramian,
 )
 from .metrics import (
     InputTrajectory,
@@ -83,8 +81,7 @@ __all__ = [
     "STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
     "matrix_exponential", "real_schur",
     # gramian
-    "LyapunovSolver", "lyapunov_residual",
-    "controllability_gramian", "finite_horizon_gramian", "observability_gramian",
+    "LyapunovSolver", "lyapunov_residual", "finite_horizon_gramian",
     # metrics
     "MetricSpec", "evaluate_metric", "InputTrajectory",
     "synthesize_min_energy_input", "TransferResult", "simulate_transfer",

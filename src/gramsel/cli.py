@@ -115,7 +115,7 @@ def _resolve_metric(args, problem):
     if kind == "trace":
         if weight_file:
             raise DomainError("--metric trace takes no --weight-file")
-        return MetricSpec.trace()
+        return MetricSpec()
     if weight_file is None:
         raise DomainError(f"--metric {kind} requires --weight-file")
     spec = MetricSpec.weighted if kind == "weighted" else MetricSpec.h2

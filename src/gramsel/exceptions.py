@@ -34,16 +34,6 @@ class TopologyError(GramselError, ValueError):
 class EnumerationCapError(GramselError, ValueError):
     """Exhaustive search refused because the subset count exceeds the cap."""
 
-    def __init__(self, n_candidates, k, count, cap):
-        self.n_candidates = int(n_candidates)
-        self.k = int(k)
-        self.count = int(count)
-        self.cap = int(cap)
-        super().__init__(
-            f"refusing exhaustive search over C({self.n_candidates}, {self.k}) "
-            f"= {self.count} ({self.count:.3e}) subsets; cap is {self.cap}"
-        )
-
 
 class NumericalError(GramselError, RuntimeError):
     """A numerical routine failed (non-convergence, overflow, ...)."""
@@ -51,10 +41,6 @@ class NumericalError(GramselError, RuntimeError):
 
 class StabilityError(NumericalError):
     """The dynamics matrix is not Hurwitz where stability is required."""
-
-    def __init__(self, message, max_real_part=None):
-        self.max_real_part = max_real_part
-        super().__init__(message)
 
 
 class UnreachableStateError(NumericalError):

@@ -4,7 +4,10 @@ Infinite-horizon Gramians come from the Lyapunov equation
 
     A W + W A^T + B B^T = 0,
 
-solved by Schur reduction: factor A = U T U^T once, then solve the
+through a :class:`LyapunovSolver` held for A: ``LyapunovSolver(a).gramian(b)``.
+The observability Gramian of (A, C), which solves A^T W + W A + C^T C = 0, is
+the controllability Gramian of the dual pair: ``LyapunovSolver(a.T).gramian(c.T)``.
+The solver works by Schur reduction: factor A = U T U^T once, then solve the
 quasi-triangular equation T Y + Y T^T = F per right-hand side by a
 recursive blocked method (Jonsson & Kagstrom, ACM TOMS 2002) that puts
 almost all of the work into matrix products and leaves LAPACK ``*trsyl``
@@ -36,9 +39,7 @@ from .numerics import (
 __all__ = [
     "LyapunovSolver",
     "lyapunov_residual",
-    "controllability_gramian",
     "finite_horizon_gramian",
-    "observability_gramian",
 ]
 
 # Symmetry tolerance accepted for Lyapunov right-hand sides.
@@ -81,8 +82,7 @@ class LyapunovSolver:
                      if alpha < rounding - STABILITY_MARGIN else "")
             raise StabilityError(
                 f"dynamics matrix is not Hurwitz within margin {STABILITY_MARGIN:g}: "
-                f"max Re(eigenvalue) = {alpha:.6e}{stiff}",
-                max_real_part=alpha,
+                f"max Re(eigenvalue) = {alpha:.6e}{stiff}"
             )
         self.a = a
         # a^T = (U J) (J T^T J) (U J)^T with J the order reversal, and J T^T J
@@ -177,32 +177,6 @@ def lyapunov_residual(a, w, q):
     a = as_square(a, "a")
     w, q = as_array(w, a.shape, "w"), as_array(q, a.shape, "q")
     return float(np.linalg.norm(a @ w + w @ a.T + q))
-
-
-def controllability_gramian(a, b):
-    """Infinite-horizon controllability Gramian of (a, b).
-
-    Parameters
-    ----------
-    a : (n, n) array_like
-        Hurwitz dynamics matrix.
-    b : (n, m) array_like
-        Input matrix, one column per input.
-
-    Returns
-    -------
-    (n, n) ndarray
-        The symmetric W solving ``a W + W a^T + b b^T = 0``.
-    """
-    return LyapunovSolver(a).gramian(b)
-
-
-def observability_gramian(a, c):
-    """Observability Gramian of (a, c): the controllability Gramian of
-    the dual pair (a^T, c^T), computed through the identical code path."""
-    a = as_square(a, "a")
-    c = as_array(c, (None, a.shape[0]), "c")
-    return controllability_gramian(a.T, c.T)
 
 
 def finite_horizon_gramian(a, b, t):

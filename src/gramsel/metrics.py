@@ -41,9 +41,9 @@ SINGULAR_RTOL = 1e-12
 # which the state is declared unreachable rather than merely degenerate.
 _RANGE_RTOL = 1e-8
 
-# Integrator tolerances of simulate_transfer.
+# Relative integrator tolerance of simulate_transfer; each block's absolute
+# tolerance is this times the block's own scale.
 _SIMULATE_RTOL = 1e-9
-_SIMULATE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,6 @@ class MetricSpec:
             weight = (as_square(self.weight, name) if self.kind == "weighted_trace"
                       else as_array(self.weight, (None, None), name))
             object.__setattr__(self, "weight", weight)
-
-    @classmethod
-    def trace(cls):
-        return cls("trace")
 
     @classmethod
     def weighted(cls, matrix):
@@ -235,8 +231,13 @@ def simulate_transfer(a, b, x_f, trajectory):
         return np.concatenate([a @ xs + bbt @ zs, -(a.T @ zs), [u_sq]])
 
     y0 = np.concatenate([np.zeros(n), z0, [0.0]])
+    # the transfer is linear in x_f, so the tolerances must scale with it: the states end
+    # at x_f, the costates run from z0 to eta, and the energy ends at x_f^T eta; a zero
+    # block (x_f = 0) stays exactly zero, and tiny only keeps its tolerance positive
+    scales = [np.abs(x).max(), np.abs([*z0, *eta]).max(), abs(trajectory.energy)]
+    atol = _SIMULATE_RTOL * np.maximum(np.repeat(scales, [n, n, 1]), np.finfo(float).tiny)
     sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, t), y0, t_eval=trajectory.times, rtol=_SIMULATE_RTOL, atol=_SIMULATE_ATOL,
+        rhs, (0.0, t), y0, t_eval=trajectory.times, rtol=_SIMULATE_RTOL, atol=atol,
         method="RK45",
     )
     if not sol.success:  # pragma: no cover - solver failure is pathological

@@ -284,7 +284,7 @@ def _id(value, what):
 
 def _parse_metric(doc):
     if doc is None:
-        return MetricSpec.trace()
+        return MetricSpec()
     kind = doc.get("kind") if isinstance(doc, dict) else None
     _fields(doc, "weight", ("kind",), () if kind == "trace" else ("matrix",))
     if kind not in METRIC_KINDS:

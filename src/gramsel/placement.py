@@ -81,7 +81,7 @@ class CandidateSet:
         before A is factored: with r the row norms of B, |sum_{j in S} b_ij b_kj| <=
         r_i r_k for every subset S, so one ``outer_sum`` of r covers all of them."""
         with np.errstate(over="ignore"):  # an overflowing square makes r r^T infinite
-            r = np.sqrt([row @ row for row in self.B])
+            r = np.sqrt(np.einsum("ij,ij->i", self.B, self.B))
         outer_sum([r[:, None]])
         return LyapunovSolver(self.a)
 
@@ -260,7 +260,8 @@ def brute_force_best(cs, k, metric=MetricSpec(), functional="metric", cap=1_000_
     cap = as_number(cap, "cap", 0, integer=True)
     count = math.comb(cs.size, k)
     if count > cap:
-        raise EnumerationCapError(cs.size, k, count, cap)
+        raise EnumerationCapError(f"refusing exhaustive search over C({cs.size}, {k}) "
+                                  f"= {count} ({count:.3e}) subsets; cap is {cap}")
     named = {"metric": lambda w: evaluate_metric(metric, w), **GRAMIAN_FUNCTIONALS}
     score = named.get(functional) if isinstance(functional, str) else None
     if score is None:

@@ -30,5 +30,10 @@ def forward_for_adjoint(monkeypatch):
 def reversed_scores(monkeypatch):
     """Planted fault: the score vector placement computes comes back reversed, so
     each weight is paired with another candidate's column (same plain sum)."""
-    einsum = placement.np.einsum  # numpy's; in gramsel only the scoring calls it
-    monkeypatch.setattr(placement.np, "einsum", lambda *args, **kw: einsum(*args, **kw)[::-1])
+    einsum = placement.np.einsum  # numpy's, for the whole package: spoil only the scoring
+
+    def spoiled(subscripts, *args, **kw):
+        scores = einsum(subscripts, *args, **kw)
+        return scores[::-1] if subscripts == "ij,ij->j" else scores
+
+    monkeypatch.setattr(placement.np, "einsum", spoiled)

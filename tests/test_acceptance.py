@@ -16,13 +16,7 @@ from scipy.linalg import expm
 
 from gramsel import cli
 from gramsel.exceptions import EnumerationCapError
-from gramsel.gramian import (
-    LyapunovSolver,
-    controllability_gramian,
-    finite_horizon_gramian,
-    lyapunov_residual,
-    observability_gramian,
-)
+from gramsel.gramian import LyapunovSolver, finite_horizon_gramian, lyapunov_residual
 from gramsel.metrics import MetricSpec, simulate_transfer, synthesize_min_energy_input
 from gramsel.models import (
     build_swing_matrix,
@@ -74,7 +68,7 @@ def test_01_modularity_identity_three_metrics():
         r = rng.normal(size=(n, n))
         c = rng.normal(size=(1 + i % 3, n))
         metrics = (
-            MetricSpec.trace(),
+            MetricSpec(),
             MetricSpec.weighted(r @ r.T),
             MetricSpec.h2(c),
         )
@@ -104,7 +98,7 @@ def test_02_select_matches_brute_force():
         elif i % 3 == 2:
             metric = MetricSpec.h2(rng.normal(size=(2, n)))
         else:
-            metric = MetricSpec.trace()
+            metric = MetricSpec()
         cs = CandidateSet(a, ids, b)
         result = select_top_k(cs, k, metric)
         brute_ids, brute_val = brute_force_best(cs, k, metric)
@@ -128,7 +122,7 @@ def test_03_lyapunov_residuals_and_analytic_cases():
     for i, n in enumerate(sizes):
         a, _, b = _system(seed=3000 + i, n=int(n), m=1 + i % 4)
         q = b @ b.T
-        wmat = controllability_gramian(a, b)
+        wmat = LyapunovSolver(a).gramian(b)
         residual = lyapunov_residual(a, wmat, q)
         bound = 1e-10 * (
             np.linalg.norm(a) * np.linalg.norm(wmat) + np.linalg.norm(q)
@@ -145,7 +139,7 @@ def test_04_finite_horizon():
         a, _, b = _system(seed=4000 + i, n=2 + i % 11, m=1 + i % 3)
         t_long = 50.0 / abs(spectral_abscissa(a))
         w_t = finite_horizon_gramian(a, b, t_long)
-        w_inf = controllability_gramian(a, b)
+        w_inf = LyapunovSolver(a).gramian(b)
         rel = np.linalg.norm(w_t - w_inf) / np.linalg.norm(w_inf)
         assert rel <= 1e-8, f"system {i}: finite/infinite gap {rel:.3e}"
         # monotone PSD growth
@@ -160,7 +154,7 @@ def test_05_h2_matches_impulse_energy():
         n = 2 + i % 9  # n <= 10
         a, _, b = _system(seed=5000 + i, n=n, m=1 + i % 3)
         c = np.random.default_rng(5100 + i).normal(size=(1 + i % 3, n))
-        g = controllability_gramian(a, b)
+        g = LyapunovSolver(a).gramian(b)
         h2_sq = float(np.trace(c @ g @ c.T))
         t_end = 50.0 / abs(spectral_abscissa(a))
         oracle, _ = quad(
@@ -182,7 +176,7 @@ def test_06_synthesis_lands_on_target():
         t = 2.0
         traj = synthesize_min_energy_input(a, b, t, x_f, samples=101)
         res = simulate_transfer(a, b, x_f, traj)
-        assert res.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(x_f)), (
+        assert res.terminal_error <= 1e-6 * np.linalg.norm(x_f), (
             f"system {i}: terminal error {res.terminal_error:.3e}"
         )
         assert abs(res.input_energy - traj.energy) <= 1e-4 * abs(traj.energy)
@@ -209,7 +203,7 @@ def test_07_case_study_scale_and_refusal():
     cs = CandidateSet(a, ids, b)
     with pytest.raises(EnumerationCapError) as err:
         brute_force_best(cs, 10)
-    assert err.value.count == count
+    assert f"= {count} (" in str(err.value)
     assert "2701" in str(err.value)
 
     started = time.perf_counter()
@@ -227,7 +221,7 @@ def test_08_centrality():
         n = 3 + i % 8
         a = _system(seed=8000 + i, n=n, m=1)[0]
         scores = controllability_centrality(a)
-        total = np.trace(controllability_gramian(a, np.eye(n)))
+        total = np.trace(LyapunovSolver(a).gramian(np.eye(n)))
         assert abs(math.fsum(scores.tolist()) - total) <= 1e-9 * abs(total)
 
     scores = controllability_centrality(build_swing_matrix(ring_grid(12)))
@@ -243,15 +237,19 @@ def test_09_observability_duality():
         p = 1 + i % 3
         a = _system(seed=9000 + i, n=n, m=1)[0]
         c = np.random.default_rng(9100 + i).normal(size=(p, n))
-        g_obs = observability_gramian(a, c)
-        g_dual = controllability_gramian(a.T, c.T)
-        assert np.array_equal(g_obs, g_dual)  # bitwise
+        # the observability Gramian, solved on the dual pair (a^T, c^T), against the
+        # adjoint solve a^T W + W a + c^T c = 0 on a's own Schur factors
+        g_obs = LyapunovSolver(a.T).gramian(c.T)
+        g_adjoint = LyapunovSolver(a).solve(c.T @ c, adjoint=True)
+        assert np.allclose(g_obs, g_adjoint, rtol=1e-10, atol=1e-12 * np.abs(g_obs).max())
+        assert lyapunov_residual(a.T, g_obs, c.T @ c) <= 1e-10 * (
+            np.linalg.norm(a) * np.linalg.norm(g_obs) + np.linalg.norm(c.T @ c))
 
     # sensor ranking == actuator ranking on the transposed system
     a = _system(seed=9999, n=6, m=1)[0]
     rows = np.random.default_rng(42).normal(size=(5, 6))
     sensor_scores = {
-        f"s{j}": np.trace(observability_gramian(a, rows[[j]])) for j in range(5)
+        f"s{j}": np.trace(LyapunovSolver(a.T).gramian(rows[[j]].T)) for j in range(5)
     }
     dual_cs = CandidateSet(a.T, [f"s{j}" for j in range(5)], rows.T)
     actuator_scores = dict(zip(dual_cs.ids, ranked(dual_cs)[0].tolist()))

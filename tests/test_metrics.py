@@ -14,7 +14,7 @@ from gramsel.exceptions import (
     NumericalError,
     UnreachableStateError,
 )
-from gramsel.gramian import controllability_gramian, finite_horizon_gramian
+from gramsel.gramian import LyapunovSolver, finite_horizon_gramian
 from gramsel.metrics import (
     MetricSpec,
     evaluate_metric,
@@ -89,7 +89,7 @@ class TestEvaluateMetric:
     W = np.diag([1.0, 2.0, 3.0])
 
     def test_trace(self):
-        assert evaluate_metric(MetricSpec.trace(), self.W) == pytest.approx(6.0)
+        assert evaluate_metric(MetricSpec(), self.W) == pytest.approx(6.0)
 
     def test_weighted_trace_picks_component(self):
         spec = MetricSpec.weighted(np.diag([1.0, 0.0, 0.0]))
@@ -100,8 +100,8 @@ class TestEvaluateMetric:
         assert evaluate_metric(spec, self.W) == pytest.approx(1.0)
 
     def test_accepts_gramian_object(self):
-        g = controllability_gramian(np.diag([-1.0, -2.0]), np.eye(2))
-        assert evaluate_metric(MetricSpec.trace(), g) == pytest.approx(0.75)
+        g = LyapunovSolver(np.diag([-1.0, -2.0])).gramian(np.eye(2))
+        assert evaluate_metric(MetricSpec(), g) == pytest.approx(0.75)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), alpha=st.floats(0.1, 5.0))
@@ -112,7 +112,7 @@ class TestEvaluateMetric:
         w2 = rng.normal(size=(4, 4))
         w2 = w2 @ w2.T
         c = rng.normal(size=(2, 4))
-        for spec in (MetricSpec.trace(), MetricSpec.weighted(c.T @ c), MetricSpec.h2(c)):
+        for spec in (MetricSpec(), MetricSpec.weighted(c.T @ c), MetricSpec.h2(c)):
             lhs = evaluate_metric(spec, w1 + alpha * w2)
             rhs = evaluate_metric(spec, w1) + alpha * evaluate_metric(spec, w2)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -121,7 +121,7 @@ class TestEvaluateMetric:
         for seed in range(5):
             a, b = _system(seed, n=5, m=2)
             c = np.random.default_rng(seed + 1).normal(size=(2, 5))
-            g = controllability_gramian(a, b)
+            g = LyapunovSolver(a).gramian(b)
             h2_sq = evaluate_metric(MetricSpec.h2(c), g)
             t_end = 50.0 / 0.1
             oracle = impulse_response_energy(a, b, c, t_end)
@@ -238,7 +238,34 @@ class TestSynthesis:
         x_f = np.array([0.1, 0.2, -0.3, 0.0, 0.15])
         traj = synthesize_min_energy_input(a, b, 2.5, x_f, samples=101)
         res = simulate_transfer(a, b, x_f, traj)
-        assert res.terminal_error <= 1e-6 * max(1.0, np.linalg.norm(x_f))
+        assert res.terminal_error <= 1e-6 * np.linalg.norm(x_f)
         assert abs(res.input_energy - traj.energy) <= 1e-4 * traj.energy
         assert res.states.shape == (101, 5)
         assert res.inputs.shape == (101, 2)
+
+    def test_simulate_transfer_errors_scale_with_the_target(self):
+        # the README's 3-state problem with inputs p0, p1: the transfer is linear in x_f,
+        # so the relative errors must not depend on its size
+        a = np.array([[-1.0, 0.2, 0.0], [0.0, -2.0, 0.1], [0.0, 0.0, -0.5]])
+        b = np.eye(3)[:, :2]
+
+        def relative_errors(scale):
+            x_f = scale * np.array([0.1, 0.2, 0.0])
+            with pytest.warns(DegenerateGramianWarning):  # the third state is unreachable
+                traj = synthesize_min_energy_input(a, b, 2.0, x_f)
+            res = simulate_transfer(a, b, x_f, traj)
+            return np.array([res.terminal_error / np.linalg.norm(x_f),
+                             abs(res.input_energy / traj.energy - 1.0)])
+
+        unit = relative_errors(1.0)
+        assert (unit > 0.0).all() and (unit <= 1e-6).all()
+        for scale in (1e-10, 1e10):
+            ratio = relative_errors(scale) / unit
+            assert ((0.1 <= ratio) & (ratio <= 10.0)).all(), (scale, ratio)
+
+    def test_simulate_transfer_to_the_origin_is_exact(self):
+        a, b = _system(10, n=5, m=2)
+        traj = synthesize_min_energy_input(a, b, 2.5, np.zeros(5), samples=11)
+        res = simulate_transfer(a, b, np.zeros(5), traj)
+        assert (res.terminal_error, res.input_energy) == (0.0, 0.0)
+        assert not res.states.any()
