@@ -336,17 +336,25 @@ def grid_model(doc):
 
 
 def read_json(path, what, cached=None):
-    """``(doc, "sha256:<hex>")`` of the JSON file ``path``, read once and decoded as
-    strict UTF-8; every failure is a ProblemFormatError naming ``what``.  When
-    ``cached(digest)`` is not None, it stands for ``doc``: nothing is decoded or parsed."""
+    """``(doc, "sha256:<hex>")`` of the JSON file ``path``, decoded as strict UTF-8; every
+    failure is a ProblemFormatError naming ``what``.  When ``cached`` is given and the
+    file is seekable, it is first hashed in chunks, and ``cached(digest)``, when not None,
+    stands for ``doc``: the file is never held whole.  Otherwise it is read whole once,
+    and the digest is taken from the bytes parsed."""
     try:
         with open(path, "rb") as fh:
+            if cached is not None and fh.seekable():
+                sha = hashlib.sha256()
+                for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+                    sha.update(chunk)
+                digest = "sha256:" + sha.hexdigest()
+                if (doc := cached(digest)) is not None:
+                    return doc, digest
+                fh.seek(0)
             data = fh.read()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {what} {path}: {exc}") from None
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    if cached is not None and (doc := cached(digest)) is not None:
-        return doc, digest
     try:
         data = data.decode("utf-8")
         return json.loads(data), digest  # the bytes are freed before the parse
@@ -436,7 +444,8 @@ def load_problem(path):
     """
     head, name = os.path.split(os.fspath(path))
     sidecar = os.path.join(head, f".{name}.gramsel.npz")
-    doc, digest = read_json(path, "problem file", lambda d: _read_sidecar(sidecar, d))
+    cached = (lambda d: _read_sidecar(sidecar, d)) if os.path.exists(sidecar) else None
+    doc, digest = read_json(path, "problem file", cached)
     if isinstance(doc, Problem):
         return doc
     is_grid = isinstance(doc, dict) and "grid" in doc

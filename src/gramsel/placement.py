@@ -152,7 +152,27 @@ def _weights_with_solver(cs, metric):
     for cols in _blocks(cs.n, cs.size):
         weights[cols] = np.einsum("ij,ij->j", cs.B[:, cols], p @ cs.B[:, cols])
     _check_additivity(cs, metric, q, weights)
+    if metric.kind != "weighted_trace":  # C_bar = I or C^T C is positive semidefinite
+        _check_signs(cs, metric, p, weights)
     return weights
+
+
+def _check_signs(cs, metric, p, weights):
+    """A NumericalError naming the first candidate whose weight is below
+    -n eps ||P||_F ||b_j||^2, the rounding level of b_j^T P b_j.  With C_bar positive
+    semidefinite so is the true P, so such a weight means the solve is not accurate:
+    a stiff A can pass the Hurwitz test and still give every weight the wrong sign."""
+    low = np.flatnonzero(weights < 0.0)
+    b = cs.B[:, low]
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound flags nothing
+        bound = cs.n * np.finfo(float).eps * np.linalg.norm(p) * (b * b).sum(axis=0)
+    bad = np.flatnonzero(weights[low] < -bound)
+    if bad.size:
+        j = low[bad[0]]
+        raise NumericalError(
+            f"{metric.describe()} weight of candidate {cs.ids[j]!r} is {weights[j]:.6e}, "
+            f"below the rounding level -{bound[bad[0]]:.1e} of a positive semidefinite "
+            "metric: the Lyapunov solve is inaccurate, so A may be too stiff to score")
 
 
 def _subset_score(cs, metric, g):
@@ -298,13 +318,25 @@ def verify_modularity(cs, metric=MetricSpec(), trials=100, seed=0):
     m the magnitude of :func:`_subset_score` (= f under the trace metric), or 0
     if all four m are 0.
     The check passes when no violation exceeds _MODULARITY_RTOL.
+
+    The candidate columns are stacked once, cut to the states that some column
+    touches.  Each subset's right side b b^T is still formed from its own columns,
+    on those states only: the rest of b is zero and adds exact zeros, so every
+    b b^T, and so every score, is the one the subset's full (n, |S|) input matrix
+    gives, bit for bit (tests compare the two).
     """
     trials = as_number(trials, "trials", 1, integer=True)
     rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     ids = np.array(cs.ids, dtype=object)
+    touched = np.flatnonzero(cs.B.any(axis=1))
+    rows = np.empty((cs.size, touched.size))  # row j: column j on the touched states
+    for cols in _blocks(cs.n, cs.size):
+        rows[cols] = cs.input_matrix(cs.ids[cols])[touched].T
 
     def score(mask):
-        return _subset_score(cs, metric, cs.solver.gramian(cs.input_matrix(ids[mask])))
+        q = np.zeros((cs.n, cs.n))
+        q[np.ix_(touched, touched)] = outer_sum([rows[mask].T])
+        return _subset_score(cs, metric, cs.solver.solve(q))
 
     worst, worst_pair = 0.0, ((), ())
     for _ in range(trials):

@@ -327,6 +327,17 @@ class TestVerify:
         assert json.loads(out)["results"]["passed"] is False
         assert "FAILED" in err
 
+    def test_gathers_each_column_once(self, tmp_path, capsys, monkeypatch):
+        # ring6 has 15 HVDC links; 20 trials score 80 subsets from one stack of them
+        path = make_problem(tmp_path, capsys, args=("--ring", "6"))
+        calls = []
+        column = placement.CandidateSet.column
+        monkeypatch.setattr(placement.CandidateSet, "column",
+                            lambda self, cid: calls.append(cid) or column(self, cid))
+        code, out, _ = run(capsys, ["verify", path, "--trials", "20"])
+        assert code == 0 and json.loads(out)["results"]["passed"] is True
+        assert len(calls) == len(set(calls)) == 15
+
 
 class TestBruteforce:
     def test_cap_exit_code(self, tmp_path, capsys):
@@ -484,6 +495,21 @@ class TestExitCodes:
         code, out, err = run(capsys, ["centrality", str(path)])
         assert code == 3 and out == ""
         assert "within the Schur factor's rounding level eps*||A||_1 = 2.4e+284" in err
+
+    def test_stiff_scores_of_the_wrong_sign_are_3(self, tmp_path, capsys):
+        # A = Q diag(-1e9, -3e8, -1e8, -5e-9) Q^T passes the Hurwitz test, but every trace
+        # score of its unit inputs comes out between about -2.5e3 and -4.1e6
+        path = tmp_path / "stiff.json"
+        for seed in (0, 1, 5, 8):
+            q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+            a = q @ np.diag([-1e9, -3e8, -1e8, -5e-9]) @ q.T
+            path.write_text(json.dumps(models.system_problem_dict(
+                a, [f"e{i}" for i in range(4)], np.eye(4))))
+            for command in (["rank"], ["select", "--k", "2"], ["centrality"]):
+                code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert code == 3 and out == "" and len(errors) == 1
+                assert re.match(r"error: trace weight of candidate '(e)?0' is -\d", errors[0])
 
     def test_wrong_adjoint_is_3(self, tmp_path, capsys, skewed_adjoint):
         path = make_problem(tmp_path, capsys)
@@ -826,6 +852,48 @@ class TestProblemSidecar:
         monkeypatch.setattr(module, name, fail)
         assert run(capsys, ["rank", str(path)])[:2] == expected[:2]
         assert os.listdir(tmp_path) == ["p.json"]
+
+    def test_a_hit_never_holds_the_file_whole(self, tmp_path, capsys, monkeypatch):
+        # the file is hashed in chunks before its sidecar is read; only a miss reads it
+        # whole, and the digest is then of the bytes parsed
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(models.system_problem_dict(
+            *models.random_hurwitz_system(4, 20_000, seed=1))))
+        reads = []
+        real_open = open
+
+        class Recorded:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def read(self, size=-1):
+                data = self.fh.read(size)
+                reads.append(len(data))
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(models, "open", lambda *a, **k: Recorded(real_open(*a, **k)),
+                            raising=False)
+        for edit, source, whole in ((False, "p.json", True),  # cold: no sidecar yet
+                                    (False, ".p.json.gramsel.npz", False),  # a hit
+                                    (True, "p.json", True)):  # new bytes miss the sidecar
+            if edit:
+                path.write_bytes(path.read_bytes() + b"\n")
+            data = path.read_bytes()
+            assert len(data) > 2 << 20
+            reads.clear()
+            code, out, err = run(capsys, ["centrality", str(path)])
+            assert code == 0 and f"(from {source})" in err
+            assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+            assert max(reads) == (len(data) if whole else 1 << 20)
 
     def test_only_regular_explicit_files_are_cached(self, tmp_path, capsys):
         grid = make_problem(tmp_path, capsys, name="g.json", args=("--ring", "4"))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gramsel.placement import (
     select_top_k,
     verify_modularity,
 )
-from gramsel.models import build_swing_matrix, random_hurwitz_system, ring_grid
+from gramsel.models import build_swing_matrix, hvdc_candidates, random_hurwitz_system, ring_grid
 
 
 # --- oracle -----------------------------------------------------------------
@@ -174,6 +175,21 @@ class TestCandidateWeights:
             ranked(cs)
         with pytest.raises(NumericalError, match="additivity"):
             select_top_k(cs, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 8])
+    def test_weights_of_the_wrong_sign_are_caught(self, seed):
+        # A = Q diag(-1e9, -3e8, -1e8, -5e-9) Q^T passes the Hurwitz test, yet its adjoint
+        # solve gives the unit inputs trace weights from about -2.5e3 to -4.1e6
+        q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+        cs = CandidateSet(q @ np.diag([-1e9, -3e8, -1e8, -5e-9]) @ q.T,
+                          [f"e{i}" for i in range(4)], np.eye(4))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "trsyl perturbed", RuntimeWarning)
+            for metric in (MetricSpec(), MetricSpec.h2(np.eye(4))):
+                with pytest.raises(NumericalError, match=r"weight of candidate 'e0' is -\d"):
+                    ranked(cs, metric)
+            # an indefinite weighted_trace may score below zero, so it is not checked
+            assert (ranked(cs, MetricSpec.weighted(np.eye(4)))[0] < 0.0).all()
 
     def test_an_overflowing_adjoint_fails_the_check(self):
         # P = C_bar / 0.2 overflows to inf, while the forward scores stay near 1e289
@@ -430,6 +446,66 @@ class TestVerifyModularity:
         cs = _candidate_set(3, n=4, m=4)
         with pytest.raises(DomainError):
             verify_modularity(cs, trials=0)
+
+    @staticmethod
+    def _full_width_reference(cs, metric, trials, seed):
+        """verify_modularity's (max_violation, worst_pair) with every subset's Gramian
+        from its full (n, |S|) input matrix, on the same rng draws."""
+        rng = np.random.default_rng(seed)
+        ids = np.array(cs.ids, dtype=object)
+        cbar = np.abs(metric.state_weighting(cs.n))
+
+        def score(mask):
+            g = cs.solver.gramian(cs.input_matrix(ids[mask]))
+            return evaluate_metric(metric, g), float(np.vdot(cbar, np.abs(g)))
+
+        worst, pair = 0.0, ((), ())
+        for _ in range(trials):
+            in_a, in_b = rng.random(cs.size) < 0.5, rng.random(cs.size) < 0.5
+            (f_a, m_a), (f_b, m_b) = score(in_a), score(in_b)
+            (f_u, m_u), (f_i, m_i) = score(in_a | in_b), score(in_a & in_b)
+            scale = max(m_a + m_b, m_u + m_i)
+            violation = abs(f_a + f_b - f_u - f_i) / scale if scale > 0.0 else 0.0
+            if violation > worst:
+                worst, pair = violation, (tuple(ids[in_a]), tuple(ids[in_b]))
+        return worst, pair
+
+    @staticmethod
+    def _explicit(spoil):
+        a, ids, b = random_hurwitz_system(6, 7, seed=5)
+        b = b.copy()
+        if spoil == "untouched state":  # and a state that only the last column touches
+            b[2] = 0.0
+            b[4, :-1] = 0.0
+        elif spoil == "zero column":
+            b[:, 3] = 0.0
+        return CandidateSet(a, ids, b)
+
+    @pytest.mark.parametrize("case", ["ring6", "untouched state", "zero column",
+                                      "one candidate", "weighted", "h2"])
+    def test_report_equals_the_full_width_gramians(self, case):
+        # the columns are stacked once on the states they touch; each subset's scores
+        # must still be bitwise those of its full input matrix
+        rng = np.random.default_rng(9)
+        metric = MetricSpec()
+        if case == "ring6":
+            grid = ring_grid(6)
+            cs = CandidateSet(build_swing_matrix(grid), *hvdc_candidates(grid))
+        elif case == "one candidate":
+            a, ids, b = random_hurwitz_system(5, 1, seed=2)
+            cs = CandidateSet(a, ids, b)
+        else:
+            cs = self._explicit(case)
+            if case == "weighted":
+                metric = MetricSpec.weighted(rng.normal(size=(cs.n, cs.n)))
+            elif case == "h2":
+                metric = MetricSpec.h2(rng.normal(size=(2, cs.n)))
+        report = verify_modularity(cs, metric, trials=20, seed=4)
+        worst, pair = self._full_width_reference(cs, metric, trials=20, seed=4)
+        assert (report.max_violation, report.worst_pair) == (worst, pair)
+        assert report.passed == (worst <= report.tolerance) and report.passed
+        if case != "one candidate":  # else every pair has A u B = A or B: no rounding
+            assert worst > 0.0
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
