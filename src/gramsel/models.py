@@ -335,22 +335,12 @@ def grid_model(doc):
     return GridModel(tuple(pos), *np.array(per_bus).T, ends, np.array(susceptance))
 
 
-def read_json(path, what, cached=None):
-    """``(doc, "sha256:<hex>")`` of the JSON file ``path``, decoded as strict UTF-8; every
-    failure is a ProblemFormatError naming ``what``.  When ``cached`` is given and the
-    file is seekable, it is first hashed in chunks, and ``cached(digest)``, when not None,
-    stands for ``doc``: the file is never held whole.  Otherwise it is read whole once,
-    and the digest is taken from the bytes parsed."""
+def read_json(path, what):
+    """``(doc, "sha256:<hex>")`` of the JSON file ``path``, read whole once, decoded as strict
+    UTF-8 and digested from the bytes parsed; every failure is a ProblemFormatError naming
+    ``what``."""
     try:
         with open(path, "rb") as fh:
-            if cached is not None and fh.seekable():
-                sha = hashlib.sha256()
-                for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
-                    sha.update(chunk)
-                digest = "sha256:" + sha.hexdigest()
-                if (doc := cached(digest)) is not None:
-                    return doc, digest
-                fh.seek(0)
             data = fh.read()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {what} {path}: {exc}") from None
@@ -363,14 +353,23 @@ def read_json(path, what, cached=None):
 
 
 # The sidecar's format tag: another layout of its arrays, or another package version, misses.
-_SIDECAR_FORMAT = f"gramsel problem sidecar 1, gramsel {__version__}"
+# Format 2: a file with booleans in its arrays, which format 1 cached, is rejected.
+_SIDECAR_FORMAT = f"gramsel problem sidecar 2, gramsel {__version__}"
 
 
-def _read_sidecar(sidecar, digest):
-    """The explicit Problem cached in ``sidecar`` for the problem bytes ``digest``, or
-    None when it is missing or unreadable, keyed by another format tag or digest, or
-    fails the checks the JSON path makes of the same arrays."""
+def _read_sidecar(sidecar, path):
+    """The explicit Problem cached in ``sidecar`` for the bytes of ``path``, hashed in 1 MiB
+    chunks; None unless the sidecar exists and ``path`` is a regular file (a pipe is never
+    opened, so the parse reads it), or when the sidecar is unreadable, keyed by another
+    format tag or digest, or fails the checks the JSON path makes of the same arrays."""
     try:
+        if not (os.path.exists(sidecar) and stat.S_ISREG(os.stat(path).st_mode)):
+            return None
+        sha = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+                sha.update(chunk)
+        digest = "sha256:" + sha.hexdigest()
         with np.load(sidecar, allow_pickle=False) as z:
             key, kind, ids = json.loads(z["header"].tobytes())
             if key != [_SIDECAR_FORMAT, digest]:
@@ -439,15 +438,15 @@ def load_problem(path):
 
     An explicit problem that passes these checks is cached in the sidecar
     ``.<file name>.gramsel.npz`` beside a regular file, keyed by the sha256 and
-    a format tag; while they match, later loads read its arrays instead of
-    parsing the JSON.  A grid is built from its parameters and never cached.
+    a format tag; while they match, later loads read its arrays
+    (:func:`_read_sidecar`) instead of reading the file whole and parsing it
+    (:func:`read_json`).  A grid is built from its parameters and never cached.
     """
     head, name = os.path.split(os.fspath(path))
     sidecar = os.path.join(head, f".{name}.gramsel.npz")
-    cached = (lambda d: _read_sidecar(sidecar, d)) if os.path.exists(sidecar) else None
-    doc, digest = read_json(path, "problem file", cached)
-    if isinstance(doc, Problem):
-        return doc
+    if (problem := _read_sidecar(sidecar, path)) is not None:
+        return problem
+    doc, digest = read_json(path, "problem file")
     is_grid = isinstance(doc, dict) and "grid" in doc
     _fields(doc, "problem", ("grid",) if is_grid else ("n", "A", "candidates"), ("weight",))
     metric = _parse_metric(doc.get("weight"))

@@ -16,6 +16,7 @@ cost); only :func:`matrix_exponential` imports ``scipy.linalg``.
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import numbers
 import os
@@ -50,12 +51,19 @@ def as_array(x, shape, name="array"):
 
     ``shape`` has one entry per axis, an int for an exact length or None for
     any: ``(n,)`` is a length-n vector, ``(None, None)`` any matrix.  Input
-    that is not numeric (or holds a string), then a wrong shape, raise
-    DimensionError; then non-finite entries raise NonFiniteError."""
+    that is not numeric (or holds a string or a boolean), then a wrong shape,
+    raise DimensionError; then non-finite entries raise NonFiniteError.  An
+    ndarray is judged by its dtype; nested lists are scanned, since numpy reads
+    ``[True, 0.5]`` as floats."""
     try:
         raw = np.asarray(x)
         if raw.dtype.kind in "USO" and any(isinstance(v, (str, bytes)) for v in raw.flat):
             raise TypeError("it holds a string")
+        entries = x if raw.ndim and not isinstance(x, np.ndarray) else ()
+        for _ in range(raw.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        if raw.dtype.kind == "b" or bool in map(type, entries):
+            raise TypeError("it holds a boolean")
         x = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name} is not numeric: {exc}") from None

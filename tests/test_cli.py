@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import json
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -563,6 +565,17 @@ class TestExitCodes:
                                         "--target-file", str(bad)])
             assert code == 2 and "target file" in err
 
+    def test_booleans_in_weight_and_target_files_are_2(self, tmp_path, capsys):
+        path = make_problem(tmp_path, capsys)
+        bad = tmp_path / "bad.json"
+        bad.write_text("[[true, 0, 0, 0]]")
+        code, out, err = run(capsys, ["rank", path, "--metric", "h2", "--weight-file", str(bad)])
+        assert (code, out) == (2, "") and "weight matrix is not numeric: it holds a boolean" in err
+        bad.write_text("[true, 0, 0, 0]")
+        code, out, err = run(capsys, ["synthesize", path, "--ids", "b0", "--horizon", "1",
+                                      "--target-file", str(bad)])
+        assert (code, out) == (2, "") and "target is not numeric: it holds a boolean" in err
+
     def test_bom_and_invalid_utf8_problem_files_are_2(self, tmp_path, capsys):
         text = Path(make_problem(tmp_path, capsys)).read_text()
         bad = tmp_path / "bad.json"
@@ -855,7 +868,8 @@ class TestProblemSidecar:
 
     def test_a_hit_never_holds_the_file_whole(self, tmp_path, capsys, monkeypatch):
         # the file is hashed in chunks before its sidecar is read; only a miss reads it
-        # whole, and the digest is then of the bytes parsed
+        # whole (a stale sidecar: the chunks, then one whole read), and the digest is
+        # then of the bytes parsed
         path = tmp_path / "p.json"
         path.write_text(json.dumps(models.system_problem_dict(
             *models.random_hurwitz_system(4, 20_000, seed=1))))
@@ -882,9 +896,10 @@ class TestProblemSidecar:
 
         monkeypatch.setattr(models, "open", lambda *a, **k: Recorded(real_open(*a, **k)),
                             raising=False)
-        for edit, source, whole in ((False, "p.json", True),  # cold: no sidecar yet
-                                    (False, ".p.json.gramsel.npz", False),  # a hit
-                                    (True, "p.json", True)):  # new bytes miss the sidecar
+        for edit, source, hashed, whole in (
+                (False, "p.json", False, True),  # cold: no sidecar yet
+                (False, ".p.json.gramsel.npz", True, False),  # a hit
+                (True, "p.json", True, True)):  # stale: new bytes miss the sidecar
             if edit:
                 path.write_bytes(path.read_bytes() + b"\n")
             data = path.read_bytes()
@@ -893,21 +908,48 @@ class TestProblemSidecar:
             code, out, err = run(capsys, ["centrality", str(path)])
             assert code == 0 and f"(from {source})" in err
             assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
-            assert max(reads) == (len(data) if whole else 1 << 20)
+            chunks = [min(1 << 20, len(data) - i) for i in range(0, len(data), 1 << 20)] + [0]
+            assert reads == chunks * hashed + [len(data)] * whole
 
     def test_only_regular_explicit_files_are_cached(self, tmp_path, capsys):
         grid = make_problem(tmp_path, capsys, name="g.json", args=("--ring", "4"))
         assert run(capsys, ["rank", grid])[0] == 0
         fifo = tmp_path / "f.json"
-        os.mkfifo(fifo)
+        sidecar = tmp_path / ".f.json.gramsel.npz"
         text = json.dumps({"n": 1, "A": [[-1.0]], "candidates": [{"id": "x", "b": [1.0]}]})
-        writer = subprocess.Popen(["sh", "-c", 'printf %s "$1" > "$2"', "sh", text, str(fifo)])
-        try:
-            assert run(capsys, ["rank", str(fifo)])[0] == 0
-        finally:  # the writer is done once the load has read to the end
-            writer.kill()
-            writer.wait()
+
+        def load_from_pipe():
+            os.mkfifo(fifo)
+            writer = subprocess.Popen(["sh", "-c", 'printf %s "$1" > "$2"', "sh", text,
+                                       str(fifo)])
+
+            def release():  # a load that opens the pipe again gets an empty file, not a hang
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+            watchdog = threading.Timer(30, release)
+            watchdog.daemon = True
+            watchdog.start()
+            try:  # the pipe is read once, by the parse: its type is checked before any open
+                code, _, err = run(capsys, ["rank", str(fifo)])
+                assert code == 0 and "(from f.json)" in err
+            finally:  # the writer is done once the load has read to the end
+                watchdog.cancel()
+                writer.kill()
+                writer.wait()
+
+        load_from_pipe()  # no sidecar is written for a pipe
         assert sorted(os.listdir(tmp_path)) == ["f.json", "g.json"]
+
+        fifo.unlink()
+        fifo.write_text(text)
+        assert run(capsys, ["rank", str(fifo)])[0] == 0  # a sidecar that the pipe's bytes match
+        fifo.unlink()
+        before = os.stat(sidecar)
+        load_from_pipe()  # ... is neither read nor replaced (os.replace gives a new inode)
+        after = os.stat(sidecar)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert sorted(os.listdir(tmp_path)) == [".f.json.gramsel.npz", "f.json", "g.json"]
 
 
 class TestJsonLayout:
@@ -1177,6 +1219,10 @@ MALFORMED = [
     (("explicit", ("A", 0, 0)), 10**400, "A contains non-finite entries"),
     (("explicit", ("candidates", 1, "b", 0)), 10**400, "candidate 'u1' column contains"),
     (("explicit", ("weight", "matrix", 0, 1)), 10**400, "weight matrix contains non-finite"),
+    # booleans inside arrays once parsed as 1 and 0 and ranked
+    (("explicit", ("A", 0, 1)), True, "A is not numeric: it holds a boolean"),
+    (("explicit", ("candidates", 1, "b", 0)), True, "candidate 'u1' column is not numeric"),
+    (("explicit", ("weight", "matrix", 0, 1)), False, "weight matrix is not numeric"),
 ]
 # Every JSON object of every base problem, by its path.
 OBJECT_SITES = [(name, path) for name, path in MUTATION_SITES

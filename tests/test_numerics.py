@@ -296,8 +296,9 @@ def _row_ids(rows):
                          ids=_row_ids(ARRAY_ARGUMENTS))
 def test_array_arguments_are_validated(fn, kwargs, arg, wrong_shape, name):
     fn(**kwargs)  # the valid arguments pass
-    with pytest.raises(DimensionError, match="not numeric"):
-        fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], "x")})
+    for entry in ("x", True):
+        with pytest.raises(DimensionError, match="not numeric"):
+            fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], entry)})
     with pytest.raises(NonFiniteError):
         fn(**{**kwargs, arg: _first_entry_set(kwargs[arg], np.nan)})
     with pytest.raises(NonFiniteError) as err:  # an int past the float range

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from gramsel.placement import (
     verify_modularity,
 )
 from gramsel.models import build_swing_matrix, hvdc_candidates, random_hurwitz_system, ring_grid
+
+from exact_lyapunov import adjoint_solution, quadratic_form
 
 
 # --- oracle -----------------------------------------------------------------
@@ -345,6 +348,61 @@ class TestSelectTopK:
             oracle_ids, oracle_val = exhaustive_best(cs, 2, metric)
             assert tuple(sorted(res.selected)) == oracle_ids
             assert res.total_score == pytest.approx(oracle_val, rel=1e-9)
+
+
+# --- exact rational oracle ----------------------------------------------------
+# A 6-state cyclic, non-normal A (a_ii = -3, a_i,i+1 = 1, a_i,i+2 = 1/2, indices mod 6)
+# and its 15 links e_i - e_j.  Every entry of A, B and the weights is dyadic, so the
+# float inputs equal the rational ones and exact_lyapunov gives the exact weights.
+
+def _circulant(row):
+    return np.array([[row[(j - i) % len(row)] for j in range(len(row))]
+                     for i in range(len(row))], dtype=float)
+
+
+def _cyclic_links():
+    pairs = list(itertools.combinations(range(6), 2))
+    b = np.zeros((6, len(pairs)))
+    for c, (i, j) in enumerate(pairs):
+        b[i, c], b[j, c] = 1.0, -1.0
+    return CandidateSet(_circulant([-3, 1, 0.5, 0, 0, 0]), [f"e{i}-e{j}" for i, j in pairs], b)
+
+
+def _exact_state_weighting(metric, n):
+    """C_bar from the metric's weight in Fraction: I, (W + W^T) / 2 or C^T C."""
+    if metric.kind == "trace":
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [[Fraction(v) for v in row] for row in metric.weight.tolist()]
+    if metric.kind == "h2":
+        return [[sum(r[i] * r[j] for r in w) for j in range(n)] for i in range(n)]
+    return [[(w[i][j] + w[j][i]) / 2 for j in range(n)] for i in range(n)]
+
+
+# metric, the sizes of its exact weight classes (best first), and the bound in eps on
+# |w_j - exact_j| / |exact_j|, about twice the largest error measured (7.5, 7.7, 16.6)
+EXACT_METRICS = [
+    (MetricSpec(), [3, 6, 6], 16),
+    (MetricSpec.weighted(_circulant([2, 0.5, 0, -0.25, 0, 0])), [3, 6, 6], 16),
+    (MetricSpec.h2([[1, 0.5, 0, -1, 0, 0.25], [0, 1, -0.5, 0, 2, 0]]), [1] * 15, 32),
+]
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("metric, sizes, bound", EXACT_METRICS,
+                             ids=[m.kind for m, _, _ in EXACT_METRICS])
+    def test_weights_and_selections_match_exact_arithmetic(self, metric, sizes, bound):
+        # ties is not checked: it misses exact classes here (ROADMAP item 2)
+        cs = _cyclic_links()
+        p = adjoint_solution(cs.a.tolist(), _exact_state_weighting(metric, cs.n))
+        exact = [quadratic_form(p, col) for col in cs.B.T.tolist()]
+        best_first = sorted(exact, reverse=True)
+        assert [exact.count(w) for w in dict.fromkeys(best_first)] == sizes
+        weights = ranked(cs, metric)[0].tolist()
+        eps = Fraction(np.finfo(float).eps)
+        assert max(abs(Fraction(w) - e) / abs(e) for w, e in zip(weights, exact)) <= bound * eps
+        for k in range(1, cs.size + 1):
+            selected = select_top_k(cs, k, metric).selected
+            assert sum(exact[cs.ids.index(cid)] for cid in selected) == sum(best_first[:k])
 
 
 class TestBruteForce:
