@@ -25,10 +25,10 @@ import stat
 import tempfile
 import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .exceptions import DomainError, GramselError, ProblemFormatError, TopologyError
 from .metrics import METRIC_KINDS, MetricSpec
 from .numerics import as_array, as_number, as_square, spectral_abscissa
@@ -352,16 +352,18 @@ def read_json(path, what):
         raise ProblemFormatError(f"invalid JSON in {what} {path}: {exc}") from None
 
 
-# The sidecar's format tag: another layout of its arrays, or another package version, misses.
-# Format 2: a file with booleans in its arrays, which format 1 cached, is rejected.
-_SIDECAR_FORMAT = f"gramsel problem sidecar 2, gramsel {__version__}"
+@functools.cache
+def _code_digest():
+    """The sha256 of the package's modules in name order: a sidecar from other code misses."""
+    modules = sorted(p for p in Path(__file__).parent.iterdir() if p.suffix == ".py")
+    return hashlib.sha256(b"".join(p.read_bytes() for p in modules)).hexdigest()
 
 
 def _read_sidecar(sidecar, path):
     """The explicit Problem cached in ``sidecar`` for the bytes of ``path``, hashed in 1 MiB
     chunks; None unless the sidecar exists and ``path`` is a regular file (a pipe is never
-    opened, so the parse reads it), or when the sidecar is unreadable, keyed by another
-    format tag or digest, or fails the checks the JSON path makes of the same arrays."""
+    opened, so the parse reads it), or when the sidecar is unreadable, keyed by other code
+    (:func:`_code_digest`) or bytes, or fails the checks the JSON path makes of its arrays."""
     try:
         if not (os.path.exists(sidecar) and stat.S_ISREG(os.stat(path).st_mode)):
             return None
@@ -372,7 +374,7 @@ def _read_sidecar(sidecar, path):
         digest = "sha256:" + sha.hexdigest()
         with np.load(sidecar, allow_pickle=False) as z:
             key, kind, ids = json.loads(z["header"].tobytes())
-            if key != [_SIDECAR_FORMAT, digest]:
+            if key != [_code_digest(), digest]:
                 return None
             a = as_square(z["a"], "A")
             b = np.ascontiguousarray(as_array(z["b"], (len(a), len(ids)), "candidate columns"))
@@ -385,20 +387,20 @@ def _read_sidecar(sidecar, path):
 
 def _write_sidecar(sidecar, problem, path):
     """Store the checked arrays of the explicit ``problem`` read from ``path`` in
-    ``sidecar`` if ``path`` is a regular file, through a temp file beside it and
-    ``os.replace``, so that a reader finds a whole sidecar or none.  The sidecar takes
-    the file's permission bits.  An OSError leaves no sidecar and is ignored."""
-    metric = problem.metric
-    # the key, metric kind and ids as JSON text: a numpy str array drops an id's trailing "\0"
-    header = json.dumps([[_SIDECAR_FORMAT, problem.digest], metric.kind, problem.ids])
-    arrays = {"header": np.frombuffer(header.encode(), np.uint8), "a": problem.a, "b": problem.b}
-    if metric.weight is not None:
-        arrays["weight"] = metric.weight
+    ``sidecar``, keyed by :func:`_code_digest` and the file's digest, if ``path`` is a
+    regular file, through a temp file beside it and ``os.replace``, so that a reader
+    finds a whole sidecar or none.  The sidecar takes the file's permission bits.  An
+    OSError, reading the modules included, leaves no sidecar and is ignored."""
     head, name = os.path.split(sidecar)
     try:
         mode = os.stat(path).st_mode
         if not stat.S_ISREG(mode):
             return
+        # the key, metric kind and ids as JSON text: a numpy str array drops an id's trailing "\0"
+        header = json.dumps([[_code_digest(), problem.digest], problem.metric.kind, problem.ids])
+        arrays = dict(header=np.frombuffer(header.encode(), np.uint8), a=problem.a, b=problem.b)
+        if problem.metric.weight is not None:
+            arrays["weight"] = problem.metric.weight
         fd, tmp = tempfile.mkstemp(".gramsel.npz", name[:-len("gramsel.npz")], head or ".")
     except OSError:
         return
@@ -437,8 +439,8 @@ def load_problem(path):
     object the JSON parser made, and its candidate set is checked on first use.
 
     An explicit problem that passes these checks is cached in the sidecar
-    ``.<file name>.gramsel.npz`` beside a regular file, keyed by the sha256 and
-    a format tag; while they match, later loads read its arrays
+    ``.<file name>.gramsel.npz`` beside a regular file, keyed by the sha256 of
+    gramsel's modules and of the file; while both match, later loads read its arrays
     (:func:`_read_sidecar`) instead of reading the file whole and parsing it
     (:func:`read_json`).  A grid is built from its parameters and never cached.
     """

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -910,6 +911,46 @@ class TestProblemSidecar:
             assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
             chunks = [min(1 << 20, len(data) - i) for i in range(0, len(data), 1 << 20)] + [0]
             assert reads == chunks * hashed + [len(data)] * whole
+
+    def test_the_key_is_the_code_that_checked_the_file(self, tmp_path, capsys):
+        # a byte-identical copy of the package hits the sidecar; a copy with one byte more in
+        # one module misses it, parses the file under its own checks and caches it again
+        path = tmp_path / "f.json"
+        _explicit_problem(path)
+        expected = run(capsys, ["rank", str(path)])
+        assert expected[0] == 0 and json.loads(expected[1])["input_digest"]
+
+        def key():
+            with np.load(_sidecar(path)) as z:
+                return json.loads(z["header"].tobytes())[0]
+
+        def load_under(copy):
+            code = ("import sys; from gramsel import cli; assert cli.__file__.startswith("
+                    "sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+            env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+            proc = subprocess.run([sys.executable, "-c", code, str(copy), "rank", str(path)],
+                                  env=env, cwd=tmp_path, capture_output=True, text=True)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        package = Path(gramsel.__file__).parent
+        same, edited = tmp_path / "same", tmp_path / "edited"
+        for copy in (same, edited):
+            shutil.copytree(package, copy / "gramsel",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        with open(edited / "gramsel" / "numerics.py", "ab") as fh:
+            fh.write(b"\n")
+
+        cached = key()
+        code, out, err = load_under(same)
+        assert (code, out) == expected[:2] and "(from .f.json.gramsel.npz)" in err
+        assert key() == cached
+        code, out, err = load_under(edited)
+        assert (code, out) == expected[:2] and "(from f.json)" in err
+        assert key()[0] != cached[0] and key()[1] == cached[1]
+        code, out, err = load_under(edited)
+        assert (code, out) == expected[:2] and "(from .f.json.gramsel.npz)" in err
+        code, out, err = run(capsys, ["rank", str(path)])  # the repo's code misses it in turn
+        assert (code, out) == expected[:2] and "(from f.json)" in err and key() == cached
 
     def test_only_regular_explicit_files_are_cached(self, tmp_path, capsys):
         grid = make_problem(tmp_path, capsys, name="g.json", args=("--ring", "4"))
