@@ -25,7 +25,6 @@ from .exceptions import (
     UnreachableStateError,
 )
 from .numerics import (
-    STABILITY_MARGIN,
     eigenvalues,
     matrix_exponential,
     real_schur,
@@ -78,7 +77,7 @@ __all__ = [
     "NumericalError", "StabilityError", "UnreachableStateError",
     "DegenerateGramianWarning",
     # numerics
-    "STABILITY_MARGIN", "eigenvalues", "spectral_abscissa",
+    "eigenvalues", "spectral_abscissa",
     "matrix_exponential", "real_schur",
     # gramian
     "LyapunovSolver", "lyapunov_residual", "finite_horizon_gramian",

@@ -2,9 +2,9 @@
 
 Thin, validated wrappers over LAPACK-backed numpy/scipy routines:
 eigenvalues, the spectral abscissa, real Schur form and the matrix
-exponential.  The Hurwitz margin rule, max Re(lambda) < -STABILITY_MARGIN,
-is applied in one place: ``gramian.LyapunovSolver``, which every
-infinite-horizon computation builds.  :func:`as_array` checks
+exponential.  The Hurwitz rule, an abscissa below a multiple of the Schur
+factor's rounding level, is applied in one place: ``gramian.LyapunovSolver``,
+which every infinite-horizon computation builds.  :func:`as_array` checks
 every array from outside the program against the shape it must have,
 :func:`as_square` a matrix whose order is not known in advance, and
 :func:`as_number` every number.
@@ -27,7 +27,6 @@ import numpy as np
 from .exceptions import DimensionError, DomainError, NonFiniteError, NumericalError
 
 __all__ = [
-    "STABILITY_MARGIN",
     "as_array",
     "as_number",
     "as_square",
@@ -39,12 +38,6 @@ __all__ = [
     "real_schur",
     "symmetrize",
 ]
-
-# Spectra with max Re(lambda) >= -STABILITY_MARGIN are treated as unstable:
-# the infinite-horizon Gramian integral diverges (or is numerically useless)
-# when eigenvalues touch the imaginary axis.
-STABILITY_MARGIN = 1e-9
-
 
 def as_array(x, shape, name="array"):
     """Coerce ``x`` to a finite float array of ``shape``; every error names ``name``.

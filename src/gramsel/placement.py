@@ -77,9 +77,10 @@ class CandidateSet:
     def solver(self):
         """``LyapunovSolver(a)``, built on first use and shared by every metric scored.
 
-        Every column's ``b b^T`` is checked first, so columns too large to score fail
-        before A is factored: with r the row norms of B, |sum_{j in S} b_ij b_kj| <=
-        r_i r_k for every subset S, so one ``outer_sum`` of r covers all of them."""
+        The one refusal made before A is factored: with r the row norms of B,
+        |sum_{j in S} b_ij b_kj| <= r_i r_k for every subset S, so one ``outer_sum`` of r
+        refuses all columns whose plain sum overflows.  The additivity check's
+        d-weighted sum can overflow still, and fails after factoring."""
         with np.errstate(over="ignore"):  # an overflowing square makes r r^T infinite
             r = np.sqrt(np.einsum("ij,ij->i", self.B, self.B))
         outer_sum([r[:, None]])
@@ -143,15 +144,12 @@ def _blocks(n, m):
 
 
 def _weights_with_solver(cs, metric):
-    """The candidate weights b_j^T P b_j as one float64 array in candidate order.
-    The check's right side is formed first, so columns too large to score fail before
-    A is factored."""
-    q = _additivity_rhs(cs.B)
+    """The candidate weights b_j^T P b_j as one float64 array in candidate order."""
     p = cs.solver.solve(metric.state_weighting(cs.n), adjoint=True)
     weights = np.empty(cs.size)
     for cols in _blocks(cs.n, cs.size):
         weights[cols] = np.einsum("ij,ij->j", cs.B[:, cols], p @ cs.B[:, cols])
-    _check_additivity(cs, metric, q, weights)
+    _check_additivity(cs, metric, cs.B, weights)
     if metric.kind != "weighted_trace":  # C_bar = I or C^T C is positive semidefinite
         _check_signs(cs, metric, p, weights)
     return weights
@@ -160,8 +158,8 @@ def _weights_with_solver(cs, metric):
 def _check_signs(cs, metric, p, weights):
     """A NumericalError naming the first candidate whose weight is below
     -n eps ||P||_F ||b_j||^2, the rounding level of b_j^T P b_j.  With C_bar positive
-    semidefinite so is the true P, so such a weight means the solve is not accurate:
-    a stiff A can pass the Hurwitz test and still give every weight the wrong sign."""
+    semidefinite so is the true P, so such a weight means the solve is not accurate,
+    even though A passed the Hurwitz rule and the weights passed the additivity check."""
     low = np.flatnonzero(weights < 0.0)
     b = cs.B[:, low]
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound flags nothing
@@ -186,24 +184,20 @@ def _subset_score(cs, metric, g):
     return evaluate_metric(metric, g), magnitude
 
 
-def _additivity_rhs(b):
-    """``b diag(d) b^T``, d_j = j + 1: the right side that checks ``b``'s column weights."""
-    d = np.arange(1.0, b.shape[1] + 1.0)
-    return outer_sum(b[:, c] * np.sqrt(d[c]) for c in _blocks(*b.shape))
-
-
-def _check_additivity(cs, metric, q, weights):
-    """Check the weights of the columns b with ``q = _additivity_rhs(b)`` by one forward
-    solve; return fsum(weights).
+def _check_additivity(cs, metric, b, weights):
+    """Check the weights of the columns b by one forward solve; return fsum(weights).
 
     fsum(d_j w_j), d_j = j + 1, must match the metric of the forward Gramian of
-    b diag(sqrt(d)) to _ADDITIVITY_RTOL relative to max(fsum(d_j |w_j|), that
-    score's magnitude).  Unlike a plain sum, this catches weights paired with the
-    wrong columns, and a transposed solve when b = C_bar = I.  A NaN or infinite
-    weight fails: the magnitude is finite, so the scale is too.
+    b diag(sqrt(d)), whose right side b diag(d) b^T is summed over column blocks, to
+    _ADDITIVITY_RTOL relative to max(fsum(d_j |w_j|), that score's magnitude).  Unlike
+    a plain sum, this catches weights paired with the wrong columns, and a transposed
+    solve when b = C_bar = I.  A NaN or infinite weight fails: the magnitude is finite,
+    so the scale is too.
     """
+    d = np.arange(1.0, b.shape[1] + 1.0)
+    q = outer_sum(b[:, c] * np.sqrt(d[c]) for c in _blocks(*b.shape))
     combined, magnitude = _subset_score(cs, metric, cs.solver.solve(q))
-    dw = np.arange(1.0, len(weights) + 1.0) * weights
+    dw = d * weights
     try:  # fsum raises on a sum past the float range and on inf - inf
         expected, scale = math.fsum(dw), max(math.fsum(np.abs(dw)), magnitude)
     except (OverflowError, ValueError):
@@ -238,8 +232,7 @@ def select_top_k(cs, k, metric=MetricSpec()):
     weights, order = ranked(cs, metric)
     top = order[:k]
     selected = tuple(map(cs.ids.__getitem__, top.tolist()))
-    total = _check_additivity(cs, metric, _additivity_rhs(cs.input_matrix(selected)),
-                              weights[top])
+    total = _check_additivity(cs, metric, cs.input_matrix(selected), weights[top])
 
     ties = ()
     boundary = weights[top[-1]]

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gramsel
 from gramsel import cli, gramian, models, numerics, placement
-from gramsel.exceptions import NumericalError
+from gramsel.exceptions import NumericalError, StabilityError
 from gramsel.metrics import MetricSpec
 from gramsel.placement import CandidateSet, ModularityReport, controllability_centrality
 
@@ -295,13 +295,16 @@ class TestCentrality:
             assert "candidate set is empty" in err
 
     def test_stiff_grid_scores_are_nonnegative_to_rounding(self):
-        # b0:angle scores about -4e-285 here: rounding far inside n eps ||P||_F, where
-        # P solves A^T P + P A + I = 0 and the scores are its diagonal
-        a = models.build_swing_matrix(models.grid_model(STIFF_GRID["grid"]))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "trsyl perturbed", RuntimeWarning)
-            scores = controllability_centrality(a)
-            p = gramian.LyapunovSolver(a).solve(np.eye(len(a)), adjoint=True)
+        # STIFF_GRID fails the Hurwitz rule; at inertia 1e-10 the abscissa clears it 82-fold,
+        # and the scores, the diagonal of P in A^T P + P A + I = 0, clear -n eps ||P||_F
+        with pytest.raises(StabilityError, match="rounding level"):
+            gramian.LyapunovSolver(models.build_swing_matrix(models.grid_model(
+                STIFF_GRID["grid"])))
+        grid = json.loads(json.dumps(STIFF_GRID["grid"]))
+        grid["buses"][0].update(inertia=1e-10, damping=0.5)
+        a = models.build_swing_matrix(models.grid_model(grid))
+        scores = controllability_centrality(a)
+        p = gramian.LyapunovSolver(a).solve(np.eye(len(a)), adjoint=True)
         assert np.isfinite(p).all()
         assert scores.min() >= -len(a) * np.finfo(float).eps * np.linalg.norm(p)
 
@@ -485,9 +488,9 @@ class TestExitCodes:
             assert "Hurwitz" in err
 
     def test_stiff_grid_names_the_rounding_level(self, tmp_path, capsys):
-        # grounded, so Hurwitz, but the -5e299 eigenvalue of the 1e-300 inertia bus
-        # leaves the others to rounding noise in the Schur factor.  centrality scores unit
-        # inputs; rank would stop first, at the 1e300 HVDC column's overflowing b b^T
+        # grounded, so Hurwitz in exact arithmetic, but the -5e299 eigenvalue of the 1e-300
+        # inertia bus leaves the others to rounding noise in the Schur factor.  centrality
+        # scores unit inputs; rank would stop first, at the 1e300 HVDC column's b b^T
         grid = {"grid": {
             "buses": [{"id": "b0", "inertia": 1e-300, "damping": 0.5, "grounding": 0.1},
                       {"id": "b1", "inertia": 2.0, "damping": 0.4}],
@@ -497,22 +500,29 @@ class TestExitCodes:
         path.write_text(json.dumps(grid))
         code, out, err = run(capsys, ["centrality", str(path)])
         assert code == 3 and out == ""
-        assert "within the Schur factor's rounding level eps*||A||_1 = 2.4e+284" in err
+        assert ("error: dynamics matrix is not Hurwitz to 1000 times the Schur factor's "
+                "rounding level eps*||A||_1 = 2.4e+284: max Re(eigenvalue) = ") in err
 
     def test_stiff_scores_of_the_wrong_sign_are_3(self, tmp_path, capsys):
-        # A = Q diag(-1e9, -3e8, -1e8, -5e-9) Q^T passes the Hurwitz test, but every trace
-        # score of its unit inputs comes out between about -2.5e3 and -4.1e6
-        path = tmp_path / "stiff.json"
+        # A = Q diag(-1e9, -3e8, -1e8, -5e-9) Q^T: its abscissa -5e-9 is below the rounding
+        # level eps ||A||_1 of about 3e-7, and a solve on it gives every unit input a trace
+        # score of the wrong sign, so every ranking command refuses A
+        path, wfile = tmp_path / "stiff.json", tmp_path / "w.json"
+        wfile.write_text(json.dumps(np.eye(4).tolist()))
+        commands = (["rank"], ["rank", "--metric", "weighted", "--weight-file", str(wfile)],
+                    ["select", "--k", "2"], ["centrality"], ["verify", "--trials", "5"],
+                    ["bruteforce", "--k", "1"])
         for seed in (0, 1, 5, 8):
             q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
             a = q @ np.diag([-1e9, -3e8, -1e8, -5e-9]) @ q.T
             path.write_text(json.dumps(models.system_problem_dict(
                 a, [f"e{i}" for i in range(4)], np.eye(4))))
-            for command in (["rank"], ["select", "--k", "2"], ["centrality"]):
+            for command in commands:
                 code, out, err = run(capsys, [command[0], str(path), *command[1:]])
                 errors = [line for line in err.splitlines() if line.startswith("error:")]
                 assert code == 3 and out == "" and len(errors) == 1
-                assert re.match(r"error: trace weight of candidate '(e)?0' is -\d", errors[0])
+                assert errors[0].startswith("error: dynamics matrix is not Hurwitz to 1000 "
+                                            "times the Schur factor's rounding level")
 
     def test_wrong_adjoint_is_3(self, tmp_path, capsys, skewed_adjoint):
         path = make_problem(tmp_path, capsys)
@@ -612,6 +622,10 @@ class TestExitCodes:
         # the additivity check's b diag(sqrt(d)) overflows too, not only b b^T
         scaled = {**explicit, "candidates": [{"id": "a", "b": [1, 0]},
                                              {"id": "b", "b": [1.5e308, 0]}]}
+        # every plain b b^T sum fits, so A is factored, but the additivity check's
+        # b diag(d) b^T overflows, as the solves of verify and bruteforce do
+        weighted = {**explicit, "candidates": [{"id": "a", "b": [1, 0]},
+                                               {"id": "b", "b": [1.2e154, 0]}]}
         # a finite b b^T whose Gramian overflows in the solve, under every functional
         lone = {"n": 1, "A": [[-0.1]], "candidates": [{"id": "p", "b": [5.5e153]},
                                                      {"id": "q", "b": [1.0]}]}
@@ -624,6 +638,7 @@ class TestExitCodes:
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
             (path, scaled, path, [], on_four[:2]),
+            (path, weighted, path, [], on_four),
             (path, STIFF_GRID, path, [], on_four),
             # finite h2 weights whose C_bar, or the scores it weights, overflow
             (wfile, [[5e153] * 3], forty, h2, on_forty),
@@ -647,8 +662,8 @@ class TestExitCodes:
         assert "b b^T overflows" in errors[0]  # the synthesize case
 
     def test_overflowing_columns_fail_before_factoring(self, tmp_path, capsys, monkeypatch):
-        # the additivity check's b diag(d) b^T, and CandidateSet.solver's bound r r^T on
-        # every subset's b b^T, are formed before A is factored
+        # CandidateSet.solver's bound r r^T on every subset's b b^T is formed before A is
+        # factored
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(STIFF_GRID))
         built = []

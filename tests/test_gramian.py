@@ -113,13 +113,16 @@ class TestSolveLyapunov:
                 LyapunovSolver(a)
             assert f"max Re(eigenvalue) = {spectral_abscissa(a):.6e}" in str(err.value)
 
-    @pytest.mark.parametrize("a", [[[0.0]], [[-1e-12]], [[1e10, 0.0], [0.0, 1.0]]])
+    @pytest.mark.parametrize("a", [[[0.0]], np.diag([-1.0, -1e-14]), [[1e10, 0.0], [0.0, 1.0]]])
     def test_rounding_level_named_only_when_it_covers_the_abscissa(self, a):
-        # each abscissa is at least eps ||A||_1 - margin, so the message names no rounding level
+        # each -alpha is within 1000 rounding levels eps ||A||_1, and the message names
+        # that level whether A is stiff, marginal or unstable
+        rounding = np.finfo(float).eps * np.linalg.norm(a, 1)
         with pytest.raises(StabilityError) as err:
             LyapunovSolver(a)
-        assert str(err.value) == ("dynamics matrix is not Hurwitz within margin 1e-09: "
-                                  f"max Re(eigenvalue) = {spectral_abscissa(a):.6e}")
+        assert str(err.value) == (
+            "dynamics matrix is not Hurwitz to 1000 times the Schur factor's rounding level "
+            f"eps*||A||_1 = {rounding:.1e}: max Re(eigenvalue) = {spectral_abscissa(a):.6e}")
 
     def test_marginal_system_rejected(self):
         with pytest.raises(StabilityError):

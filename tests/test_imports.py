@@ -93,14 +93,14 @@ def test_the_outer_product_rule_is_stated_once():
 
 
 def test_the_hurwitz_margin_rule_is_stated_once():
-    # LyapunovSolver compares the abscissa with -STABILITY_MARGIN; a second copy would drift
-    def is_margin(node):
-        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
-                and getattr(node.operand, "id", None) == "STABILITY_MARGIN")
+    # LyapunovSolver compares the abscissa with -_HURWITZ_MARGIN eps ||A||_1; a second
+    # copy would drift
+    def names_margin(node):
+        return any(getattr(leaf, "id", None) == "_HURWITZ_MARGIN" for leaf in ast.walk(node))
 
-    count = sum(is_margin(side) for path in PACKAGE
+    count = sum(names_margin(node) for path in PACKAGE
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                if isinstance(node, ast.Compare) for side in (node.left, *node.comparators))
+                if isinstance(node, ast.Compare))
     assert count == 1
 
 

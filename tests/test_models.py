@@ -18,6 +18,7 @@ from gramsel.exceptions import (
     DomainError,
     NonFiniteError,
     ProblemFormatError,
+    StabilityError,
     TopologyError,
 )
 from gramsel.models import (
@@ -35,7 +36,8 @@ from gramsel.models import (
     write_json,
     write_problem,
 )
-from gramsel.numerics import STABILITY_MARGIN, eigenvalues, spectral_abscissa
+from gramsel.gramian import LyapunovSolver
+from gramsel.numerics import eigenvalues, spectral_abscissa
 
 
 def _bus(bid, inertia, damping, grounding=None):
@@ -152,7 +154,7 @@ class TestSwingMatrix:
         lines = [_line(grid.ids[i], grid.ids[j], 1.0) for i, j in grid.lines.tolist()]
         grounded = _grid(buses, lines)
         assert grounded.grounded
-        assert spectral_abscissa(build_swing_matrix(grounded)) < -STABILITY_MARGIN
+        assert LyapunovSolver(build_swing_matrix(grounded)).n == 10
 
     def test_interleaved_state_ordering(self):
         grid = ring_grid(4)
@@ -190,7 +192,7 @@ class TestSwingMatrix:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 6))
     def test_hurwitz_flag_matches_the_spectrum(self, data, n):
-        # the flag is "some bus is grounded"; the eigen-solve it replaces is the oracle
+        # the flag is "some bus is grounded"; the Hurwitz rule it replaces is the oracle
         positive = st.floats(0.1, 10.0)
         grounding = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
         buses = [_bus(f"b{i}", data.draw(positive), data.draw(positive),
@@ -200,8 +202,11 @@ class TestSwingMatrix:
         extra = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
         lines = [_line(f"b{i}", f"b{j}", data.draw(positive)) for i, j in sorted(tree | extra)]
         grid = _grid(buses, lines)
-        alpha = spectral_abscissa(build_swing_matrix(grid))
-        assert grid.grounded == (alpha < -STABILITY_MARGIN)
+        if grid.grounded:
+            LyapunovSolver(build_swing_matrix(grid))
+        else:
+            with pytest.raises(StabilityError):
+                LyapunovSolver(build_swing_matrix(grid))
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 30))
@@ -387,7 +392,7 @@ class TestRandomSystem:
     def test_hurwitz_with_margin(self):
         for seed in range(10):
             a = random_hurwitz_system(8, 2, seed=seed)[0]
-            assert spectral_abscissa(a) < -STABILITY_MARGIN
+            assert LyapunovSolver(a).n == 8
             assert spectral_abscissa(a) == pytest.approx(-0.1, abs=1e-9)
 
     def test_columns_unit_norm(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gramsel import gramian
 from gramsel.exceptions import (
     DimensionError,
     DomainError,
@@ -96,7 +97,7 @@ class TestEigenvalues:
 
 
 class TestHurwitz:
-    # LyapunovSolver states the margin rule: max Re(lambda) < -STABILITY_MARGIN
+    # LyapunovSolver states the rule: max Re(lambda) < -_HURWITZ_MARGIN eps ||A||_1
     def test_stable_diagonal(self):
         assert LyapunovSolver(np.diag([-1.0, -2.0])).n == 2
 
@@ -105,11 +106,14 @@ class TestHurwitz:
             LyapunovSolver([[0.0]])
 
     def test_default_margin_rejects_barely_stable(self):
-        # -1e-12 is inside STABILITY_MARGIN = 1e-9, and the margin itself is refused
-        for a in ([[-1e-12]], [[-1e-9]]):
+        # the margin is relative: with ||A||_1 = 1 an abscissa of -1e-14, or of the
+        # margin itself, is refused, while a slow A of any scale passes
+        level = gramian._HURWITZ_MARGIN * np.finfo(float).eps
+        for a in (np.diag([-1.0, -1e-14]), np.diag([-1.0, -level])):
             with pytest.raises(StabilityError):
                 LyapunovSolver(a)
-        assert LyapunovSolver([[-2e-9]]).n == 1
+        for a in (np.diag([-1.0, -2.0 * level]), [[-1e-12]], [[-1e-300]]):
+            assert LyapunovSolver(a).n == len(a)
 
     def test_abscissa(self):
         assert spectral_abscissa(np.diag([-3.0, -0.25])) == pytest.approx(-0.25)
