@@ -105,8 +105,10 @@ def as_number(x, name, low, high=math.inf, *, integer=False, strict=False):
 
 
 def symmetrize(a):
-    """Exact symmetric part (a + a.T) / 2 (bitwise symmetric)."""
-    return (a + a.T) / 2.0
+    """Symmetric part of ``a``, bitwise symmetric.  Halving before the sum keeps every
+    finite a_ij + a_ji in range, and equals (a + a.T) / 2 bit for bit wherever no
+    entry is subnormal."""
+    return a / 2.0 + a.T / 2.0
 
 
 def outer_sum(blocks):

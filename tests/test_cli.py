@@ -623,22 +623,24 @@ class TestExitCodes:
         scaled = {**explicit, "candidates": [{"id": "a", "b": [1, 0]},
                                              {"id": "b", "b": [1.5e308, 0]}]}
         # every plain b b^T sum fits, so A is factored, but the additivity check's
-        # b diag(d) b^T overflows, as the solves of verify and bruteforce do
+        # b diag(d) b^T overflows (verify and bruteforce solve it: see the test below)
         weighted = {**explicit, "candidates": [{"id": "a", "b": [1, 0]},
                                                {"id": "b", "b": [1.2e154, 0]}]}
-        # a finite b b^T whose Gramian overflows in the solve, under every functional
-        lone = {"n": 1, "A": [[-0.1]], "candidates": [{"id": "p", "b": [5.5e153]},
+        # a finite b b^T = 4.2e307 whose Gramian, 2.1e308, overflows in the solve, under
+        # every functional and in verify
+        lone = {"n": 1, "A": [[-0.1]], "candidates": [{"id": "p", "b": [6.5e153]},
                                                      {"id": "q", "b": [1.0]}]}
         pair = {"n": 2, "A": [[-0.1, 0], [0, -0.2]],
-                "candidates": [{"id": "p", "b": [5.5e153, 0]}, {"id": "q", "b": [0, 1.0]}]}
+                "candidates": [{"id": "p", "b": [6.5e153, 0]}, {"id": "q", "b": [0, 1.0]}]}
         functionals = [["bruteforce", "--k", "1", *flag] for flag in
                        ([], ["--functional", "min_eig"], ["--functional", "log_det"])]
+        functionals.append(["verify", "--trials", "2"])
         # the finite-horizon Gramian forms b b^T through the same checked helper
         synth = {"n": 1, "A": [[-1.0]], "candidates": [{"id": "p0", "b": [1e200]}]}
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
             (path, scaled, path, [], on_four[:2]),
-            (path, weighted, path, [], on_four),
+            (path, weighted, path, [], on_four[:2]),
             (path, STIFF_GRID, path, [], on_four),
             # finite h2 weights whose C_bar, or the scores it weights, overflow
             (wfile, [[5e153] * 3], forty, h2, on_forty),
@@ -660,6 +662,28 @@ class TestExitCodes:
                 # no numpy floating-point warning, and the stiff grid is never solved
                 assert "warning:" not in err and "Traceback" not in err
         assert "b b^T overflows" in errors[0]  # the synthesize case
+
+    def test_solutions_near_the_float_range_are_scored(self, tmp_path, capsys):
+        # each best Gramian is finite, though twice its largest entry is not
+        cases = [  # (document, best id, its trace)
+            ({"n": 2, "A": [[-1, 0], [0, -2]], "candidates": [
+                {"id": "a", "b": [1, 0]}, {"id": "b", "b": [1.2e154, 0]}]}, "b", 7.2e307),
+            ({"n": 1, "A": [[-0.1]], "candidates": [
+                {"id": "p", "b": [5.5e153]}, {"id": "q", "b": [1.0]}]}, "p", 1.5125e308),
+            ({"n": 2, "A": [[-0.1, 0], [0, -0.2]], "candidates": [
+                {"id": "p", "b": [5.5e153, 0]}, {"id": "q", "b": [0, 1.0]}]}, "p", 1.5125e308),
+        ]
+        path = tmp_path / "big.json"
+        for doc, best, value in cases:
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, ["bruteforce", str(path), "--k", "1"])
+            results = json.loads(out)["results"]
+            assert code == 0 and results["best_ids"] == [best]
+            assert results["best_value"] == pytest.approx(value, rel=1e-14)
+        # on the first, every f(A) + f(B) <= 1.44e308 stays finite too
+        path.write_text(json.dumps(cases[0][0]))
+        code, out, _ = run(capsys, ["verify", str(path), "--trials", "5"])
+        assert code == 0 and json.loads(out)["results"]["passed"] is True
 
     def test_overflowing_columns_fail_before_factoring(self, tmp_path, capsys, monkeypatch):
         # CandidateSet.solver's bound r r^T on every subset's b b^T is formed before A is
@@ -1186,6 +1210,41 @@ class TestSolveCounts:
             calls.clear()
             assert run(capsys, [command[0], path, *command[1:]])[0] == 0
             assert (calls.count(True), calls.count(False)) == (adjoint, forward), command
+
+
+class TestModalPath:
+    """A uniformly damped grid's forward solves go through its modes; its adjoint solves,
+    which give every score, stay on the Schur factor."""
+
+    RANKING = (["rank"], ["select", "--k", "3"], ["centrality"],
+               ["rank", "--weight", "frequencies"])
+
+    @pytest.mark.parametrize("args", [("--ring", "6"), ("--ring", "12", "--chords", "5")])
+    def test_ranking_payloads_do_not_depend_on_the_modes(
+            self, tmp_path, capsys, monkeypatch, args):
+        path = make_problem(tmp_path, capsys, args=args)
+        payloads = [run(capsys, [c[0], path, *c[1:]])[:2] for c in self.RANKING]
+        monkeypatch.setattr(gramian, "_modes", lambda a: None)
+        assert [run(capsys, [c[0], path, *c[1:]])[:2] for c in self.RANKING] == payloads
+
+    def test_no_adjoint_solve_reaches_the_modes(self, tmp_path, capsys, monkeypatch):
+        path = make_problem(tmp_path, capsys, args=("--ring", "6"))
+        flags, reached = [], []
+        solve, modal_solve = gramian.LyapunovSolver.solve, gramian._modal_solve
+
+        def counted(self, q, adjoint=False):
+            flags.append(adjoint)
+            return solve(self, q, adjoint)
+
+        def modal(*args):
+            reached.append(flags[-1])
+            return modal_solve(*args)
+
+        monkeypatch.setattr(gramian.LyapunovSolver, "solve", counted)
+        monkeypatch.setattr(gramian, "_modal_solve", modal)
+        for command in (*self.RANKING, ["verify", "--trials", "2"]):
+            assert run(capsys, [command[0], path, *command[1:]])[0] == 0
+        assert flags.count(True) == 4 and reached == [False] * flags.count(False)
 
 
 # Well-formed problems that the fuzz test below mutates one field at a time.

@@ -14,9 +14,22 @@ from gramsel.exceptions import (
     StabilityError,
 )
 from gramsel.gramian import LyapunovSolver, finite_horizon_gramian, lyapunov_residual
-from gramsel.models import random_hurwitz_system
+from gramsel.models import (
+    build_swing_matrix,
+    grid_model,
+    hvdc_candidates,
+    load_problem,
+    random_hurwitz_system,
+    ring_grid,
+    system_problem_dict,
+    write_problem,
+)
 from gramsel.numerics import spectral_abscissa
 from gramsel.placement import CandidateSet
+
+from exact_lyapunov import adjoint_solution
+
+EPS = np.finfo(float).eps
 
 
 # --- oracles ----------------------------------------------------------------
@@ -155,12 +168,30 @@ class TestSolveLyapunov:
                 solver.solve(q)
         assert not solver.solve(np.zeros((2, 2))).any()
 
+    # W = q / 0.2 in the scalar system and in both entries of the 2x2 one, forward or
+    # adjoint; the 2x2 one is a one-bus grid, so its forward solve goes through its mode
+    SCALED_BY_FIVE = ([[-0.1]], [[0.0, 1.0], [-1.0, -0.1]])
+
     def test_a_solution_past_the_float_range_is_a_numerical_error(self):
-        # W = q / 0.2 is finite, but its symmetric part (W + W^T) / 2 overflows in the sum
-        solver = LyapunovSolver([[-0.1]])
-        for adjoint in (False, True):
-            with pytest.raises(NumericalError, match="^the Lyapunov solution overflows"):
-                solver.solve([[3e307]], adjoint=adjoint)
+        for a in self.SCALED_BY_FIVE:
+            solver = LyapunovSolver(a)
+            q = np.zeros(solver.a.shape)
+            q[-1, -1] = 4e307  # W = 2e308
+            for adjoint in (False, True):
+                with pytest.raises(NumericalError, match="^the Lyapunov solution overflows"):
+                    solver.solve(q, adjoint=adjoint)
+
+    def test_a_solution_near_the_float_range_is_finite(self):
+        # W = 1.5e308, whose symmetric part (W + W^T) / 2 would overflow in the sum
+        for a in self.SCALED_BY_FIVE:
+            solver = LyapunovSolver(a)
+            q = np.zeros(solver.a.shape)
+            q[-1, -1] = 3e307
+            for adjoint in (False, True):
+                w = solver.solve(q, adjoint=adjoint)
+                assert np.diag(w) == pytest.approx([1.5e308] * solver.n, rel=1e-14)
+        w = LyapunovSolver(np.diag([-1.0, -2.0])).solve(np.diag([1e308, 0.0]))
+        assert np.array_equal(w, np.diag([5e307, 0.0]))
 
     def test_solver_reuse_matches_oneshot(self):
         a, _ = _system(9, n=5)
@@ -298,6 +329,93 @@ class TestBlockedKernel:
                 assert [str(r.message) for r in record] == [
                     "trsyl perturbed nearly-common eigenvalues to solve; "
                     "result may be inaccurate"]
+
+
+def _grid(buses, lines=()):
+    """A bus-list grid of (inertia, damping, grounding) buses and (i, j, susceptance) lines."""
+    return grid_model({
+        "buses": [{"id": f"b{k}", "inertia": m, "damping": d, "grounding": g}
+                  for k, (m, d, g) in enumerate(buses)],
+        "lines": [{"from": f"b{i}", "to": f"b{j}", "susceptance": b} for i, j, b in lines]})
+
+
+class TestModes:
+    """A uniformly damped grid's forward solves go through its modes; adjoint solves,
+    and every other A, through the Schur factor."""
+
+    @staticmethod
+    def _schur(a):
+        solver = LyapunovSolver(a)
+        solver._modes = None
+        return solver
+
+    @pytest.mark.parametrize("grid", [
+        _grid([(1.3, 0.7, 0.4)]),
+        _grid([(2.0, 0.5, 0.1), (2.0, 0.5, 0.0)], [(0, 1, 3.0)]),
+        _grid([(0.8, 1.1, 0.0), (0.8, 1.1, 0.2), (0.8, 1.1, 0.3)], [(2, 1, 1.5), (0, 1, 0.5)]),
+        ring_grid(2), ring_grid(3, inertia=1.5, damping=0.2), ring_grid(6, chords=4, seed=1),
+    ], ids=["1 bus", "2 buses", "3-bus path", "ring2", "ring3", "ring6 with chords"])
+    def test_against_kron_oracle(self, grid):
+        a = build_swing_matrix(grid)
+        solver = LyapunovSolver(a)
+        assert solver._modes is not None
+        q = _rhs(solver.n, 3)
+        oracle = lyap_kron(a, q)
+        assert np.linalg.norm(solver.solve(q) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_against_the_exact_solution(self):
+        # m = 2, d = 1, g = (1/2, 0) and b = 3/2 give a dyadic A, so the floats are exact
+        a = build_swing_matrix(_grid([(2.0, 1.0, 0.5), (2.0, 1.0, 0.0)], [(0, 1, 1.5)]))
+        link = [0.0, 0.5, 0.0, -0.5]
+        q = np.eye(4) + np.outer(link, link)
+        solver = LyapunovSolver(a)
+        assert solver._modes is not None
+        for adjoint in (False, True):
+            exact = np.array(adjoint_solution(a if adjoint else a.T, q), dtype=float)
+            error = np.abs(solver.solve(q, adjoint=adjoint) - exact).max()
+            assert error <= 4 * solver.n * EPS * np.abs(exact).max()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_random_grids_agree_with_the_schur_path(self, data, n):
+        # parameters within a factor 2 of 1 keep the Lyapunov operator well conditioned
+        # (corners of [0.1, 10] put the two backward-stable solves 1.6e-11 apart)
+        value = st.floats(0.5, 2.0)
+        m, d = data.draw(value), data.draw(value)
+        grounding = [data.draw(value), *(data.draw(st.just(0.0) | value) for _ in range(n - 1))]
+        tree = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        extra = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        lines = [(i, j, data.draw(value)) for i, j in sorted(tree | extra)]
+        a = build_swing_matrix(_grid([(m, d, g) for g in grounding], lines))
+        solver = LyapunovSolver(a)
+        assert solver._modes is not None
+        q = _rhs(solver.n, n)
+        w, reference = solver.solve(q), self._schur(a).solve(q)
+        assert np.abs(w - reference).max() <= 1e-12 * np.abs(reference).max()
+        scale = 2 * np.linalg.norm(a) * np.linalg.norm(w) + np.linalg.norm(q)
+        assert lyapunov_residual(a, w, q) <= solver.n * EPS * scale
+
+    @pytest.mark.parametrize("a", [
+        build_swing_matrix(_grid([(1.0, 0.5, 0.1), (2.0, 1.0, 0.0)], [(0, 1, 1.0)])),
+        build_swing_matrix(_grid([(1.0, 0.5, 0.1), (1.0, 0.7, 0.0)], [(0, 1, 1.0)])),
+        [[0.0, 1.0 + EPS], [-1.0, -0.1]],
+        random_hurwitz_system(6, 2, seed=3)[0],
+        random_hurwitz_system(40, 3, seed=1)[0],
+        [[-0.1]],
+        [[0.0, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]],
+    ], ids=["one bus's inertia off (S asymmetric)", "one bus's damping off", "a one off by 1 ulp",
+            "gen --random 6", "gen --random 40", "odd n = 1", "odd n = 3"])
+    def test_no_modes_off_the_second_order_form(self, a):
+        assert LyapunovSolver(a)._modes is None
+
+    def test_an_explicit_problem_in_second_order_form_takes_the_modes(self, tmp_path):
+        # the choice is a property of A, not of the problem file's form
+        grid = ring_grid(4)
+        path = tmp_path / "explicit.json"
+        write_problem(path, system_problem_dict(build_swing_matrix(grid), *hvdc_candidates(grid)))
+        problem = load_problem(path)
+        assert problem.grid is None and problem.candidate_set.solver._modes is not None
 
 
 class TestControllabilityGramian:

@@ -8,9 +8,9 @@ be listed in its ``__all__``.  Since a listed name counts as used, each
 ``from gramsel import *`` would fail.  Every gramsel name that the
 benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
 Placement builds its Lyapunov solver in one place, one helper forms and
-checks every ``b b^T``, one comparison states the Hurwitz margin rule,
-shape errors come from the one array validator in ``numerics``, and no
-module imports another's private name.
+checks every ``b b^T``, one comparison states the Hurwitz margin rule, one
+call picks a solver's modal path, shape errors come from the one array
+validator in ``numerics``, and no module imports another's private name.
 """
 
 import ast
@@ -102,6 +102,16 @@ def test_the_hurwitz_margin_rule_is_stated_once():
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Compare))
     assert count == 1
+
+
+def test_the_modal_path_is_chosen_once():
+    # LyapunovSolver.__init__ alone tests A for the second-order form, so a solver's
+    # forward solves take one path for its whole life
+    calls = [(path.name, scope.name) for path in PACKAGE
+             for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(scope, ast.FunctionDef) for node in ast.walk(scope)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_modes"]
+    assert calls == [("gramian.py", "__init__")]
 
 
 def dimension_errors(tree):
