@@ -31,6 +31,7 @@ from .numerics import (
     as_array,
     as_number,
     as_square,
+    finite,
     lapack,
     matrix_exponential,
     outer_sum,
@@ -135,9 +136,7 @@ class LyapunovSolver:
                     )
                 w = u @ y @ u.T
             w = symmetrize(w)
-        if not np.isfinite(w).all():
-            raise NumericalError("the Lyapunov solution overflows: the Gramian is not finite")
-        return w
+        return finite(w, "the Lyapunov solution overflows: the Gramian is not finite")
 
     # The recursion overwrites the right-hand side with the solution and
     # returns True if any leaf solve perturbed its eigenvalues.
@@ -258,7 +257,8 @@ def finite_horizon_gramian(a, b, t):
     which requires no quadrature and no stability assumption on ``a``.
     Long horizons are split into 2**k equal sub-intervals composed by the
     exact doubling rule W(2t) = W(t) + e^{At} W(t) e^{A^T t}, keeping the
-    inverse-propagator block e^{-At} representable.
+    inverse-propagator block e^{-At} representable.  A NumericalError if W(t)
+    or the block's h BB^T overflows, as either can for finite input.
     """
     a = as_square(a, "a")
     t = as_number(t, "horizon t", 0.0, strict=True)
@@ -267,20 +267,21 @@ def finite_horizon_gramian(a, b, t):
 
     with np.errstate(over="ignore"):  # an infinite norm is raised by value below
         norm_a = float(np.linalg.norm(a, 1))
-    if not math.isfinite(t * norm_a):
-        raise NumericalError(f"horizon t = {t:g} times ||A||_1 = {norm_a:g} overflows")
+    finite(t * norm_a, f"horizon t = {t:g} times ||A||_1 = {norm_a:g} overflows")
     doublings = 0
     if norm_a > 0.0 and t * norm_a > _BLOCK_NORM_BOUND:
         doublings = int(math.ceil(math.log2(t * norm_a / _BLOCK_NORM_BOUND)))
     h = t / 2.0**doublings
 
     block = np.block([[-a, outer_sum([b])], [np.zeros((n, n)), a.T]])
-    f = matrix_exponential(block * h)
-    f12 = f[:n, n:]
-    f22 = f[n:, n:]
-    w = symmetrize(f22.T @ f12)
-    phi = f22.T  # e^{a h}
-    for _ in range(doublings):
-        w = symmetrize(w + phi @ w @ phi.T)
-        phi = phi @ phi
-    return w
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = finite(block * h, f"the finite-horizon block h b b^T, h = {h:g}, overflows")
+        f = matrix_exponential(block)
+        f12 = f[:n, n:]
+        f22 = f[n:, n:]
+        w = symmetrize(f22.T @ f12)
+        phi = f22.T  # e^{a h}
+        for _ in range(doublings):
+            w = symmetrize(w + phi @ w @ phi.T)
+            phi = phi @ phi
+    return finite(w, f"the finite-horizon Gramian overflows at horizon t = {t:g}")

@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateGramianWarning,
-    DomainError,
-    NumericalError,
-    UnreachableStateError,
-)
+from .exceptions import DegenerateGramianWarning, DomainError, UnreachableStateError
 from .gramian import finite_horizon_gramian
-from .numerics import as_array, as_number, as_square, matrix_exponential, outer_sum, symmetrize
+from .numerics import (as_array, as_number, as_square, finite, matrix_exponential, outer_sum,
+                       symmetrize)
 
 __all__ = [
     "METRIC_KINDS",
@@ -94,10 +90,8 @@ class MetricSpec:
         w = as_array(self.weight, (n if square else None, n), f"{self.kind} weight matrix")
         with np.errstate(over="ignore", invalid="ignore"):
             cbar = symmetrize(w if square else w.T @ w)
-        if not np.isfinite(cbar).all():
-            raise NumericalError(f"{self.kind} weight overflows: its state weighting C_bar "
-                                 "has non-finite entries")
-        return cbar
+        return finite(cbar, f"{self.kind} weight overflows: its state weighting C_bar "
+                            "has non-finite entries")
 
     def describe(self):
         if self.kind == "trace":
@@ -114,9 +108,7 @@ def evaluate_metric(spec, w):
     the score overflows."""
     m = _gram_matrix(w)
     score = float(np.vdot(spec.state_weighting(m.shape[0]), m))
-    if not np.isfinite(score):
-        raise NumericalError(f"{spec.describe()} score overflows to {score}")
-    return score
+    return finite(score, f"{spec.describe()} score overflows to {score}")
 
 
 def _range_solve(w, x):

@@ -7,7 +7,8 @@ factor's rounding level, is applied in one place: ``gramian.LyapunovSolver``,
 which every infinite-horizon computation builds.  :func:`as_array` checks
 every array from outside the program against the shape it must have,
 :func:`as_square` a matrix whose order is not known in advance, and
-:func:`as_number` every number.
+:func:`as_number` every number.  :func:`finite` is the one rule for results:
+an overflow of finite input inside a computation is a NumericalError.
 Commands that never factor a matrix (``gen``, ``--version``) load numpy
 only.  Factoring loads scipy's f2py LAPACK module through :func:`lapack`,
 which skips ``scipy.linalg``'s package import (most of scipy's start-up
@@ -31,6 +32,7 @@ __all__ = [
     "as_number",
     "as_square",
     "eigenvalues",
+    "finite",
     "spectral_abscissa",
     "lapack",
     "matrix_exponential",
@@ -111,13 +113,19 @@ def symmetrize(a):
     return a / 2.0 + a.T / 2.0
 
 
+def finite(x, message):
+    """``x``, an array or a scalar, if every entry is finite, else NumericalError(message):
+    the one rule for results, as :func:`as_array` and :func:`as_number` are for inputs."""
+    if not np.isfinite(x).all():
+        raise NumericalError(message)
+    return x
+
+
 def outer_sum(blocks):
     """``sum b b^T`` over column blocks b of one height; a NumericalError if it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = sum(b @ b.T for b in blocks)
-    if not np.isfinite(q).all():
-        raise NumericalError("b b^T overflows: the input columns are too large to score")
-    return q
+    return finite(q, "b b^T overflows: the input columns are too large to score")
 
 
 def eigenvalues(m):
@@ -142,12 +150,8 @@ def matrix_exponential(m):
     m = as_square(m, "m")
     with np.errstate(over="ignore", invalid="ignore"):
         e = scipy.linalg.expm(m)
-    if not np.isfinite(e).all():
-        raise NumericalError(
-            "overflow in matrix exponential "
-            f"(input 1-norm {np.linalg.norm(m, 1):.3e})"
-        )
-    return e
+        return finite(e, "overflow in matrix exponential "
+                         f"(input 1-norm {np.linalg.norm(m, 1):.3e})")
 
 
 def lapack():

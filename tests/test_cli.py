@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -635,6 +636,11 @@ class TestExitCodes:
         functionals = [["bruteforce", "--k", "1", *flag] for flag in
                        ([], ["--functional", "min_eig"], ["--functional", "log_det"])]
         functionals.append(["verify", "--trials", "2"])
+        # W(t) = (e^{2t} - 1) / 2 of an unstable A overflows in the doubling loop at t = 400,
+        # and a finite b b^T = 1e308 in the block exponential's h b b^T at h = t = 3
+        unstable = {"n": 1, "A": [[1.0]], "candidates": [{"id": "u", "b": [1.0]}]}
+        block = {"n": 1, "A": [[-0.1]], "candidates": [{"id": "u", "b": [1e154]}]}
+        horizon = ["synthesize", "--ids", "u", "--target", "1", "--horizon"]
         # the finite-horizon Gramian forms b b^T through the same checked helper
         synth = {"n": 1, "A": [[-1.0]], "candidates": [{"id": "p0", "b": [1e200]}]}
         cases = [  # (file to write, its document, problem, flags, commands)
@@ -649,6 +655,8 @@ class TestExitCodes:
             (wfile, [[9e153] * 3], four, h2, on_four),
             (path, lone, path, [], functionals),
             (path, pair, path, [], functionals),
+            (path, unstable, path, [], [[*horizon, "400"]]),
+            (path, block, path, [], [[*horizon, "3"]]),
             (path, synth, path, [], [["synthesize", "--ids", "p0", "--horizon", "1",
                                       "--target", "1"]]),
         ]
@@ -684,6 +692,30 @@ class TestExitCodes:
         path.write_text(json.dumps(cases[0][0]))
         code, out, _ = run(capsys, ["verify", str(path), "--trials", "5"])
         assert code == 0 and json.loads(out)["results"]["passed"] is True
+        # on the second, f(A) + f(B) = 3.025e308 when both hold p; verify halves each term
+        # first, so it scores every trial and reports what it reported when it skipped those
+        path.write_text(json.dumps(cases[1][0]))
+        code, out, _ = run(capsys, ["verify", str(path), "--trials", "20"])
+        assert code == 0 and json.loads(out)["results"] == {
+            "max_violation": 3.305785123966942e-308, "metric": "trace", "passed": True,
+            "tolerance": 1e-08, "trials": 20, "worst_pair": [["q"], ["p", "q"]]}
+
+    def test_a_modularity_gap_past_the_float_range_is_3(self, tmp_path, capsys, monkeypatch):
+        # a planted solver: f(A) = f(B) = 1.7e308 and f(A u B) = f(A n B) = -1.7e308, so
+        # even the halved gap overflows; verify must neither pass nor print a NaN
+        calls = itertools.count()
+
+        def solve(self, q, adjoint=False):
+            return np.array([[1.7e308 if next(calls) % 4 < 2 else -1.7e308]])
+
+        monkeypatch.setattr(placement.LyapunovSolver, "solve", solve)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 1, "A": [[-0.1]], "candidates": [
+            {"id": "p", "b": [1.0]}, {"id": "q", "b": [2.0]}]}))
+        code, out, err = run(capsys, ["verify", str(path), "--trials", "5"])
+        assert (code, out) == (3, "")
+        assert [line for line in err.splitlines() if not line.startswith("[gramsel]")] == [
+            "error: trace modularity gap f(A)+f(B)-f(AuB)-f(AnB) overflows"]
 
     def test_overflowing_columns_fail_before_factoring(self, tmp_path, capsys, monkeypatch):
         # CandidateSet.solver's bound r r^T on every subset's b b^T is formed before A is

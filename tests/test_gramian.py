@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -531,6 +532,24 @@ class TestFiniteHorizon:
     def test_columns_whose_outer_product_overflows_are_a_numerical_error(self):
         with pytest.raises(NumericalError, match="^b b\\^T overflows"):
             finite_horizon_gramian([[-1.0]], [[1e200]], 1.0)
+
+    def test_a_gramian_past_the_float_range_is_a_numerical_error(self):
+        # W(t) = (e^{2t} - 1) / 2 for a = b = 1: finite at t = 300, past the float range
+        # at t = 400, where the doubling loop overflows; no numpy warning escapes it
+        assert finite_horizon_gramian([[1.0]], [[1.0]], 300)[0, 0] == 1.886510150469548e+260
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as err:
+                finite_horizon_gramian([[1.0]], [[1.0]], 400)
+        assert str(err.value) == "the finite-horizon Gramian overflows at horizon t = 400"
+
+    def test_a_sub_interval_whose_block_overflows_is_a_numerical_error(self):
+        # b b^T = 1e308 is finite, but the block exponential's h b b^T, h = t = 3, is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as err:
+                finite_horizon_gramian([[-0.1]], [[1e154]], 3.0)
+        assert str(err.value) == "the finite-horizon block h b b^T, h = 3, overflows"
 
 
 class TestObservability:

@@ -10,7 +10,8 @@ benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
 Placement builds its Lyapunov solver in one place, one helper forms and
 checks every ``b b^T``, one comparison states the Hurwitz margin rule, one
 call picks a solver's modal path, shape errors come from the one array
-validator in ``numerics``, and no module imports another's private name.
+validator in ``numerics``, only the input checks and ``numerics.finite`` test
+finiteness, and no module imports another's private name.
 """
 
 import ast
@@ -92,6 +93,29 @@ def test_the_outer_product_rule_is_stated_once():
     assert count == 1
 
 
+def isfinite_calls(tree):
+    """``scoped`` lines of each call of an ``isfinite``, such as ``np.isfinite`` or
+    ``math.isfinite``."""
+    return scoped(tree, lambda node: isinstance(node, ast.Call) and "isfinite" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+
+
+def test_scan_finds_isfinite_calls():
+    tree = ast.parse("import math\nmath.isfinite(1.0)\ndef f(x):\n"
+                     "    return np.isfinite(x).all()\nfrom numpy import isfinite\nisfinite(2)\n")
+    assert isfinite_calls(tree) == {2: None, 4: "f", 6: None}
+
+
+def test_the_finiteness_rule_is_stated_once():
+    # numerics.finite makes every non-finite result a NumericalError, and as_array and
+    # as_number check the inputs; a hand-written copy elsewhere would drift
+    allowed = {("numerics.py", "as_array"), ("numerics.py", "as_number"), ("numerics.py", "finite")}
+    calls = [(path.name, name, line) for path in PACKAGE
+             for line, name in isfinite_calls(ast.parse(path.read_text("utf-8"))).items()
+             if (path.name, name) not in allowed]
+    assert calls == []
+
+
 def test_the_hurwitz_margin_rule_is_stated_once():
     # LyapunovSolver compares the abscissa with -_HURWITZ_MARGIN eps ||A||_1; a second
     # copy would drift
@@ -114,17 +138,25 @@ def test_the_modal_path_is_chosen_once():
     assert calls == [("gramian.py", "__init__")]
 
 
-def dimension_errors(tree):
-    """{line: innermost enclosing function name (None at module level)} of each
-    ``raise DimensionError``."""
+def scoped(tree, matches):
+    """{line: innermost enclosing function name (None at module level)} of each node
+    for which ``matches(node)`` is true."""
     found = {}
     scopes = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for scope in [tree, *scopes]:  # ast.walk is breadth-first: inner scopes come last
         for node in ast.walk(scope):
-            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
-            if getattr(getattr(exc, "func", exc), "id", None) == "DimensionError":
+            if matches(node):
                 found[node.lineno] = getattr(scope, "name", None)
     return found
+
+
+def dimension_errors(tree):
+    """``scoped`` lines of each ``raise DimensionError``."""
+    def raises(node):
+        exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        return getattr(getattr(exc, "func", exc), "id", None) == "DimensionError"
+
+    return scoped(tree, raises)
 
 
 def test_scan_finds_dimension_errors():

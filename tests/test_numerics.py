@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +25,19 @@ from gramsel.numerics import (
     as_number,
     as_square,
     eigenvalues,
+    finite,
     matrix_exponential,
     real_schur,
     spectral_abscissa,
     symmetrize,
 )
-from gramsel.placement import CandidateSet, controllability_centrality
+from gramsel.models import build_swing_matrix, random_hurwitz_system, ring_grid
+from gramsel.placement import (
+    CandidateSet,
+    controllability_centrality,
+    select_top_k,
+    verify_modularity,
+)
 
 
 # --- oracle -----------------------------------------------------------------
@@ -333,3 +341,87 @@ def test_finiteness_check_allocates_no_array_of_the_input_size():
     finally:
         tracemalloc.stop()
     assert peak < x.size // 8  # a boolean mask of x alone would take x.size bytes
+
+
+@pytest.mark.parametrize("x", [np.array([1.0, np.nan]), np.full((2, 2), -np.inf), np.inf,
+                               float("nan")], ids=["nan", "-inf", "inf", "float nan"])
+def test_finite_raises_the_message_for_a_non_finite_entry(x):
+    y = np.zeros((2, 3))
+    assert finite(y, "unused") is y and finite(-1e308, "unused") == -1e308
+    with pytest.raises(NumericalError, match="^the result overflows$"):
+        finite(x, "the result overflows")
+
+
+class TestNoNonFiniteResultEscapes:
+    """Finite input scaled by 10**k, 0 <= k <= 308.25, gives finite results or a
+    NumericalError: never a non-finite value, another exception or a warning."""
+
+    METRICS = ["trace", "weighted_trace", "h2"]
+    # a scale exponent; half the draws fall near the float range's edge, 10**308.25
+    K = st.integers(0, 308) | st.floats(305.0, 308.25)
+
+    @staticmethod
+    def _outcome(fn, *args, **kwargs):
+        """fn's result, or None for a NumericalError; every warning is an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return fn(*args, **kwargs)
+            except NumericalError:
+                return None
+
+    @staticmethod
+    def _system(seed, modal):
+        """``(a, rng)``: a seeded 4-state Hurwitz A, or a 2-bus uniform grid's, which has modes."""
+        a = build_swing_matrix(ring_grid(2)) if modal else random_hurwitz_system(4, 1, seed=seed)[0]
+        assert (LyapunovSolver(a)._modes is not None) == modal
+        return a, np.random.default_rng(seed)
+
+    @staticmethod
+    def _metric(kind, rng, n):
+        if kind == "trace":
+            return MetricSpec()
+        return MetricSpec(kind, rng.normal(size=(n if kind == "weighted_trace" else 2, n)))
+
+    @staticmethod
+    def _symmetric(rng, n, k):
+        q = rng.normal(size=(n, n))
+        q += q.T
+        return q / np.abs(q).max() * 10.0**k
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=K, seed=st.integers(0, 20), modal=st.booleans(), adjoint=st.booleans())
+    def test_lyapunov_solve(self, k, seed, modal, adjoint):
+        a, rng = self._system(seed, modal)
+        w = self._outcome(LyapunovSolver(a).solve, self._symmetric(rng, len(a), k), adjoint)
+        assert w is None or np.isfinite(w).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=K, seed=st.integers(0, 20), t=st.floats(1e-3, 1e3))
+    def test_finite_horizon_gramian(self, k, seed, t):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 3))
+        a += (0.5 - spectral_abscissa(a)) * np.eye(3)  # unstable: an abscissa near 0.5
+        w = self._outcome(finite_horizon_gramian, a, rng.normal(size=(3, 2)) * 10.0**(k / 2), t)
+        assert w is None or np.isfinite(w).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=K, seed=st.integers(0, 20), kind=st.sampled_from(METRICS))
+    def test_evaluate_metric(self, k, seed, kind):
+        rng = np.random.default_rng(seed)
+        metric = self._metric(kind, rng, 4)
+        score = self._outcome(evaluate_metric, metric, self._symmetric(rng, 4, k))
+        assert score is None or np.isfinite(score)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=K, seed=st.integers(0, 20), modal=st.booleans(), kind=st.sampled_from(METRICS))
+    def test_select_and_verify(self, k, seed, modal, kind):
+        # one column scaled by 10**(k/2) and four by less, so subset scores span the range
+        a, rng = self._system(seed, modal)
+        scales = 10.0 ** (k / 2 * np.r_[1.0, rng.random(4)])
+        cs = CandidateSet(a, [f"c{j}" for j in range(5)], rng.normal(size=(len(a), 5)) * scales)
+        metric = self._metric(kind, rng, cs.n)
+        result = self._outcome(select_top_k, cs, 2, metric)
+        assert result is None or np.isfinite([*result.weights, result.total_score]).all()
+        report = self._outcome(verify_modularity, cs, metric, trials=3)
+        assert report is None or np.isfinite(report.max_violation)

@@ -548,6 +548,27 @@ class TestVerifyModularity:
         with pytest.raises(DomainError):
             verify_modularity(cs, trials=0)
 
+    def test_sums_past_the_float_range_are_scored(self, monkeypatch):
+        # p scores 1.5125e308, so f(A) + f(B) overflows in each trial whose A and B both
+        # hold p; with every term halved first, all 20 violations are finite and scored
+        cs = CandidateSet([[-0.1]], ["p", "q"], [[5.5e153, 1.0]])
+        rng = np.random.default_rng(0)  # verify_modularity's draws: five trials hold p twice
+        draws = [(rng.random(2) < 0.5, rng.random(2) < 0.5) for _ in range(20)]
+        assert sum(in_a[0] and in_b[0] for in_a, in_b in draws) == 5
+        violations, check = [], placement.finite
+
+        def finite(x, message):
+            if "modularity" in message:
+                violations.append(x)
+            return check(x, message)
+
+        monkeypatch.setattr(placement, "finite", finite)
+        report = verify_modularity(cs, trials=20)
+        assert len(violations) == 20 and np.isfinite(violations).all()
+        assert (report.max_violation, report.worst_pair) == (3.305785123966942e-308,
+                                                             (("q",), ("p", "q")))
+        assert report.passed
+
     @staticmethod
     def _full_width_reference(cs, metric, trials, seed):
         """verify_modularity's (max_violation, worst_pair) with every subset's Gramian
