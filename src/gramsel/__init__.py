@@ -33,7 +33,6 @@ from .numerics import (
 from .gramian import (
     LyapunovSolver,
     finite_horizon_gramian,
-    lyapunov_residual,
 )
 from .metrics import (
     InputTrajectory,
@@ -80,7 +79,7 @@ __all__ = [
     "eigenvalues", "spectral_abscissa",
     "matrix_exponential", "real_schur",
     # gramian
-    "LyapunovSolver", "lyapunov_residual", "finite_horizon_gramian",
+    "LyapunovSolver", "finite_horizon_gramian",
     # metrics
     "MetricSpec", "evaluate_metric", "InputTrajectory",
     "synthesize_min_energy_input", "TransferResult", "simulate_transfer",

@@ -94,7 +94,7 @@ def _load(args, ranking=True, candidates=True):
     # ranking needs a Hurwitz A; a grid builds without one only if no bus is grounded
     if ranking and problem.grid is not None and not problem.grid.grounded:
         raise StabilityError("no bus is grounded, so A has a zero eigenvalue (a uniform angle "
-                             "shift) and no infinite-horizon Gramian; ground at least one bus")
+                             "shift) and is not Hurwitz; ground at least one bus")
     return problem, cs
 
 

@@ -40,11 +40,7 @@ from .numerics import (
     symmetrize,
 )
 
-__all__ = [
-    "LyapunovSolver",
-    "lyapunov_residual",
-    "finite_horizon_gramian",
-]
+__all__ = ["LyapunovSolver", "finite_horizon_gramian"]
 
 # Symmetry tolerance accepted for Lyapunov right-hand sides.
 _RHS_SYMMETRY_RTOL = 1e-8
@@ -201,12 +197,9 @@ def _modes(a):
     n = a.shape[0] // 2
     if 2 * n != a.shape[0]:
         return None
-    s, c = -a[1::2, ::2], -a[1, 1]
-    template = np.zeros((n, 2, n, 2))
-    template[:, 0, :, 1] = np.eye(n)
-    template[:, 1, :, 0] = -s.T  # equal to a's block only if S is symmetric
-    template[:, 1, :, 1] = -c * np.eye(n)
-    if not np.array_equal(template.reshape(a.shape), a):
+    s, c, eye = -a[1::2, ::2], -a[1, 1], np.eye(n)  # a's blocks read in place, not copied
+    if (a[::2, ::2].any() or not np.array_equal(a[::2, 1::2], eye)
+            or not np.array_equal(a[1::2, 1::2], -c * eye) or not np.array_equal(s, s.T)):
         return None
     lam, v, info = lapack().dsyevd(s)
     # a failed eigensolve keeps the Schur path; the Hurwitz rule implies lam > 0, so
@@ -237,13 +230,6 @@ def _split(t):
     """Middle split point of quasi-triangular t that never cuts a 2x2 block."""
     k = t.shape[0] // 2
     return k + 1 if t[k, k - 1] != 0.0 else k
-
-
-def lyapunov_residual(a, w, q):
-    """Frobenius norm of a w + w a^T + q."""
-    a = as_square(a, "a")
-    w, q = as_array(w, a.shape, "w"), as_array(q, a.shape, "q")
-    return float(np.linalg.norm(a @ w + w @ a.T + q))
 
 
 def finite_horizon_gramian(a, b, t):

@@ -324,6 +324,8 @@ def verify_modularity(cs, metric=MetricSpec(), trials=100, seed=0):
     ids = np.array(cs.ids, dtype=object)
     touched = np.flatnonzero(cs.B.any(axis=1))
     rows = np.empty((cs.size, touched.size))  # row j: column j on the touched states
+    # Stacked through cs.input_matrix, not as cs.B[touched].T, because the benchmark's
+    # span contract expects CandidateSet.input_matrix and .column on every verify.
     for cols in _blocks(cs.n, cs.size):
         rows[cols] = cs.input_matrix(cs.ids[cols])[touched].T
 

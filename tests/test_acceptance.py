@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from gramsel import cli
 from gramsel.exceptions import EnumerationCapError
-from gramsel.gramian import LyapunovSolver, finite_horizon_gramian, lyapunov_residual
+from gramsel.gramian import LyapunovSolver, finite_horizon_gramian
 from gramsel.metrics import MetricSpec, simulate_transfer, synthesize_min_energy_input
 from gramsel.models import (
     build_swing_matrix,
@@ -35,6 +35,10 @@ from gramsel.placement import (
     select_top_k,
     verify_modularity,
 )
+
+from residual import backward_error
+
+EPS = np.finfo(float).eps
 
 
 def criterion(label):
@@ -123,11 +127,8 @@ def test_03_lyapunov_residuals_and_analytic_cases():
         a, _, b = _system(seed=3000 + i, n=int(n), m=1 + i % 4)
         q = b @ b.T
         wmat = LyapunovSolver(a).gramian(b)
-        residual = lyapunov_residual(a, wmat, q)
-        bound = 1e-10 * (
-            np.linalg.norm(a) * np.linalg.norm(wmat) + np.linalg.norm(q)
-        )
-        assert residual <= bound, f"n={n}: residual {residual:.3e} > {bound:.3e}"
+        eta = backward_error(a, wmat, q)
+        assert eta <= n * EPS, f"n={n}: backward error {eta:.3e} > n eps"
 
 
 @criterion("04 finite-horizon-correctness")
@@ -242,8 +243,7 @@ def test_09_observability_duality():
         g_obs = LyapunovSolver(a.T).gramian(c.T)
         g_adjoint = LyapunovSolver(a).solve(c.T @ c, adjoint=True)
         assert np.allclose(g_obs, g_adjoint, rtol=1e-10, atol=1e-12 * np.abs(g_obs).max())
-        assert lyapunov_residual(a.T, g_obs, c.T @ c) <= 1e-10 * (
-            np.linalg.norm(a) * np.linalg.norm(g_obs) + np.linalg.norm(c.T @ c))
+        assert backward_error(a.T, g_obs, c.T @ c) <= n * EPS
 
     # sensor ranking == actuator ranking on the transposed system
     a = _system(seed=9999, n=6, m=1)[0]

@@ -14,7 +14,7 @@ from gramsel.exceptions import (
     NumericalError,
     StabilityError,
 )
-from gramsel.gramian import LyapunovSolver, finite_horizon_gramian, lyapunov_residual
+from gramsel.gramian import LyapunovSolver, finite_horizon_gramian
 from gramsel.models import (
     build_swing_matrix,
     grid_model,
@@ -29,6 +29,7 @@ from gramsel.numerics import spectral_abscissa
 from gramsel.placement import CandidateSet
 
 from exact_lyapunov import adjoint_solution
+from residual import backward_error
 
 EPS = np.finfo(float).eps
 
@@ -107,10 +108,7 @@ class TestSolveLyapunov:
             a, b = _system(seed)
             q = b @ b.T
             w = LyapunovSolver(a).solve(q)
-            bound = 1e-10 * (
-                np.linalg.norm(a) * np.linalg.norm(w) + np.linalg.norm(q)
-            )
-            assert lyapunov_residual(a, w, q) <= bound
+            assert backward_error(a, w, q) <= len(a) * EPS
 
     def test_non_hurwitz_rejected_naming_the_abscissa(self):
         with pytest.raises(StabilityError) as err:
@@ -280,8 +278,7 @@ class TestBlockedKernel:
         solver = LyapunovSolver(a)
         for adjoint, a_eq in ((False, a), (True, a.T)):
             w = solver.solve(q, adjoint=adjoint)
-            scale = 2 * np.linalg.norm(a) * np.linalg.norm(w) + np.linalg.norm(q)
-            assert lyapunov_residual(a_eq, w, q) <= 100 * np.finfo(float).eps * scale
+            assert backward_error(a_eq, w, q) <= n * EPS
 
     # -- a fake leaf routine drives the scale/info branches on every leaf --
 
@@ -340,6 +337,20 @@ def _grid(buses, lines=()):
         "lines": [{"from": f"b{i}", "to": f"b{j}", "susceptance": b} for i, j, b in lines]})
 
 
+def _template_rejects(a):
+    """True unless ``a`` is ``[[0, I], [-S, -c I]]`` with S symmetric, tested as a whole
+    (n, 2, n, 2) template built from ``a``: the oracle for ``gramian._modes``'s block test."""
+    n = a.shape[0] // 2
+    if 2 * n != a.shape[0]:
+        return True
+    s, c = -a[1::2, ::2], -a[1, 1]
+    template = np.zeros((n, 2, n, 2))
+    template[:, 0, :, 1] = np.eye(n)
+    template[:, 1, :, 0] = -s.T  # equal to a's block only if S is symmetric
+    template[:, 1, :, 1] = -c * np.eye(n)
+    return not np.array_equal(template.reshape(a.shape), a)
+
+
 class TestModes:
     """A uniformly damped grid's forward solves go through its modes; adjoint solves,
     and every other A, through the Schur factor."""
@@ -394,8 +405,7 @@ class TestModes:
         q = _rhs(solver.n, n)
         w, reference = solver.solve(q), self._schur(a).solve(q)
         assert np.abs(w - reference).max() <= 1e-12 * np.abs(reference).max()
-        scale = 2 * np.linalg.norm(a) * np.linalg.norm(w) + np.linalg.norm(q)
-        assert lyapunov_residual(a, w, q) <= solver.n * EPS * scale
+        assert backward_error(a, w, q) <= solver.n * EPS
 
     @pytest.mark.parametrize("a", [
         build_swing_matrix(_grid([(1.0, 0.5, 0.1), (2.0, 1.0, 0.0)], [(0, 1, 1.0)])),
@@ -405,10 +415,30 @@ class TestModes:
         random_hurwitz_system(40, 3, seed=1)[0],
         [[-0.1]],
         [[0.0, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]],
+        [[-0.1, 1.0], [-1.0, -0.1]],
     ], ids=["one bus's inertia off (S asymmetric)", "one bus's damping off", "a one off by 1 ulp",
-            "gen --random 6", "gen --random 40", "odd n = 1", "odd n = 3"])
+            "gen --random 6", "gen --random 40", "odd n = 1", "odd n = 3",
+            "a nonzero angle-angle entry"])
     def test_no_modes_off_the_second_order_form(self, a):
         assert LyapunovSolver(a)._modes is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_the_block_test_decides_as_the_template(self, data, n):
+        # S diagonally dominant by at least 1 and c in [0.5, 2]: a move of at most 0.25
+        # keeps S positive definite and c positive, so only the form decides
+        unit = st.floats(-1.0, 1.0)
+        off = np.array([[data.draw(unit) for _ in range(n)] for _ in range(n)])
+        s = np.triu(off, 1) + np.triu(off, 1).T + np.diag([n + 1.0 + data.draw(unit)] * n)
+        c = data.draw(st.floats(0.5, 2.0))
+        a = np.zeros((n, 2, n, 2))
+        a[:, 0, :, 1], a[:, 1, :, 0], a[:, 1, :, 1] = np.eye(n), -s, -c * np.eye(n)
+        a = a.reshape(2 * n, 2 * n)
+        # one entry of one of the four (angle, frequency) blocks moves, by zero or more
+        row, col = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        a[2 * i + row, 2 * j + col] += data.draw(st.floats(-0.25, 0.25))
+        assert (gramian._modes(a) is None) == _template_rejects(a)
 
     def test_an_explicit_problem_in_second_order_form_takes_the_modes(self, tmp_path):
         # the choice is a property of A, not of the problem file's form
@@ -570,7 +600,7 @@ class TestObservability:
         assert np.array_equal(sensors.solver.gramian(sensors.input_matrix(["y0", "y1"])), w)
         assert np.allclose(w, lyap_kron(a.T, c.T @ c), rtol=1e-10, atol=1e-12)
         assert not np.allclose(w, lyap_kron(a, c.T @ c), rtol=1e-3)
-        assert lyapunov_residual(a.T, w, c.T @ c) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(w)
+        assert backward_error(a.T, w, c.T @ c) <= len(a) * EPS
 
     def test_row_dimension_check(self):
         # c has 3 columns for 2 states: c^T is a (3, 1) input matrix for a^T

@@ -6,7 +6,9 @@ syntax tree: an imported name must be read somewhere in the module or
 be listed in its ``__all__``.  Since a listed name counts as used, each
 ``__all__`` entry must also resolve on the imported module, or
 ``from gramsel import *`` would fail.  Every gramsel name that the
-benchmark's tracer (``perfbench/spans.py``) wraps must exist as well.
+benchmark's tracer (``perfbench/spans.py``) wraps must exist as well, and
+every ``__all__`` name must be read by package code, the README or the
+benchmark, not by tests alone.
 Placement builds its Lyapunov solver in one place, one helper forms and
 checks every ``b b^T``, one comparison states the Hurwitz margin rule, one
 call picks a solver's modal path, shape errors come from the one array
@@ -26,6 +28,21 @@ PACKAGE = sorted((ROOT / "src" / "gramsel").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
+def exported(tree):
+    """The names a module lists in its ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def readme_python():
+    """The README's python blocks joined as one script, as tests/test_cli.py runs them."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return "\n".join(re.findall(r"```python\n(.*?)```", text, re.DOTALL))
+
+
 def unused_imports(tree):
     imported = {}
     for node in ast.walk(tree):
@@ -36,10 +53,7 @@ def unused_imports(tree):
                 if name != "*":
                     imported.setdefault(name, node.lineno)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -49,10 +63,7 @@ def test_no_unused_imports(path):
 
 
 def test_no_unused_imports_in_readme_quickstart():
-    # the python blocks joined as one script, as tests/test_cli.py runs them
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
-    assert unused_imports(ast.parse("\n".join(blocks))) == []
+    assert unused_imports(ast.parse(readme_python())) == []
 
 
 def test_scan_finds_an_unused_import():
@@ -66,6 +77,51 @@ def test_scan_finds_an_unused_import():
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def names_read(tree, dotted_strings=False):
+    """The names and attributes ``tree`` loads; with ``dotted_strings``, also each part
+    of a string constant that is a dotted name, as perfbench/spans.py names its targets."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif (dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            read.update(node.value.split("."))
+    return read
+
+
+def unread_exports(modules, read):
+    """``"<module>: <name>"`` for each ``__all__`` name of ``modules`` ({file name: tree})
+    that is not in ``read``."""
+    return [f"{name}: {n}" for name, tree in modules.items() for n in exported(tree)
+            if n not in read]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public name must be read by package code (its own module's included: a result
+    # class is built where it is defined), by the README's python or by the benchmark;
+    # one that only tests read is code kept for its tests.  __init__'s re-exports are
+    # imports, which names_read does not count.
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    read = set().union(
+        *map(names_read, modules.values()), names_read(ast.parse(readme_python())),
+        *(names_read(ast.parse(path.read_text(encoding="utf-8")), dotted_strings=True)
+          for path in (ROOT / "perfbench").glob("*.py")))
+    assert unread_exports(modules, read) == []
+
+
+def test_scan_finds_a_name_only_tests_read():
+    module = ast.parse("__all__ = ['solve', 'residual']\ndef solve(): pass\n"
+                       "def residual(): pass\n")
+    caller = ast.parse("import m\nm.solve()\n")
+    test = ast.parse("from m import residual\nassert residual() < 1\n")
+    bench = ast.parse("TARGETS = (('m.residual', 'gramsel.m', 'residual'),)\n")
+    read = names_read(module) | names_read(caller)
+    assert "residual" in names_read(test)  # tests are not among the readers
+    assert unread_exports({"m.py": module}, read) == ["m.py: residual"]
+    assert unread_exports({"m.py": module}, read | names_read(bench, dotted_strings=True)) == []
 
 
 def test_benchmark_span_targets_resolve():

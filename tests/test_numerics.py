@@ -13,7 +13,7 @@ from gramsel.exceptions import (
     NumericalError,
     StabilityError,
 )
-from gramsel.gramian import LyapunovSolver, finite_horizon_gramian, lyapunov_residual
+from gramsel.gramian import LyapunovSolver, finite_horizon_gramian
 from gramsel.metrics import (
     MetricSpec,
     evaluate_metric,
@@ -260,9 +260,6 @@ ARRAY_ARGUMENTS = [
     (LyapunovSolver(A).gramian, {"b": B}, "b", COLUMN, "b"),
     (LyapunovSolver(A).gramian, {"b": B}, "b", TALL, "b"),
     (LyapunovSolver(A).solve, {"q": I2}, "q", np.eye(3).tolist(), "q"),
-    (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "a", WIDE, "a"),
-    (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "w", np.zeros((2, 2, 2)).tolist(), "w"),
-    (lyapunov_residual, {"a": A, "w": I2, "q": I2}, "q", np.eye(3).tolist(), "q"),
     (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "a", WIDE, "a"),
     (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "b", TALL, "b"),
     (finite_horizon_gramian, {"a": A, "b": B, "t": 1.0}, "b", COLUMN, "b"),
