@@ -82,6 +82,7 @@ def _emit(args, problem, results, table=None):
                 "results": results,
             }, out.write)
             out.write("\n")
+        out.flush()  # a reader that closed stdout raises here, inside main, not at exit
 
 
 def _load(args, ranking=True, candidates=True):
@@ -388,6 +389,9 @@ def main(argv=None):
             warnings.showwarning = lambda message, *_: print(
                 f"[gramsel] warning: {message}", file=sys.stderr)
             return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout: end quietly, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit's flush passes
+        return 141
     except (NumericalError, MemoryError) as exc:  # numpy's MemoryError names its allocation
         print(f"error: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 3

@@ -71,16 +71,12 @@ _HURWITZ_MARGIN = 1000.0
 class LyapunovSolver:
     """Schur-reduction Lyapunov back end bound to one dynamics matrix.
 
-    Factors ``a = U T U^T`` once and reads the Hurwitz rule off ``T``: a
-    spectral abscissa below ``-_HURWITZ_MARGIN`` times eps ||A||_1;
-    each :meth:`solve` then costs one recursive blocked quasi-triangular
-    solve (matrix products, with LAPACK ``*trsyl`` on diagonal blocks of
-    order at most ``_LEAF``) plus two basis transforms, for the forward
-    equation or its adjoint.  When ``a`` has the second-order form of a grid
-    with uniform inertia and damping, it also holds the eigenvectors of S, and
-    a forward solve instead takes the four N x N planes of q to the mode basis and
-    back, with 16 elementwise products between; adjoint solves, which give every
-    candidate's score, stay on the Schur factor.
+    Factors ``a = U T U^T`` once and reads the Hurwitz rule off ``T``: a spectral abscissa
+    below ``-_HURWITZ_MARGIN`` times eps ||A||_1; each :meth:`solve` then costs one
+    recursive blocked quasi-triangular solve (matrix products, with LAPACK ``*trsyl`` on
+    diagonal blocks of order at most ``_LEAF``) plus two basis transforms, for the forward
+    equation or its adjoint.  A grid with uniform inertia and damping takes forward solves
+    through its modes instead (:func:`_modal_solve`).
     """
 
     def __init__(self, a):
@@ -114,15 +110,14 @@ class LyapunovSolver:
         """
         q = as_array(q, self.a.shape, "q")
         with np.errstate(over="ignore", invalid="ignore"):
-            qs = np.ldexp(q, -np.frexp(np.abs(q).max())[1])  # exact; the norms stay in range
+            qs = np.ldexp(q, -(k := np.frexp(np.abs(q).max())[1]))  # exact; norms in range
             if np.linalg.norm(qs - qs.T) > _RHS_SYMMETRY_RTOL * np.linalg.norm(qs):
                 raise DomainError("right-hand side q must be symmetric")
-            f = -symmetrize(q)
             if self._modes and not adjoint:
-                w = _modal_solve(*self._modes, f)
+                w = np.ldexp(_modal_solve(*self._modes, -symmetrize(qs)), k)
             else:
                 u, t = self._factors[bool(adjoint)]
-                y = u.T @ f @ u
+                y = u.T @ -symmetrize(q) @ u
                 if self._lyapunov(t, y):
                     warnings.warn(
                         "trsyl perturbed nearly-common eigenvalues to solve; "
@@ -181,18 +176,9 @@ class LyapunovSolver:
 
 
 def _modes(a):
-    """``(V, planes)`` when ``a`` is ``[[0, I], [-S, -c I]]`` in (angle, frequency) state
-    order with S = V diag(lam) V^T symmetric positive definite, else None.
-
-    Every grid with uniform inertia m and damping d has this form, S = (L + G) / m and
-    c = d / m.  In the basis V (x) I_2, A splits into 2x2 blocks A_i = [[0, 1], [-lam_i, -c]],
-    and block (i, j) of W solves A_i Y + Y A_j^T = F_ij, whose 4x4 Kronecker sum on the
-    row-major vec of Y has determinant (lam_i - lam_j)^2 + 2 c^2 (lam_i + lam_j), a sum
-    of positive terms.  ``planes[p, r, k, l, i, j]`` is the entry of its inverse that
-    takes F_ij[k, l] to Y[p, r]: the adjugate, whose entries are polynomials, over the
-    determinant.  An ``a`` that passed the Hurwitz rule has c and every lam between
-    about 5e-26 and 5e37 (its ones make ||A||_1 >= 1), so both stay far inside the
-    float range.
+    """``(V, lam, c)`` when ``a`` is ``[[0, I], [-S, -c I]]`` in (angle, frequency) state
+    order with S = V diag(lam) V^T symmetric positive definite, else None: the form of
+    every grid with uniform inertia m and damping d, with S = (L + G) / m and c = d / m.
     """
     n = a.shape[0] // 2
     if 2 * n != a.shape[0]:
@@ -206,23 +192,33 @@ def _modes(a):
     # that test guards rounding only
     if info or not (lam > 0.0).all():
         return None
-    al, be = lam[:, None], lam[None, :]
-    d, sigma, cc, c2 = al - be, al + be, 2.0 * c * c, 2.0 * c
-    planes = np.array(np.broadcast_arrays(
-        -c * (sigma + cc), d - cc, -d - cc, -c2,
-        be * (cc - d), -c2 * al, c2 * be, -d,
-        al * (d + cc), c2 * al, -c2 * be, d,
-        -c2 * al * be, al * d, -be * d, -c * sigma))
-    planes /= d * d + cc * sigma
-    return v, planes.reshape(2, 2, 2, 2, n, n)
+    return v, lam, c
 
 
-def _modal_solve(v, planes, f):
-    """A W + W A^T = f on the factors of :func:`_modes`."""
+def _modal_solve(v, lam, c, f):
+    """A W + W A^T = f on the modes ``(v, lam, c)`` of :func:`_modes`, for f scaled to a
+    largest entry near 1.  The Hurwitz rule puts c and every lam in about [5e-26, 5e37]
+    (A's ones make ||A||_1 >= 1), but c^2 f00 can still overflow where W does not.
+
+    In the basis V (x) I_2, block (i, j) of W solves A_i Y + Y A_j^T = F with
+    A_i = [[0, 1], [-a, -c]], a = lam_i and b = lam_j, entry by entry
+        y01 + y10 = f00,  y11 - b y00 - c y01 = f01,  y11 - a y00 - c y10 = f10,
+        -a y01 - b y10 - 2 c y11 = f11.
+    With d = a - b, sigma = a + b and e = y10 - y01, the first gives y01 and y10 as
+    (f00 -+ e) / 2, and the last then 2 c y11 = -f11 - (sigma f00 - d e) / 2.  The middle
+    two's difference is r1 = f01 - f10 = d y00 + c e, and c times their sum, with that
+    y11, is r2 = f11 + (sigma / 2 + c^2) f00 + c (f01 + f10) = -c sigma y00 + (d / 2) e.
+    Cramer's rule solves these two in (y00, e), with determinant (d^2 + 2 c^2 sigma) / 2
+    > 0.  Their sum alone would also give y11, but it cancels when c^2 >> lam.
+    """
     n = v.shape[0]
-    # ft[k, l, i, j] is entry (k, l) of the 2x2 block (i, j) of f in the mode basis
-    ft = v.T @ f.reshape(n, 2, n, 2).transpose(1, 3, 0, 2) @ v
-    y = (planes * ft).sum(axis=(2, 3))
+    f00, f01, f10, f11 = (v.T @ f.reshape(n, 2, n, 2).transpose(1, 3, 0, 2) @ v).reshape(4, n, n)
+    d, sigma = lam[:, None] - lam, lam[:, None] + lam
+    r1, r2 = f01 - f10, f11 + (sigma / 2 + c * c) * f00 + c * (f01 + f10)
+    det = d * d / 2 + c * c * sigma
+    y00, e = (d / 2 * r1 - c * r2) / det, (d * r2 + c * sigma * r1) / det
+    y11 = -(f11 + sigma / 2 * f00 - d / 2 * e) / (2 * c)
+    y = np.array([[y00, (f00 - e) / 2], [(f00 + e) / 2, y11]])
     return (v @ y @ v.T).transpose(2, 0, 3, 1).reshape(f.shape)
 
 

@@ -809,6 +809,33 @@ class TestDestinations:
         assert code == 2 and out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("args, command, reads", [
+        (("--ring", "74"), ["rank", "--csv"], 100),  # 94 kB: the write itself fails
+        (("--ring", "6"), ["centrality"], 0),  # 1.5 kB, buffered until the report ends
+    ], ids=["ring74 rank --csv, 100 bytes read", "ring6 centrality, closed before"])
+    def test_a_reader_that_closes_stdout_ends_the_run_quietly(
+            self, tmp_path, capsys, args, command, reads):
+        # 141 = 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends
+        path = make_problem(tmp_path, capsys, args=args)
+        code = "import sys; from gramsel import cli; sys.exit(cli.main(sys.argv[1:]))"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(gramsel.__file__).parents[1])
+        r, w = os.pipe()
+        if not reads:
+            os.close(r)
+        with subprocess.Popen([sys.executable, "-c", code, command[0], path, *command[1:]],
+                              stdout=w, stderr=subprocess.PIPE, env=env, text=True) as proc:
+            os.close(w)
+            if reads:
+                got = b""
+                while len(got) < reads:
+                    got += os.read(r, reads - len(got))
+                os.close(r)
+                assert got.startswith(b"rank,id,score\n")
+            err = proc.stderr.read()
+        assert proc.returncode == 141
+        assert all(line.startswith("[gramsel] ") for line in err.splitlines()), err
+
 
 LOADING_COMMANDS = [
     ["rank"], ["select", "--k", "2"], ["centrality"], ["verify", "--trials", "3"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -447,6 +448,36 @@ class TestModes:
         write_problem(path, system_problem_dict(build_swing_matrix(grid), *hvdc_candidates(grid)))
         problem = load_problem(path)
         assert problem.grid is None and problem.candidate_set.solver._modes is not None
+
+    def test_a_stiff_grid_solves_in_range(self):
+        # c = 1e8, so c^2 times an entry of q = b b^T (1e294) overflows although W peaks at
+        # 7.9e293: the modal solve must run on q scaled to a largest entry near 1.  The
+        # reference is the exact solution of the float problem: the two backward-stable
+        # float paths lie 4e-8 apart on an operator whose spectrum spans -0.1 to -1e8.
+        a = build_swing_matrix(ring_grid(6, inertia=1e-8, damping=1.0))
+        b = np.zeros(12)
+        b[:2] = 1e147  # bus 0's angle and frequency
+        q = np.outer(b, b)
+        solver = LyapunovSolver(a)
+        assert solver._modes is not None and solver._modes[2] == 1e8
+        w = solver.solve(q)
+        exact = np.array(adjoint_solution(a.T, q), dtype=float)
+        assert np.abs(w - exact).max() <= 4 * solver.n * EPS * np.abs(exact).max()
+        # eta is scale-free; a power of two scales exactly and keeps the residual finite
+        assert backward_error(a, w * 2.0**-976, q * 2.0**-976) <= solver.n * EPS
+
+    def test_the_modes_hold_v_and_lam_alone(self):
+        a = build_swing_matrix(ring_grid(300))
+        n = a.shape[0] // 2
+        # scipy's LAPACK module is loaded at this file's import, so the count is _modes's
+        tracemalloc.start()
+        try:
+            modes = gramian._modes(a)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert modes is not None
+        assert held <= 1.1 * 8 * (n * n + n)
 
 
 class TestControllabilityGramian:
