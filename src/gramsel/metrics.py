@@ -15,7 +15,7 @@ import numpy as np
 from .exceptions import DegenerateGramianWarning, DomainError, UnreachableStateError
 from .gramian import finite_horizon_gramian
 from .numerics import (as_array, as_number, as_square, finite, matrix_exponential, outer_sum,
-                       symmetrize)
+                       scaled, symmetrize)
 
 __all__ = [
     "METRIC_KINDS",
@@ -123,13 +123,13 @@ def _range_solve(w, x):
         return np.zeros_like(x)
     lam_max = max(float(vals[-1]), 0.0)
     zero = vals <= SINGULAR_RTOL * lam_max
-    coeff = vecs.T @ x
-    leakage = np.linalg.norm(coeff[zero])
-    if leakage > _RANGE_RTOL * np.linalg.norm(x):
+    xs, k = scaled(x)
+    coeff = vecs.T @ xs
+    leakage, norm = np.linalg.norm(coeff[zero]), np.linalg.norm(xs)
+    if leakage > _RANGE_RTOL * norm:
         raise UnreachableStateError(
             "target state lies outside the range of the gramian "
-            f"(out-of-range component {leakage:.3e} of norm "
-            f"{np.linalg.norm(x):.3e})"
+            f"(out-of-range component {leakage / norm:.3e} of its norm)"
         )
     if zero.any():
         warnings.warn(
@@ -141,7 +141,7 @@ def _range_solve(w, x):
     y = np.zeros_like(coeff)
     keep = ~zero
     y[keep] = coeff[keep] / vals[keep]
-    return vecs @ y
+    return np.ldexp(vecs @ y, k)
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,10 @@ class InputTrajectory:
 def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     """Minimum-energy open-loop input steering (a, b) from 0 to x_f in time t.
 
-    Implements u*(tau) = B^T e^{A^T (t - tau)} W(t)^{-1} x_f sampled on a
-    uniform grid of ``samples`` points.  The matrix exponentials are
-    evaluated by backward stepping with a single per-step propagator, so
-    the cost is one finite-horizon Gramian plus one expm.
+    Implements u*(tau) = B^T e^{A^T (t - tau)} W(t)^{-1} x_f sampled on a uniform grid
+    of ``samples`` points.  The matrix exponentials are evaluated by backward stepping
+    with a single per-step propagator, so the cost is one finite-horizon Gramian plus one
+    expm.  A NumericalError if the energy or an input is not finite.
     """
     a = as_square(a, "a")
     n = a.shape[0]
@@ -173,16 +173,17 @@ def synthesize_min_energy_input(a, b, t, x_f, samples=201):
     x = as_array(x_f, (n,), "x_f")
     t = as_number(t, "horizon t", 0.0, strict=True)
 
-    eta = _range_solve(finite_horizon_gramian(a, b, t), x)  # W(t)^{-1} x_f
-
-    times = np.linspace(0.0, t, samples)
-    step = matrix_exponential(a.T * (t / (samples - 1)))
-    z = np.empty((samples, n))
-    z[-1] = eta
-    for k in range(samples - 2, -1, -1):
-        z[k] = step @ z[k + 1]
-    inputs = z @ b  # row k: B^T z_k
-    return InputTrajectory(times=times, inputs=inputs, energy=float(x @ eta), costate=eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _range_solve(finite_horizon_gramian(a, b, t), x)  # W(t)^{-1} x_f
+        energy = finite(float(x @ eta), "the minimum energy x_f^T W(t)^{-1} x_f overflows")
+        times = np.linspace(0.0, t, samples)
+        step = matrix_exponential(a.T * (t / (samples - 1)))
+        z = np.empty((samples, n))
+        z[-1] = eta
+        for k in range(samples - 2, -1, -1):
+            z[k] = step @ z[k + 1]
+        inputs = finite(z @ b, "the minimum-energy input overflows")  # row k: B^T z_k
+    return InputTrajectory(times=times, inputs=inputs, energy=energy, costate=eta)
 
 
 @dataclass(frozen=True)

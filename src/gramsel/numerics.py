@@ -8,7 +8,8 @@ which every infinite-horizon computation builds.  :func:`as_array` checks
 every array from outside the program against the shape it must have,
 :func:`as_square` a matrix whose order is not known in advance, and
 :func:`as_number` every number.  :func:`finite` is the one rule for results:
-an overflow of finite input inside a computation is a NumericalError.
+an overflow of finite input inside a computation is a NumericalError, and
+:func:`scaled` the one range rule: a linear computation runs on its scaled input.
 Commands that never factor a matrix (``gen``, ``--version``) load numpy
 only.  Factoring loads scipy's f2py LAPACK module through :func:`lapack`,
 which skips ``scipy.linalg``'s package import (most of scipy's start-up
@@ -38,6 +39,7 @@ __all__ = [
     "matrix_exponential",
     "outer_sum",
     "real_schur",
+    "scaled",
     "symmetrize",
 ]
 
@@ -119,6 +121,14 @@ def finite(x, message):
     if not np.isfinite(x).all():
         raise NumericalError(message)
     return x
+
+
+def scaled(x):
+    """``(x * 2**-k, k)``, largest |entry| in [1/2, 1) (k = 0 for a zero x) and exact bar
+    entries under 2**-1021 of the largest: a computation linear in x, or a norm that squares
+    or sums, runs on it in range, and ``np.ldexp(..., k)`` scales the outcome back."""
+    k = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -k), k
 
 
 def outer_sum(blocks):

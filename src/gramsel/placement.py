@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import DomainError, EnumerationCapError, NumericalError
 from .gramian import LyapunovSolver
 from .metrics import MetricSpec, evaluate_metric
-from .numerics import as_array, as_number, as_square, finite, outer_sum
+from .numerics import as_array, as_number, as_square, finite, outer_sum, scaled
 
 __all__ = [
     "CandidateSet",
@@ -162,8 +162,9 @@ def _check_signs(cs, metric, p, weights):
     even though A passed the Hurwitz rule and the weights passed the additivity check."""
     low = np.flatnonzero(weights < 0.0)
     b = cs.B[:, low]
+    ps, k = scaled(p)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound flags nothing
-        bound = cs.n * np.finfo(float).eps * np.linalg.norm(p) * (b * b).sum(axis=0)
+        bound = cs.n * np.finfo(float).eps * np.ldexp(np.linalg.norm(ps), k) * (b * b).sum(axis=0)
     bad = np.flatnonzero(weights[low] < -bound)
     if bad.size:
         j = low[bad[0]]

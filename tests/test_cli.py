@@ -14,6 +14,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -525,6 +526,17 @@ class TestExitCodes:
                 assert errors[0].startswith("error: dynamics matrix is not Hurwitz to 1000 "
                                             "times the Schur factor's rounding level")
 
+    def test_wrong_signs_past_the_norm_range_are_3(self, tmp_path, capsys):
+        # A = [[-1e-300]]: trsyl perturbs its eigenvalue and P comes out -9.98e291 for the
+        # true 5e299, whose Frobenius norm overflows unless P is scaled first
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"n": 1, "A": [[-1e-300]], "candidates": [
+            {"id": "p", "b": [1.0]}, {"id": "q", "b": [2.0]}]}))
+        code, out, err = run(capsys, ["rank", str(path)])
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 3 and out == "" and len(errors) == 1
+        assert errors[0].startswith("error: trace weight of candidate 'p' is -")
+
     def test_wrong_adjoint_is_3(self, tmp_path, capsys, skewed_adjoint):
         path = make_problem(tmp_path, capsys)
         code, out, err = run(capsys, ["rank", path])
@@ -637,12 +649,14 @@ class TestExitCodes:
                        ([], ["--functional", "min_eig"], ["--functional", "log_det"])]
         functionals.append(["verify", "--trials", "2"])
         # W(t) = (e^{2t} - 1) / 2 of an unstable A overflows in the doubling loop at t = 400,
-        # and a finite b b^T = 1e308 in the block exponential's h b b^T at h = t = 3
+        # and W(3) = 2.26e308 of a finite b b^T = 1e308
         unstable = {"n": 1, "A": [[1.0]], "candidates": [{"id": "u", "b": [1.0]}]}
         block = {"n": 1, "A": [[-0.1]], "candidates": [{"id": "u", "b": [1e154]}]}
         horizon = ["synthesize", "--ids", "u", "--target", "1", "--horizon"]
         # the finite-horizon Gramian forms b b^T through the same checked helper
         synth = {"n": 1, "A": [[-1.0]], "candidates": [{"id": "p0", "b": [1e200]}]}
+        # a finite W(1) = 0.43 whose minimum energy x_f^T W(1)^{-1} x_f overflows
+        energy = {"n": 1, "A": [[-1.0]], "candidates": [{"id": "u", "b": [1.0]}]}
         cases = [  # (file to write, its document, problem, flags, commands)
             (path, explicit, path, [], on_four[:2]),
             (path, scaled, path, [], on_four[:2]),
@@ -657,6 +671,8 @@ class TestExitCodes:
             (path, pair, path, [], functionals),
             (path, unstable, path, [], [[*horizon, "400"]]),
             (path, block, path, [], [[*horizon, "3"]]),
+            (path, energy, path, [], [["synthesize", "--ids", "u", "--horizon", "1",
+                                       "--target", "1e200"]]),
             (path, synth, path, [], [["synthesize", "--ids", "p0", "--horizon", "1",
                                       "--target", "1"]]),
         ]
@@ -673,6 +689,7 @@ class TestExitCodes:
 
     def test_solutions_near_the_float_range_are_scored(self, tmp_path, capsys):
         # each best Gramian is finite, though twice its largest entry is not
+        rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)  # by 45 degrees
         cases = [  # (document, best id, its trace)
             ({"n": 2, "A": [[-1, 0], [0, -2]], "candidates": [
                 {"id": "a", "b": [1, 0]}, {"id": "b", "b": [1.2e154, 0]}]}, "b", 7.2e307),
@@ -680,6 +697,11 @@ class TestExitCodes:
                 {"id": "p", "b": [5.5e153]}, {"id": "q", "b": [1.0]}]}, "p", 1.5125e308),
             ({"n": 2, "A": [[-0.1, 0], [0, -0.2]], "candidates": [
                 {"id": "p", "b": [5.5e153, 0]}, {"id": "q", "b": [0, 1.0]}]}, "p", 1.5125e308),
+            # A = R diag(-1, -2) R^T and p along R's first column: the Schur path's
+            # U^T b b^T sums past the float range unless b b^T is scaled first
+            ({"n": 2, "A": (rotation @ np.diag([-1.0, -2.0]) @ rotation.T).tolist(),
+              "candidates": [{"id": "p", "b": (1.8e154 * rotation[:, 0]).tolist()}]},
+             "p", 1.62e308),
         ]
         path = tmp_path / "big.json"
         for doc, best, value in cases:
@@ -694,10 +716,13 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["results"]["passed"] is True
         # on the second, f(A) + f(B) = 3.025e308 when both hold p; verify halves each term
         # first, so it scores every trial and reports what it reported when it skipped those
+        # (the worst violation is f({q}) / f({p, q}), each the correctly rounded
+        # q / (2 fl(0.1)))
         path.write_text(json.dumps(cases[1][0]))
         code, out, _ = run(capsys, ["verify", str(path), "--trials", "20"])
+        w_q, w_pq = (float(Fraction(q) / (2 * Fraction(0.1))) for q in (1.0, 5.5e153 ** 2))
         assert code == 0 and json.loads(out)["results"] == {
-            "max_violation": 3.305785123966942e-308, "metric": "trace", "passed": True,
+            "max_violation": w_q / w_pq, "metric": "trace", "passed": True,
             "tolerance": 1e-08, "trials": 20, "worst_pair": [["q"], ["p", "q"]]}
 
     def test_a_modularity_gap_past_the_float_range_is_3(self, tmp_path, capsys, monkeypatch):
@@ -761,6 +786,22 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert [line for line in err.splitlines() if not line.startswith("[gramsel]")] == [
             "error: horizon t = 1e+308 times ||A||_1 = 2.2 overflows"]
+
+    def test_targets_past_the_float_range_are_3(self, tmp_path, capsys):
+        # the README's explicit problem, whose inputs p0 and p1 never reach the third state:
+        # a target along it is outside the range at any size, and one of 1e200 along the
+        # first state needs an energy near 1e400
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "problem.json"
+        path.write_text(re.findall(r"```json\n(.*?)```", text, re.DOTALL)[0])
+        for target, error in (
+                ("0,0,1e200", "error: target state lies outside the range of the gramian "
+                              "(out-of-range component 1.000e+00 of its norm)"),
+                ("1e200,0,0", "error: the minimum energy x_f^T W(t)^{-1} x_f overflows")):
+            code, out, err = run(capsys, ["synthesize", str(path), "--ids", "p0,p1",
+                                          "--horizon", "2.0", "--target", target])
+            assert code == 3 and out == "" and "encountered" not in err  # no numpy warning
+            assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
 
     def test_no_subcommand_prints_help(self, capsys):
         code = cli.main([])
@@ -1452,16 +1493,36 @@ class TestMalformedInput:
 
 
 class TestUngroundedGrid:
+    # an ungrounded 2-bus grid whose zero eigenvalue the Schur factor puts at -1.99e-12,
+    # 1510 times its rounding level eps ||A||_1 (found among random ungrounded chains with
+    # parameters 10^U(-2, 2)): the Hurwitz rule accepts its A, so only the grid's grounded
+    # flag refuses it
+    ACCEPTED = {"buses": [
+        {"id": "b0", "inertia": 94.43232412716578, "damping": 0.045952205083853344},
+        {"id": "b1", "inertia": 0.6569497954150226, "damping": 0.04690067613835631}],
+        "lines": [{"from": "b0", "to": "b1", "susceptance": 3.8652935141356264}]}
+
     def test_ranking_commands_name_grounding(self, tmp_path, capsys):
-        path = make_problem(tmp_path, capsys, args=("--ring", "4", "--grounding", "0"))
-        for command in (["rank"], ["select", "--k", "2"], ["centrality"], ["verify"],
-                        ["bruteforce", "--k", "2"]):
-            code, out, err = run(capsys, [command[0], path, *command[1:]])
-            assert code == 3
-            assert out == ""
-            assert "no bus is grounded" in err and "not Hurwitz" in err
-            # an HVDC link never excites the angle shift, so its Gramian is finite
-            assert "infinite-horizon Gramian" not in err
+        ring = make_problem(tmp_path, capsys, args=("--ring", "4", "--grounding", "0"))
+        accepted = tmp_path / "accepted.json"
+        accepted.write_text(json.dumps({"grid": self.ACCEPTED}))
+        for path in (ring, str(accepted)):
+            for command in (["rank"], ["select", "--k", "2"], ["centrality"], ["verify"],
+                            ["bruteforce", "--k", "2"]):
+                code, out, err = run(capsys, [command[0], path, *command[1:]])
+                assert code == 3
+                assert out == ""
+                assert "no bus is grounded" in err and "not Hurwitz" in err
+                # an HVDC link never excites the angle shift, so its Gramian is finite
+                assert "infinite-horizon Gramian" not in err
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="ROADMAP item 11: the Hurwitz rule accepts this ungrounded A, "
+                              "and centrality scores its zero mode")
+    def test_centrality_refuses_an_ungrounded_grid_the_rule_accepts(self):
+        a = models.build_swing_matrix(models.grid_model(self.ACCEPTED))
+        with pytest.raises((NumericalError, StabilityError)):
+            controllability_centrality(a)
 
     def test_synthesize_still_runs(self, tmp_path, capsys):
         # finite-horizon synthesis needs no Hurwitz A; the target has zero mean angle

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -56,6 +57,12 @@ def gramian_quadrature(a, b, t_end, tol=1e-12):
     w, _ = quad_vec(lambda s: expm(a * s) @ q @ expm(a * s).T, 0.0, t_end,
                     epsabs=tol, epsrel=tol)
     return w
+
+
+# the 45 degree rotation, and A = R diag(-1, -2) R^T, whose Schur vectors are not the unit
+# vectors
+ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+ROTATED = ROTATION @ np.diag([-1.0, -2.0]) @ ROTATION.T
 
 
 def _system(seed, n=None, m=None):
@@ -192,6 +199,28 @@ class TestSolveLyapunov:
                 assert np.diag(w) == pytest.approx([1.5e308] * solver.n, rel=1e-14)
         w = LyapunovSolver(np.diag([-1.0, -2.0])).solve(np.diag([1e308, 0.0]))
         assert np.array_equal(w, np.diag([5e307, 0.0]))
+        # A = R diag(-1, -2) R^T, R the 45 degree rotation, and q = s^2 r r^T for R's
+        # first column r: W = q / 2 has trace 1.62e308, but U^T q on the Schur path sums
+        # two entries of 1.15e308 unless q is scaled first
+        r = ROTATION[:, 0]
+        q = (1.8e154 * r)[:, None] * (1.8e154 * r)
+        for adjoint in (False, True):
+            w = LyapunovSolver(ROTATED).solve(q, adjoint=adjoint)
+            assert w == pytest.approx(q / 2, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [build_swing_matrix(ring_grid(6)), ROTATED],
+                             ids=["ring6", "rotated"])
+    def test_solutions_do_not_depend_on_the_units_of_q(self, a):
+        # the solve is linear in q, so scaling q by 2^j scales W by exactly 2^j, on the
+        # modal path (ring6, forward) and the Schur path alike, wherever no entry is
+        # subnormal
+        solver = LyapunovSolver(a)
+        q = _rhs(solver.n, 3)
+        for adjoint in (False, True):
+            w = solver.solve(q, adjoint=adjoint)
+            for j in range(-1000, 1001, 10):
+                assert np.array_equal(solver.solve(np.ldexp(q, j), adjoint=adjoint),
+                                      np.ldexp(w, j)), (adjoint, j)
 
     def test_solver_reuse_matches_oneshot(self):
         a, _ = _system(9, n=5)
@@ -597,7 +626,11 @@ class TestFiniteHorizon:
     def test_a_gramian_past_the_float_range_is_a_numerical_error(self):
         # W(t) = (e^{2t} - 1) / 2 for a = b = 1: finite at t = 300, past the float range
         # at t = 400, where the doubling loop overflows; no numpy warning escapes it
-        assert finite_horizon_gramian([[1.0]], [[1.0]], 300)[0, 0] == 1.886510150469548e+260
+        w = finite_horizon_gramian([[1.0]], [[1.0]], 300)[0, 0]
+        assert w == 1.8865101504648382e+260
+        with decimal.localcontext(decimal.Context(prec=60)):
+            exact = (decimal.Decimal(600).exp() - 1) / 2
+        assert abs(decimal.Decimal(w) / exact - 1) <= decimal.Decimal("1e-13")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError) as err:
@@ -605,12 +638,31 @@ class TestFiniteHorizon:
         assert str(err.value) == "the finite-horizon Gramian overflows at horizon t = 400"
 
     def test_a_sub_interval_whose_block_overflows_is_a_numerical_error(self):
-        # b b^T = 1e308 is finite, but the block exponential's h b b^T, h = t = 3, is not
+        # b b^T = 1e308 is finite, and the block exponential runs on it scaled to 0.56, so
+        # only W(t) = 1e308 (1 - e^{-2 t / 10}) / 0.2 can overflow: it does at t = 3, where
+        # it is 2.26e308; W(4) = 1e308 (1 - e^{-8}) / 2 of A = [[-1]] is in range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError) as err:
                 finite_horizon_gramian([[-0.1]], [[1e154]], 3.0)
-        assert str(err.value) == "the finite-horizon block h b b^T, h = 3, overflows"
+            w = finite_horizon_gramian([[-1.0]], [[1e154]], 4.0)[0, 0]
+        assert str(err.value) == "the finite-horizon Gramian overflows at horizon t = 3"
+        assert w == pytest.approx(-1e308 * math.expm1(-8.0) / 2, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [4.0, 8.0, 30.0])
+    def test_the_sub_intervals_keep_the_closed_form_to_rounding(self, t):
+        # W(t) = (1 - e^{-2t}) / 2 for a = -1, b = 1; a sub-interval of t ||A||_1 up to 4
+        # loses about e^8 eps in the block exponential
+        w = finite_horizon_gramian([[-1.0]], [[1.0]], t)[0, 0]
+        assert abs(w + math.expm1(-2.0 * t) / 2) <= 4 * EPS * w
+
+    def test_gramians_do_not_depend_on_the_units_of_b(self):
+        # W is linear in b b^T: scaling b by 2^j scales W by exactly 2^(2j)
+        a, b = _system(12, n=4, m=2)
+        w = finite_horizon_gramian(a, b, 2.0)
+        for j in range(-250, 251, 10):
+            assert np.array_equal(finite_horizon_gramian(a, np.ldexp(b, j), 2.0),
+                                  np.ldexp(w, 2 * j)), j
 
 
 class TestObservability:

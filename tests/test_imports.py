@@ -13,7 +13,8 @@ Placement builds its Lyapunov solver in one place, one helper forms and
 checks every ``b b^T``, one comparison states the Hurwitz margin rule, one
 call picks a solver's modal path, shape errors come from the one array
 validator in ``numerics``, only the input checks and ``numerics.finite`` test
-finiteness, and no module imports another's private name.
+finiteness, only ``numerics.scaled`` calls ``frexp``, and no module imports
+another's private name.
 """
 
 import ast
@@ -170,6 +171,18 @@ def test_the_finiteness_rule_is_stated_once():
              for line, name in isfinite_calls(ast.parse(path.read_text("utf-8"))).items()
              if (path.name, name) not in allowed]
     assert calls == []
+
+
+def test_the_range_rule_is_stated_once():
+    # numerics.scaled alone picks the power of two that brings the input of a linear
+    # computation into range; a hand-written frexp elsewhere would drift
+    def is_frexp(node):
+        return isinstance(node, ast.Call) and "frexp" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+    scopes = {(path.name, name) for path in PACKAGE
+              for name in scoped(ast.parse(path.read_text("utf-8")), is_frexp).values()}
+    assert scopes == {("numerics.py", "scaled")}
 
 
 def test_the_hurwitz_margin_rule_is_stated_once():

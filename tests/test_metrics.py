@@ -263,6 +263,22 @@ class TestSynthesis:
             ratio = relative_errors(scale) / unit
             assert ((0.1 <= ratio) & (ratio <= 10.0)).all(), (scale, ratio)
 
+    def test_synthesis_does_not_depend_on_the_units_of_b(self):
+        # the README's problem with its columns scaled by 1e50: W(t) scales by 1e100 and
+        # the energy by 1e-100, and the transfer lands as closely as the unscaled one's
+        a = np.array([[-1.0, 0.2, 0.0], [0.0, -2.0, 0.1], [0.0, 0.0, -0.5]])
+        x_f = np.array([0.1, 0.2, 0.0])
+
+        def transfer(scale):
+            b = scale * np.eye(3)[:, :2]
+            with pytest.warns(DegenerateGramianWarning):  # the third state is unreachable
+                traj = synthesize_min_energy_input(a, b, 2.0, x_f)
+            return traj.energy, simulate_transfer(a, b, x_f, traj).terminal_error
+
+        (energy, error), (scaled_energy, scaled_error) = transfer(1.0), transfer(1e50)
+        assert scaled_energy == pytest.approx(1e-100 * energy, rel=1e-14)
+        assert scaled_error == pytest.approx(error, rel=0.01)
+
     def test_simulate_transfer_to_the_origin_is_exact(self):
         a, b = _system(10, n=5, m=2)
         traj = synthesize_min_energy_input(a, b, 2.5, np.zeros(5), samples=11)

@@ -28,6 +28,7 @@ from gramsel.numerics import (
     finite,
     matrix_exponential,
     real_schur,
+    scaled,
     spectral_abscissa,
     symmetrize,
 )
@@ -347,6 +348,17 @@ def test_finite_raises_the_message_for_a_non_finite_entry(x):
     assert finite(y, "unused") is y and finite(-1e308, "unused") == -1e308
     with pytest.raises(NumericalError, match="^the result overflows$"):
         finite(x, "the result overflows")
+
+
+@pytest.mark.parametrize("x, k", [
+    (np.zeros((2, 2)), 0), (np.array([3.0, -0.5]), 2), (np.array([-1.0]), 1),
+    (np.array([[0.75, 0.0], [-0.5, 0.25]]), 0), (np.array([5e-324, 0.0]), -1073),
+    (np.array([1.7e308, -1e10]), 1024),
+], ids=["zero", "three", "minus one", "in range", "subnormal", "near overflow"])
+def test_scaled_brings_the_largest_entry_to_a_half_to_one_exactly(x, k):
+    xs, shift = scaled(x)
+    assert shift == k and np.array_equal(np.ldexp(xs, shift), x)
+    assert not x.any() or 0.5 <= np.abs(xs).max() < 1.0
 
 
 class TestNoNonFiniteResultEscapes:

@@ -565,8 +565,10 @@ class TestVerifyModularity:
         monkeypatch.setattr(placement, "finite", finite)
         report = verify_modularity(cs, trials=20)
         assert len(violations) == 20 and np.isfinite(violations).all()
-        assert (report.max_violation, report.worst_pair) == (3.305785123966942e-308,
-                                                             (("q",), ("p", "q")))
+        # the worst pair's gap is f({q}) = 5 against the scale f({p, q}), each the correctly
+        # rounded q / (2 fl(0.1)), so the violation is 5 / 1.5125e308 rounded once
+        w_q, w_pq = (float(Fraction(q) / (2 * Fraction(0.1))) for q in (1.0, 5.5e153 ** 2))
+        assert (report.max_violation, report.worst_pair) == (w_q / w_pq, (("q",), ("p", "q")))
         assert report.passed
 
     @staticmethod
